@@ -33,8 +33,8 @@ import numpy as np
 from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant, FApp,
-    TRUE, conj, simplify, free_vars, symbols, has_quantifier, instance_of,
-    ediv, subst, rename,
+    TRUE, ARITH, CMP, simplify, free_vars, symbols, has_quantifier,
+    instance_of, rename,
 )
 from .vcgen import VerificationCondition
 
@@ -196,14 +196,7 @@ def _np_term(t: TermF, env, memo) -> np.ndarray:
         out = np.int64(t.value)
     elif isinstance(t, IOp):
         a, b = _np_term(t.left, env, memo), _np_term(t.right, env, memo)
-        if t.op == "+":
-            out = a + b
-        elif t.op == "-":
-            out = a - b
-        elif t.op == "*":
-            out = a * b
-        else:
-            out = _np_ediv(a, b)
+        out = _np_ediv(a, b) if t.op == "/" else ARITH[t.op](a, b)
     elif isinstance(t, IIte):
         out = np.where(_np_form(t.cond, env, memo), _np_term(t.then, env, memo),
                        _np_term(t.other, env, memo))
@@ -222,9 +215,7 @@ def _np_form(f: Form, env, memo=None) -> np.ndarray:
     if isinstance(f, FBool):
         out = np.bool_(f.value)
     elif isinstance(f, FCmp):
-        a, b = _np_term(f.left, env, memo), _np_term(f.right, env, memo)
-        out = {"==": a == b, "!=": a != b, "<=": a <= b,
-               ">=": a >= b, "<": a < b, ">": a > b}[f.op]
+        out = CMP[f.op](_np_term(f.left, env, memo), _np_term(f.right, env, memo))
     elif isinstance(f, FNot):
         out = ~_np_form(f.body, env, memo)
     elif isinstance(f, FAnd):
@@ -306,14 +297,7 @@ class _Scalar:
         if isinstance(t, ICon):
             return t.value
         if isinstance(t, IOp):
-            a, b = self.term(t.left, env), self.term(t.right, env)
-            if t.op == "+":
-                return a + b
-            if t.op == "-":
-                return a - b
-            if t.op == "*":
-                return a * b
-            return ediv(a, b)
+            return ARITH[t.op](self.term(t.left, env), self.term(t.right, env))
         if isinstance(t, IIte):
             return self.term(t.then, env) if self.form(t.cond, env) \
                 else self.term(t.other, env)
@@ -329,9 +313,7 @@ class _Scalar:
         if isinstance(f, FBool):
             return f.value
         if isinstance(f, FCmp):
-            a, b = self.term(f.left, env), self.term(f.right, env)
-            return {"==": a == b, "!=": a != b, "<=": a <= b,
-                    ">=": a >= b, "<": a < b, ">": a > b}[f.op]
+            return CMP[f.op](self.term(f.left, env), self.term(f.right, env))
         if isinstance(f, FNot):
             return not self.form(f.body, env)
         if isinstance(f, FAnd):

@@ -20,9 +20,9 @@ from .validate import validate
 from .selfcomp import transform, TransformedProgram, TransformError
 from .vcgen import vcs_for, VerificationCondition, MissingLoopInvariant
 from .smtlib import emit_smtlib
-from .bounded import check_bounded, BoundedResult, BudgetExceeded
+from .bounded import check_bounded, BudgetExceeded
 from .dynamic import (
-    InputVector, find_counterexample, runtime_check, wrapper_slots,
+    InputVector, find_counterexample, runtime_check,
     load_counterexamples,
 )
 

@@ -19,19 +19,20 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .minic import (
     INT, PTR,
-    Program, FunctionDef, RelationalClause, CallSpec,
-    Term, IntLit, Var, Deref, Bin, CallResult, At, CallPure, LogicApp,
-    Pred, PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
-    PredApp, GlobalLoc, DerefLoc, rel_label,
+    Program, RelationalClause,
+    Term, IntLit, Var, Bin, CallResult, At, CallPure,
+    Pred, PBool, Cmp, PAnd, POr, PImp, PNot,
+    rel_label,
 )
-from .selfcomp import TransformedProgram, WrapperFunction, footprint_locs
+from .logic import ARITH, CMP
+from .selfcomp import TransformedProgram, WrapperFunction
 from .interp import (
-    State, Fuel, Interp, InterpError, AssertViolated, init_state,
+    Fuel, Interp, InterpError, AssertViolated, init_state,
 )
 
 DEFAULT_FUEL = 100_000
@@ -229,6 +230,15 @@ def evaluate_clause(clause: RelationalClause, wrapper: WrapperFunction,
     post_snaps: dict[str, dict] = {}
     rets: dict[str, Optional[int]] = {}
 
+    def callpure(t: CallPure, args: list[int], interp: Interp) -> int:
+        try:
+            value = interp.run_isolated(source.function(t.callee), args)
+        except InterpError as exc:
+            raise ClauseOracleError(str(exc)) from exc
+        if value is None:
+            raise ClauseOracleError(f"{t.callee} returned nothing")
+        return value
+
     def eval_arg(t: Term, interp: Interp) -> int:
         if isinstance(t, IntLit):
             return t.value
@@ -236,23 +246,11 @@ def evaluate_clause(clause: RelationalClause, wrapper: WrapperFunction,
             return binder_env[t.name]
         if isinstance(t, Bin):
             a, b = eval_arg(t.left, interp), eval_arg(t.right, interp)
-            from .logic import ediv
-            if t.op == "+":
-                return a + b
-            if t.op == "-":
-                return a - b
-            if t.op == "*":
-                return a * b
-            if b == 0:
+            if t.op == "/" and b == 0:
                 raise ClauseOracleError("division by zero in call argument")
-            return ediv(a, b)
+            return ARITH[t.op](a, b)
         if isinstance(t, CallPure):
-            fn = source.function(t.callee)
-            args = [eval_arg(a, interp) for a in t.args]
-            value = interp.run_isolated(fn, args)
-            if value is None:
-                raise ClauseOracleError(f"{t.callee} returned nothing")
-            return value
+            return callpure(t, [eval_arg(a, interp) for a in t.args], interp)
         raise ClauseOracleError(f"cannot evaluate argument {t!r}")
 
     for cs, ren in zip(clause.calls, wrapper.renamings):
@@ -296,17 +294,10 @@ def evaluate_clause(clause: RelationalClause, wrapper: WrapperFunction,
                 return binder_env[t.name]
             raise ClauseOracleError(f"unbound {t.name}")
         if isinstance(t, Bin):
-            from .logic import ediv
             a, b = term(t.left), term(t.right)
-            if t.op == "+":
-                return a + b
-            if t.op == "-":
-                return a - b
-            if t.op == "*":
-                return a * b
-            if b == 0:
+            if t.op == "/" and b == 0:
                 raise ClauseOracleError("division by zero in predicate")
-            return ediv(a, b)
+            return ARITH[t.op](a, b)
         if isinstance(t, CallResult):
             value = rets[t.call_id]
             if value is None:
@@ -323,20 +314,14 @@ def evaluate_clause(clause: RelationalClause, wrapper: WrapperFunction,
                 raise ClauseOracleError(f"{key} not in snapshot of {cid}")
             return snaps[cid][key]
         if isinstance(t, CallPure):
-            fn = source.function(t.callee)
-            value = helper.run_isolated(fn, [term(a) for a in t.args])
-            if value is None:
-                raise ClauseOracleError(f"{t.callee} returned nothing")
-            return value
+            return callpure(t, [term(a) for a in t.args], helper)
         raise ClauseOracleError(f"cannot evaluate {t!r}")
 
     def walk(p: Pred) -> bool:
         if isinstance(p, PBool):
             return p.value
         if isinstance(p, Cmp):
-            a, b = term(p.left), term(p.right)
-            return {"==": a == b, "!=": a != b, "<=": a <= b,
-                    ">=": a >= b, "<": a < b, ">": a > b}[p.op]
+            return CMP[p.op](term(p.left), term(p.right))
         if isinstance(p, PAnd):
             return walk(p.left) and walk(p.right)
         if isinstance(p, POr):

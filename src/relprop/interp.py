@@ -14,21 +14,22 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .minic import (
-    INT, PTR, VOID,
-    Program, FunctionDef, Param, PredicateDecl, LogicFnDecl,
+    INT,
+    Program, FunctionDef, PredicateDecl,
     Stmt, DeclStmt, AssignStmt, CallStmt, IfStmt, WhileStmt, ReturnStmt,
     AssertStmt,
     Term, IntLit, Var, Deref, Bin, At, CallPure, OldTerm, ResultTerm,
     LogicApp, CallResult,
     Pred, PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
-    GlobalLoc, DerefLoc,
 )
-from .logic import ediv
-from .validate import footprint_of
+from .logic import ARITH, CMP
 
 INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
+# Deepest MiniC call nesting a run may reach. Each MiniC call costs several
+# Python frames, so this stays well below Python's recursion limit.
+MAX_CALL_DEPTH = 64
 
 
 class InterpError(Exception):
@@ -87,7 +88,8 @@ class State:
 
 
 class Fuel:
-    """Shared budget for loop iterations and call depth."""
+    """Shared budget for loop iterations and calls; `Interp` also bounds
+    the call depth by MAX_CALL_DEPTH."""
 
     def __init__(self, amount: int):
         self.remaining = amount
@@ -122,6 +124,7 @@ class Interp:
         self.program = program
         self.fuel = fuel
         self.logic_decls = program.logic_decls()
+        self.depth = 0
 
     # -- expressions --------------------------------------------------------
 
@@ -142,23 +145,15 @@ class Interp:
         if isinstance(t, Bin):
             a = self.term(t.left, state, frame)
             b = self.term(t.right, state, frame)
-            if t.op == "+":
-                return _check64(a + b)
-            if t.op == "-":
-                return _check64(a - b)
-            if t.op == "*":
-                return _check64(a * b)
-            if b == 0:
+            if t.op == "/" and b == 0:
                 raise DivisionByZero("division by zero")
-            return _check64(ediv(a, b))
+            return _check64(ARITH[t.op](a, b))
         raise NotExecutable(f"term {t!r} is not a program expression")
 
     def cond(self, p: Pred, state: State, frame: dict[str, int]) -> bool:
         if isinstance(p, Cmp):
-            a = self.term(p.left, state, frame)
-            b = self.term(p.right, state, frame)
-            return {"==": a == b, "!=": a != b, "<=": a <= b,
-                    ">=": a >= b, "<": a < b, ">": a > b}[p.op]
+            return CMP[p.op](self.term(p.left, state, frame),
+                             self.term(p.right, state, frame))
         if isinstance(p, PAnd):
             return self.cond(p.left, state, frame) and self.cond(p.right, state, frame)
         if isinstance(p, POr):
@@ -171,15 +166,19 @@ class Interp:
 
     def run(self, fn: FunctionDef, args: list[int], state: State) -> Optional[int]:
         self.fuel.burn()
+        if self.depth >= MAX_CALL_DEPTH:
+            raise FuelExhausted(f"call depth exceeds {MAX_CALL_DEPTH}")
         if len(args) != len(fn.formals):
             raise InterpError(f"{fn.name} expects {len(fn.formals)} arguments")
         frame = {p.name: a for p, a in zip(fn.formals, args)}
         state.snapshot("Pre", frame)
+        self.depth += 1
         try:
             self.stmts(fn.body, state, frame)
         except _Return as r:
             return r.value
         finally:
+            self.depth -= 1
             state.snapshots.pop("Pre", None)
         return None
 
@@ -292,15 +291,9 @@ class Interp:
         if isinstance(t, Bin):
             a = self.logic_term(t.left, state, frame)
             b = self.logic_term(t.right, state, frame)
-            if t.op == "+":
-                return a + b
-            if t.op == "-":
-                return a - b
-            if t.op == "*":
-                return a * b
-            if b == 0:
+            if t.op == "/" and b == 0:
                 raise DivisionByZero("division by zero in annotation")
-            return ediv(a, b)
+            return ARITH[t.op](a, b)
         if isinstance(t, (LogicApp, CallPure)):
             name = t.name if isinstance(t, LogicApp) else t.callee
             args = [self.logic_term(a, state, frame) for a in t.args]
@@ -326,10 +319,8 @@ class Interp:
         if isinstance(p, PBool):
             return p.value
         if isinstance(p, Cmp):
-            a = self.logic_term(p.left, state, frame)
-            b = self.logic_term(p.right, state, frame)
-            return {"==": a == b, "!=": a != b, "<=": a <= b,
-                    ">=": a >= b, "<": a < b, ">": a > b}[p.op]
+            return CMP[p.op](self.logic_term(p.left, state, frame),
+                             self.logic_term(p.right, state, frame))
         if isinstance(p, PAnd):
             return self.logic_pred(p.left, state, frame) and \
                 self.logic_pred(p.right, state, frame)
@@ -455,7 +446,8 @@ def interpret(fn: FunctionDef, args: list[int], state: Optional[State] = None,
     """Interpret one function call; returns (return value, final state).
 
     Raises DivisionByZero, Overflow, FuelExhausted, AssertViolated, or
-    NotExecutable. The fuel bounds loop iterations and call depth.
+    NotExecutable. The fuel bounds loop iterations and calls;
+    MAX_CALL_DEPTH bounds call nesting.
     """
     if program is None:
         program = Program((fn,))

@@ -9,8 +9,9 @@ All nodes are immutable; substitution is capture-avoiding.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Optional, Union
 
 
 # -- terms -------------------------------------------------------------------
@@ -127,6 +128,13 @@ def ediv(a: int, b: int) -> int:
     if b == 0:
         return 0
     return a // b if b > 0 else -(a // -b)
+
+
+# What the comparison and arithmetic operators mean on integers; each engine
+# applies its own policy for overflow and zero divisors around them.
+CMP = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
+       ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ediv}
 
 
 def emod(a: int, b: int) -> int:
@@ -336,11 +344,6 @@ def rename(f: Form, mapping: dict[str, str]) -> Form:
 # -- simplification ----------------------------------------------------------------
 
 
-def _eval_cmp(op: str, a: int, b: int) -> bool:
-    return {"==": a == b, "!=": a != b, "<=": a <= b,
-            ">=": a >= b, "<": a < b, ">": a > b}[op]
-
-
 def simplify_term(t: TermF, _memo: Optional[dict] = None) -> TermF:
     memo = _memo if _memo is not None else {}
     key = id(t)
@@ -353,9 +356,7 @@ def simplify_term(t: TermF, _memo: Optional[dict] = None) -> TermF:
         left = simplify_term(t.left, memo)
         right = simplify_term(t.right, memo)
         if isinstance(left, ICon) and isinstance(right, ICon):
-            a, b = left.value, right.value
-            out = ICon({"+": a + b, "-": a - b, "*": a * b,
-                        "/": ediv(a, b)}[t.op])
+            out = ICon(ARITH[t.op](left.value, right.value))
         else:
             out = IOp(t.op, left, right)
     elif isinstance(t, IIte):
@@ -411,7 +412,7 @@ def _simplify_node(f: Form, memo: dict) -> Form:
         left = simplify_term(f.left, memo)
         right = simplify_term(f.right, memo)
         if isinstance(left, ICon) and isinstance(right, ICon):
-            return FBool(_eval_cmp(f.op, left.value, right.value))
+            return FBool(CMP[f.op](left.value, right.value))
         if left == right:
             return FBool(f.op in ("==", "<=", ">="))
         pushed = _cmp_over_ite(f.op, left, right)

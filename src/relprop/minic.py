@@ -13,8 +13,9 @@ equal AST-to-AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable, Iterator, Optional, Union
 
 INT = "int"
 PTR = "int*"
@@ -446,25 +447,30 @@ class Program(Node):
     def axiomatics(self) -> tuple[Axiomatic, ...]:
         return tuple(i for i in self.items if isinstance(i, Axiomatic))
 
-    def function(self, name: str) -> Optional[FunctionDef]:
+    @cached_property
+    def _function_index(self) -> dict[str, FunctionDef]:
+        out: dict[str, FunctionDef] = {}
         for f in self.functions:
-            if f.name == name:
-                return f
-        return None
+            out.setdefault(f.name, f)  # the first definition wins
+        return out
 
-    def global_decl(self, name: str) -> Optional[GlobalDecl]:
-        for g in self.globals:
-            if g.name == name:
-                return g
-        return None
+    def function(self, name: str) -> Optional[FunctionDef]:
+        return self._function_index.get(name)
+
+    @cached_property
+    def _logic_index(self) -> dict[str, Union[PredicateDecl, LogicFnDecl]]:
+        return {item.name: item for ax in self.axiomatics for item in ax.items
+                if isinstance(item, (PredicateDecl, LogicFnDecl))}
 
     def logic_decls(self) -> dict[str, Union[PredicateDecl, LogicFnDecl]]:
-        out: dict[str, Union[PredicateDecl, LogicFnDecl]] = {}
-        for ax in self.axiomatics:
-            for item in ax.items:
-                if isinstance(item, (PredicateDecl, LogicFnDecl)):
-                    out[item.name] = item
-        return out
+        """Logic symbols by name (a later declaration wins); read-only."""
+        return self._logic_index
+
+    @cached_property
+    def memo(self) -> dict:
+        """Cache for facts derived from this immutable program, such as
+        footprints; each analysis keys its own entries."""
+        return {}
 
     def clauses(self) -> tuple[tuple[FunctionDef, RelationalClause], ...]:
         """All relational clauses paired with their host function, in
@@ -485,45 +491,45 @@ def rel_label(label: str) -> Optional[tuple[str, str]]:
     return None
 
 
-def term_vars(t: Term) -> set[str]:
-    """Free variable names of a term (Deref contributes the pointer name)."""
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Deref):
-        return {t.name}
-    if isinstance(t, Bin):
-        return term_vars(t.left) | term_vars(t.right)
-    if isinstance(t, At):
-        return term_vars(t.base)
-    if isinstance(t, CallPure):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(t, OldTerm):
-        return term_vars(t.term)
-    if isinstance(t, LogicApp):
-        out = set()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-    return set()
+_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
-def pred_vars(p: Pred) -> set[str]:
-    if isinstance(p, Cmp):
-        return term_vars(p.left) | term_vars(p.right)
-    if isinstance(p, (PAnd, POr, PImp)):
-        return pred_vars(p.left) | pred_vars(p.right)
-    if isinstance(p, PNot):
-        return pred_vars(p.body)
-    if isinstance(p, (PForall, PExists)):
-        return pred_vars(p.body) - {b.name for b in p.binders}
-    if isinstance(p, Separated):
-        return term_vars(p.left) | term_vars(p.right)
-    if isinstance(p, PredApp):
-        out: set[str] = set()
-        for a in p.args:
-            out |= term_vars(a)
+def _child_fields(cls: type) -> tuple[str, ...]:
+    names = _FIELDS.get(cls)
+    if names is None:
+        names = _FIELDS[cls] = tuple(f.name for f in fields(cls)
+                                     if f.name != "span")
+    return names
+
+
+def walk(node) -> Iterator[Node]:
+    """Pre-order iteration over `node` (a Node or a tuple of them) and every
+    Node below it, fields in declaration order; spans are not visited."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, tuple):
+            stack.extend(reversed(n))
+        elif isinstance(n, Node):
+            yield n
+            stack.extend(reversed([getattr(n, f) for f in _child_fields(type(n))]))
+
+
+def map_nodes(node, fn: Callable[[Node], Optional[Node]]):
+    """Rebuild `node` (a Node or a tuple of them) top-down. Where `fn(n)`
+    returns a node, that node replaces n whole; where it returns None, n's
+    children are mapped and n is rebuilt with its span, or kept as is when
+    no child changed."""
+    if isinstance(node, tuple):
+        items = tuple(map_nodes(n, fn) for n in node)
+        return node if all(a is b for a, b in zip(node, items)) else items
+    if not isinstance(node, Node):
+        return node
+    out = fn(node)
+    if out is not None:
         return out
-    return set()
+    old = [getattr(node, f) for f in _child_fields(type(node))]
+    new = [map_nodes(v, fn) for v in old]
+    if all(a is b for a, b in zip(old, new)):
+        return node
+    return type(node)(*new, span=node.span)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .minic import (
-    INT, PTR, VOID, BUILTIN_LABELS,
+    INT, PTR, VOID,
     Span, Diagnostic, Program, GlobalDecl, FunctionDef, Param, Contract,
     AssignsClause, Behavior, RelationalClause, CallSpec, Binder,
     Axiomatic, PredicateDecl, LogicFnDecl, Lemma,
@@ -927,10 +927,3 @@ def parse_program(text: str, file: str = "<input>") -> Union[Program, list[Diagn
         return _Parser(toks, file).parse_program()
     except ParseFailure as exc:
         return [exc.diagnostic]
-
-
-def parse_program_or_raise(text: str, file: str = "<input>") -> Program:
-    result = parse_program(text, file)
-    if isinstance(result, list):
-        raise ParseFailure(result[0])
-    return result

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from .minic import (
     INT, PTR, VOID,
-    Program, GlobalDecl, FunctionDef, Param, Contract, AssignsClause,
-    Behavior, RelationalClause, CallSpec, Binder,
+    Program, GlobalDecl, FunctionDef, Param, Contract,
+    CallSpec, Binder,
     Axiomatic, PredicateDecl, LogicFnDecl, Lemma,
     Stmt, DeclStmt, AssignStmt, CallStmt, IfStmt, WhileStmt, ReturnStmt,
     AssertStmt,

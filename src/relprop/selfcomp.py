@@ -25,10 +25,10 @@ from .minic import (
     Stmt, DeclStmt, AssignStmt, CallStmt, IfStmt, WhileStmt, ReturnStmt,
     AssertStmt,
     Term, IntLit, Var, Deref, Bin, CallResult, At, CallPure,
-    OldTerm, ResultTerm, LogicApp,
-    Pred, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
+    ResultTerm, LogicApp,
+    Pred, Cmp, PAnd, POr, PImp, PForall, PExists, Separated,
     PredApp,
-    GlobalLoc, DerefLoc, Loc, Diagnostic, rel_label,
+    GlobalLoc, DerefLoc, Loc, Diagnostic, rel_label, walk, map_nodes,
 )
 from .validate import validate, footprint_of
 
@@ -129,9 +129,8 @@ class _Names:
             used.add(g.name)
         for fn in program.functions:
             used.add(fn.name)
-            for p in fn.formals:
-                used.add(p.name)
-            used.update(_local_names(fn.body))
+            used.update(p.name for p in fn.formals)
+            used.update(_frame_names(fn))
         used.update(program.logic_decls())
         self.used = used
 
@@ -145,16 +144,10 @@ class _Names:
         return name
 
 
-def _local_names(stmts: tuple[Stmt, ...]) -> set[str]:
-    out: set[str] = set()
-    for s in stmts:
-        if isinstance(s, DeclStmt):
-            out.add(s.name)
-        elif isinstance(s, IfStmt):
-            out |= _local_names(s.then) | _local_names(s.orelse)
-        elif isinstance(s, WhileStmt):
-            out |= _local_names(s.body)
-    return out
+def _frame_names(fn: FunctionDef) -> list[str]:
+    """What an inlined copy of `fn` renames: int formals, then locals."""
+    return [p.name for p in fn.formals if p.ty == INT] + \
+        sorted({s.name for s in walk(fn.body) if isinstance(s, DeclStmt)})
 
 
 def footprint_locs(fn: FunctionDef, program: Program) -> list[Loc]:
@@ -214,10 +207,7 @@ def make_renamings(clause: RelationalClause, program: Program,
         for p in callee.formals:
             if p.ty == PTR and p.name not in pointers_map:
                 pointers_map[p.name] = names.fresh(f"{p.name}_{cs.call_id}")
-        locals_map: dict[str, str] = {}
-        for v in [p.name for p in callee.formals if p.ty == INT] + \
-                sorted(_local_names(callee.body)):
-            locals_map[v] = names.fresh(f"{v}_{idx}")
+        locals_map = {v: names.fresh(f"{v}_{idx}") for v in _frame_names(callee)}
         ret_var = names.fresh(f"ret_{cs.call_id}") if callee.ret == INT else None
         out.append(Renaming(cs.call_id, idx, globals_map, pointers_map,
                             locals_map, ret_var))
@@ -229,59 +219,24 @@ def make_renamings(clause: RelationalClause, program: Program,
 # ---------------------------------------------------------------------------
 
 
-def _rename_term(t: Term, env: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    if isinstance(t, Deref):
-        return Deref(env.get(t.name, t.name))
-    if isinstance(t, Bin):
-        return Bin(t.op, _rename_term(t.left, env), _rename_term(t.right, env))
-    if isinstance(t, At):
-        return At(_rename_term(t.base, env), t.label)
-    if isinstance(t, OldTerm):
-        return OldTerm(_rename_term(t.term, env))
-    if isinstance(t, LogicApp):
-        return LogicApp(t.name, tuple(_rename_term(a, env) for a in t.args))
-    if isinstance(t, CallPure):
-        return CallPure(t.depth, t.callee,
-                        tuple(_rename_term(a, env) for a in t.args))
-    return t
+def _rename(node, env: dict[str, str]):
+    """Rename variables and dereferenced pointers in a term or predicate;
+    quantifier binders shadow the renaming."""
+
+    def rule(n):
+        if isinstance(n, (Var, Deref)) and n.name in env:
+            return type(n)(env[n.name])
+        if isinstance(n, (PForall, PExists)):
+            bound = {b.name for b in n.binders}
+            return type(n)(n.binders, _rename(n.body, {k: v for k, v in env.items()
+                                                       if k not in bound}))
+        return None
+
+    return map_nodes(node, rule)
 
 
-def _rename_pred(p: Pred, env: dict[str, str]) -> Pred:
-    if isinstance(p, Cmp):
-        return Cmp(p.op, _rename_term(p.left, env), _rename_term(p.right, env))
-    if isinstance(p, PAnd):
-        return PAnd(_rename_pred(p.left, env), _rename_pred(p.right, env))
-    if isinstance(p, POr):
-        return POr(_rename_pred(p.left, env), _rename_pred(p.right, env))
-    if isinstance(p, PImp):
-        return PImp(_rename_pred(p.left, env), _rename_pred(p.right, env))
-    if isinstance(p, PNot):
-        return PNot(_rename_pred(p.body, env))
-    if isinstance(p, (PForall, PExists)):
-        inner = {k: v for k, v in env.items()
-                 if k not in {b.name for b in p.binders}}
-        cls = PForall if isinstance(p, PForall) else PExists
-        return cls(p.binders, _rename_pred(p.body, inner))
-    if isinstance(p, Separated):
-        return Separated(_rename_term(p.left, env), _rename_term(p.right, env))
-    if isinstance(p, PredApp):
-        return PredApp(p.name, p.labels,
-                       tuple(_rename_term(a, env) for a in p.args))
-    return p
-
-
-def _contains_return(stmts: tuple[Stmt, ...]) -> bool:
-    for s in stmts:
-        if isinstance(s, ReturnStmt):
-            return True
-        if isinstance(s, IfStmt) and (_contains_return(s.then)
-                                      or _contains_return(s.orelse)):
-            return True
-        if isinstance(s, WhileStmt) and _contains_return(s.body):
-            return True
-    return False
+def _contains_return(stmts) -> bool:
+    return any(isinstance(s, ReturnStmt) for s in walk(stmts))
 
 
 def _tail_convert(stmts: list[Stmt],
@@ -357,17 +312,17 @@ class _Inliner:
 
     def inline(self, callee: FunctionDef, arg_terms: list[Term],
                state_env: dict[str, str], tag: str, depth: int,
-               ret_target: Optional[str]) -> list[Stmt]:
-        """Inline one call: bind int formals to fresh locals, rename the body
+               ret_target: Optional[str],
+               frame_env: Optional[dict[str, str]] = None) -> list[Stmt]:
+        """Inline one call: bind int formals to locals (fresh ones unless
+        `frame_env` names them and the callee's locals), rename the body
         through the call's state copy, convert returns, and unfold nested
         calls while the depth budget lasts."""
         out: list[Stmt] = []
         env = dict(state_env)
+        env.update(frame_env if frame_env is not None else
+                   {v: self.names.fresh(f"{v}_{tag}") for v in _frame_names(callee)})
         int_formals = [p for p in callee.formals if p.ty == INT]
-        for p in int_formals:
-            env[p.name] = self.names.fresh(f"{p.name}_{tag}")
-        for v in sorted(_local_names(callee.body)):
-            env[v] = self.names.fresh(f"{v}_{tag}")
         for p, arg in zip(int_formals, arg_terms):
             out.append(DeclStmt(env[p.name], arg))
         body = self.rename_stmts(list(callee.body), env, tag, depth)
@@ -403,31 +358,29 @@ class _Inliner:
         seq = 0
         for s in stmts:
             if isinstance(s, DeclStmt):
-                init = _rename_term(s.init, env) if s.init is not None else None
-                out.append(DeclStmt(env.get(s.name, s.name), init))
+                out.append(DeclStmt(env.get(s.name, s.name), _rename(s.init, env)))
             elif isinstance(s, AssignStmt):
-                out.append(AssignStmt(_rename_term(s.target, env),
-                                      _rename_term(s.value, env)))
+                out.append(AssignStmt(_rename(s.target, env),
+                                      _rename(s.value, env)))
             elif isinstance(s, CallStmt):
                 seq += 1
                 out.extend(self._inline_nested(s, env, f"{tag}_{seq}", depth))
             elif isinstance(s, IfStmt):
-                out.append(IfStmt(_rename_pred(s.cond, env),
+                out.append(IfStmt(_rename(s.cond, env),
                                   tuple(self.rename_stmts(list(s.then), env,
                                                           tag, depth)),
                                   tuple(self.rename_stmts(list(s.orelse), env,
                                                           tag, depth))))
             elif isinstance(s, WhileStmt):
-                inv = _rename_pred(s.invariant, env) if s.invariant else None
-                var = _rename_term(s.variant, env) if s.variant else None
-                out.append(WhileStmt(_rename_pred(s.cond, env), inv, var,
+                out.append(WhileStmt(_rename(s.cond, env),
+                                     _rename(s.invariant, env),
+                                     _rename(s.variant, env),
                                      tuple(self.rename_stmts(list(s.body), env,
                                                              tag, depth))))
             elif isinstance(s, ReturnStmt):
-                val = _rename_term(s.value, env) if s.value is not None else None
-                out.append(ReturnStmt(val))
+                out.append(ReturnStmt(_rename(s.value, env)))
             elif isinstance(s, AssertStmt):
-                out.append(AssertStmt(s.label, _rename_pred(s.pred, env)))
+                out.append(AssertStmt(s.label, _rename(s.pred, env)))
             else:
                 raise TypeError(f"unknown statement {s!r}")
         return out
@@ -435,7 +388,7 @@ class _Inliner:
     def _inline_nested(self, s: CallStmt, env: dict[str, str], tag: str,
                        depth: int) -> list[Stmt]:
         target = env.get(s.target, s.target) if s.target else None
-        args = [_rename_term(a, env) for a in s.args]
+        args = list(_rename(s.args, env))
         callee = self.program.function(s.callee)
         if callee is None:
             # Already an opaque logic application; keep it.
@@ -460,22 +413,12 @@ def _emit_call(spec: CallSpec, renaming: Renaming, inliner: _Inliner) -> list[St
         raise TransformError([Diagnostic(
             "error", spec.span, f"unknown function {spec.callee}")])
     out: list[Stmt] = []
-    args = [inliner.lower_arg(a, str(renaming.index), out) for a in spec.args]
+    tag = str(renaming.index)
+    args = [inliner.lower_arg(a, tag, out) for a in spec.args]
     if renaming.ret_var is not None:
         out.append(DeclStmt(renaming.ret_var, None))
-    env = dict(renaming.globals)
-    env.update(renaming.pointers)
-    env.update(renaming.locals)
-    int_formals = [p for p in callee.formals if p.ty == INT]
-    for p, arg in zip(int_formals, args):
-        out.append(DeclStmt(env[p.name], arg))
-    body = inliner.rename_stmts(list(callee.body), env, str(renaming.index),
-                                spec.depth)
-    converted = _tail_convert(body, renaming.ret_var)
-    if converted is None:
-        converted = _flag_convert(body, renaming.ret_var,
-                                  inliner.names.fresh(f"done_{renaming.index}"))
-    out.extend(converted)
+    out.extend(inliner.inline(callee, args, {**renaming.globals, **renaming.pointers},
+                              tag, spec.depth, renaming.ret_var, renaming.locals))
     return out
 
 
@@ -512,22 +455,16 @@ def translate_pred(pred: Pred, renamings: list[Renaming],
     by_id = {r.call_id: r for r in renamings}
     calls = {c.call_id: c for c in clause.calls} if clause is not None else {}
 
-    def term(t: Term) -> Term:
-        if isinstance(t, Bin):
-            return Bin(t.op, term(t.left), term(t.right))
+    def rule(t):
         if isinstance(t, CallResult):
             r = by_id[t.call_id]
             if flavor == "lemma" and program is not None:
                 cs = calls.get(t.call_id)
                 callee = program.function(cs.callee) if cs else None
                 if callee is not None and acsl_style(callee, program) == STYLE_PURE:
-                    return LogicApp(acsl_symbol(callee.name),
-                                    tuple(term(a) for a in cs.args))
+                    return LogicApp(acsl_symbol(callee.name), map_nodes(cs.args, rule))
             return Var(r.ret_var or f"ret_{t.call_id}")
-        if isinstance(t, At):
-            parsed = rel_label(t.label)
-            if parsed is None:
-                return At(term(t.base), t.label)
+        if isinstance(t, At) and (parsed := rel_label(t.label)) is not None:
             kind, cid = parsed
             r = by_id[cid]
             if isinstance(t.base, Var):
@@ -542,28 +479,10 @@ def translate_pred(pred: Pred, renamings: list[Renaming],
                 return At(Deref(dup), f"{kind.lower()}_{cid}")
             raise TypeError(f"\\at on {t.base!r}")
         if isinstance(t, CallPure):
-            return LogicApp(acsl_symbol(t.callee), tuple(term(a) for a in t.args))
-        return t
+            return LogicApp(acsl_symbol(t.callee), map_nodes(t.args, rule))
+        return None
 
-    def walk(p: Pred) -> Pred:
-        if isinstance(p, Cmp):
-            return Cmp(p.op, term(p.left), term(p.right))
-        if isinstance(p, PAnd):
-            return PAnd(walk(p.left), walk(p.right))
-        if isinstance(p, POr):
-            return POr(walk(p.left), walk(p.right))
-        if isinstance(p, PImp):
-            return PImp(walk(p.left), walk(p.right))
-        if isinstance(p, PNot):
-            return PNot(walk(p.body))
-        if isinstance(p, (PForall, PExists)):
-            cls = PForall if isinstance(p, PForall) else PExists
-            return cls(p.binders, walk(p.body))
-        if isinstance(p, PredApp):
-            return PredApp(p.name, p.labels, tuple(term(a) for a in p.args))
-        return p
-
-    return walk(pred)
+    return map_nodes(pred, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -616,51 +535,11 @@ def build_wrapper(clause: RelationalClause, program: Program, index: int = 1,
                            tuple(pointer_params), tuple(dup_globals))
 
 
-def _callpure_callees(clause: RelationalClause) -> list[str]:
-    """Functions referenced via \\callpure, in first-occurrence order."""
-    out: list[str] = []
-
-    def term(t: Term) -> None:
-        if isinstance(t, CallPure):
-            if t.callee not in out:
-                out.append(t.callee)
-            for a in t.args:
-                term(a)
-        elif isinstance(t, Bin):
-            term(t.left)
-            term(t.right)
-
-    def pred(p: Pred) -> None:
-        if isinstance(p, Cmp):
-            term(p.left)
-            term(p.right)
-        elif isinstance(p, (PAnd, POr, PImp)):
-            pred(p.left)
-            pred(p.right)
-        elif isinstance(p, PNot):
-            pred(p.body)
-        elif isinstance(p, (PForall, PExists)):
-            pred(p.body)
-        elif isinstance(p, PredApp):
-            for a in p.args:
-                term(a)
-
-    for cs in clause.calls:
-        for a in cs.args:
-            term(a)
-    pred(clause.pred)
-    return out
-
-
 def involved_functions(clause: RelationalClause, program: Program) -> list[str]:
-    out: list[str] = []
-    for cs in clause.calls:
-        if cs.callee not in out:
-            out.append(cs.callee)
-    for name in _callpure_callees(clause):
-        if name not in out:
-            out.append(name)
-    return out
+    """Callset callees, then \\callpure callees, in first-occurrence order."""
+    names = [cs.callee for cs in clause.calls]
+    names += [n.callee for n in walk(clause) if isinstance(n, CallPure)]
+    return list(dict.fromkeys(names))
 
 
 def _acsl_params(fn: FunctionDef, program: Program, style: str) -> tuple[Param, ...]:
@@ -774,7 +653,7 @@ def _build_lemma(clause: RelationalClause, program: Program, index: int,
         if callee.ret == INT:
             args.append(Var(ren.ret_var))
         if style == STYLE_VALUES:
-            args.extend(_lemma_term(a) for a in cs.args)
+            args.extend(map_nodes(cs.args, _logic_app))
             for loc in footprint_locs(callee, program):
                 args.append(Var(f"{loc.name}_{cs.call_id}_pre"))
                 args.append(Var(f"{loc.name}_{cs.call_id}_post"))
@@ -785,7 +664,7 @@ def _build_lemma(clause: RelationalClause, program: Program, index: int,
                 if p.ty == PTR:
                     args.append(Var(ren.pointers[p.name]))
                 else:
-                    args.append(_lemma_term(next(int_args)))
+                    args.append(map_nodes(next(int_args), _logic_app))
             hyps.append(PredApp(acsl_symbol(cs.callee),
                                 (f"pre_{cs.call_id}", f"post_{cs.call_id}"),
                                 tuple(args)))
@@ -798,13 +677,11 @@ def _build_lemma(clause: RelationalClause, program: Program, index: int,
     return Lemma(f"{LEMMA_PREFIX}{index}", tuple(labels), body)
 
 
-def _lemma_term(t: Term) -> Term:
-    if isinstance(t, Bin):
-        return Bin(t.op, _lemma_term(t.left), _lemma_term(t.right))
+def _logic_app(t):
+    """map_nodes rule: `\\callpure(k, f, a)` becomes the application `f_acsl(a)`."""
     if isinstance(t, CallPure):
-        return LogicApp(acsl_symbol(t.callee),
-                        tuple(_lemma_term(a) for a in t.args))
-    return t
+        return LogicApp(acsl_symbol(t.callee), map_nodes(t.args, _logic_app))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 from .minic import (
     INT, PTR, VOID, BUILTIN_LABELS,
-    Program, GlobalDecl, FunctionDef, Param, Contract, AssignsClause,
-    RelationalClause, CallSpec, Binder,
-    PredicateDecl, LogicFnDecl, Lemma,
+    Program, FunctionDef, AssignsClause,
+    RelationalClause, CallSpec,
+    PredicateDecl, LogicFnDecl,
     Stmt, DeclStmt, AssignStmt, CallStmt, IfStmt, WhileStmt, ReturnStmt,
     AssertStmt,
-    Term, IntLit, FloatLit, Var, Deref, Bin, CallResult, At, CallPure,
+    Term, FloatLit, Var, Deref, Bin, CallResult, At, CallPure,
     OldTerm, ResultTerm, LogicApp,
     Pred, PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
-    Loc, GlobalLoc, DerefLoc, ResultLoc, NothingLoc, FormalLoc,
-    Diagnostic, Span, rel_label,
+    Loc, GlobalLoc, DerefLoc, ResultLoc, FormalLoc,
+    Diagnostic, rel_label, walk,
 )
 
 
@@ -48,10 +48,6 @@ class MemFootprint:
 
 def _err(span, msg: str) -> Diagnostic:
     return Diagnostic("error", span, msg)
-
-
-def _warn(span, msg: str) -> Diagnostic:
-    return Diagnostic("warning", span, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -85,98 +81,70 @@ def _strip(loc: Loc) -> Loc:
     return loc
 
 
-def _touched_state(fn: FunctionDef, program: Program) -> tuple[set[Loc], set[Loc]]:
-    """Syntactic (written, read) state locations of a body: globals by name,
-    derefs of the function's own pointer formals."""
+def _touched_state(fn: FunctionDef, program: Program) -> set[Loc]:
+    """State locations a body mentions anywhere (conditions, asserts and
+    call-result targets included): globals by name, derefs of the
+    function's own pointer formals."""
     globals_ = {g.name for g in program.globals}
     pointers = {p.name for p in fn.formals if p.ty == PTR}
-    written: set[Loc] = set()
-    read: set[Loc] = set()
-
-    def scan_term(t: Term) -> None:
-        if isinstance(t, Var) and t.name in globals_:
-            read.add(GlobalLoc(t.name))
-        elif isinstance(t, Deref) and t.name in pointers:
-            read.add(DerefLoc(t.name))
-        elif isinstance(t, Bin):
-            scan_term(t.left)
-            scan_term(t.right)
-
-    def scan_stmts(stmts: tuple[Stmt, ...]) -> None:
-        for s in stmts:
-            if isinstance(s, DeclStmt):
-                if s.init is not None:
-                    scan_term(s.init)
-            elif isinstance(s, AssignStmt):
-                scan_term(s.value)
-                if isinstance(s.target, Var) and s.target.name in globals_:
-                    written.add(GlobalLoc(s.target.name))
-                elif isinstance(s.target, Deref) and s.target.name in pointers:
-                    written.add(DerefLoc(s.target.name))
-            elif isinstance(s, CallStmt):
-                for a in s.args:
-                    scan_term(a)
-            elif isinstance(s, IfStmt):
-                scan_stmts(s.then)
-                scan_stmts(s.orelse)
-            elif isinstance(s, WhileStmt):
-                scan_stmts(s.body)
-            elif isinstance(s, ReturnStmt):
-                if s.value is not None:
-                    scan_term(s.value)
-
-    scan_stmts(fn.body)
-    return written, read
+    out: set[Loc] = set()
+    for n in walk(fn.body):
+        if isinstance(n, CallStmt) and n.target in globals_:
+            out.add(GlobalLoc(n.target))
+        elif isinstance(n, Var) and n.name in globals_:
+            out.add(GlobalLoc(n.name))
+        elif isinstance(n, Deref) and n.name in pointers:
+            out.add(DerefLoc(n.name))
+    return out
 
 
-def footprint_of(fn: FunctionDef, program: Program,
-                 _seen: frozenset[str] = frozenset()) -> MemFootprint:
-    """Footprint of `fn`: declared assigns/\\from locations plus the global
-    footprints of every function it calls.
+def _callees(node) -> list[str]:
+    return [s.callee for s in walk(node) if isinstance(s, CallStmt)]
 
-    Raises MissingAssigns when the body touches a global or deref that no
-    assigns clause covers, and UnknownCallee for calls to undefined
+
+def footprint_of(fn: FunctionDef, program: Program) -> MemFootprint:
+    """Footprint of `fn`: its declared assigns/\\from locations plus the
+    global locations declared by every function reachable from it.
+    Memoized per program.
+
+    Raises MissingAssigns when a reachable body touches a global or deref
+    that no assigns clause covers, and UnknownCallee for calls to undefined
     functions that also lack a logic declaration.
     """
-    declared = _declared_footprint(fn)
-    written, read = _touched_state(fn, program)
-    covered = declared.writes | declared.reads
-    for loc in sorted(written | read, key=str):
-        if loc not in covered:
-            raise MissingAssigns(
-                f"{fn.name}: body touches {_loc_str(loc)} but no assigns clause covers it")
-    writes, reads = set(declared.writes), set(declared.reads)
-    logic_names = set(program.logic_decls())
-    for callee_name in _callees(fn):
-        if callee_name in _seen or callee_name == fn.name:
-            continue
-        callee = program.function(callee_name)
-        if callee is None:
-            if callee_name in logic_names:
-                continue  # opaque logic application: pure by construction
-            raise UnknownCallee(f"{fn.name} calls undefined function {callee_name}")
-        sub = footprint_of(callee, program, _seen | {fn.name})
-        # Only the callee's global state propagates; its deref locations are
-        # framed on its own formals and MiniC calls cannot pass pointers.
-        writes |= {l for l in sub.writes if isinstance(l, GlobalLoc)}
-        reads |= {l for l in sub.reads if isinstance(l, GlobalLoc)}
-    return MemFootprint(frozenset(writes), frozenset(reads))
-
-
-def _callees(fn: FunctionDef) -> list[str]:
-    out: list[str] = []
-
-    def scan(stmts: tuple[Stmt, ...]) -> None:
-        for s in stmts:
-            if isinstance(s, CallStmt):
-                out.append(s.callee)
-            elif isinstance(s, IfStmt):
-                scan(s.then)
-                scan(s.orelse)
-            elif isinstance(s, WhileStmt):
-                scan(s.body)
-
-    scan(fn.body)
+    key = ("footprint", id(fn))
+    hit = program.memo.get(key)
+    if hit is not None:
+        return hit[1]
+    writes: set[Loc] = set()
+    reads: set[Loc] = set()
+    seen = {fn.name}
+    todo = [fn]
+    while todo:
+        f = todo.pop()
+        declared = _declared_footprint(f)
+        missing = sorted(_touched_state(f, program) - declared.writes
+                         - declared.reads, key=str)
+        if missing:
+            raise MissingAssigns(f"{f.name}: body touches {_loc_str(missing[0])} "
+                                 "but no assigns clause covers it")
+        writes |= declared.writes
+        reads |= declared.reads
+        for name in _callees(f.body):
+            if name in seen:
+                continue
+            seen.add(name)
+            callee = program.function(name)
+            if callee is not None:
+                todo.append(callee)
+            elif name not in program.logic_decls():
+                # (a declared logic application is pure by construction)
+                raise UnknownCallee(f"{f.name} calls undefined function {name}")
+    # Only the callees' global state propagates: their deref locations are
+    # framed on their own formals, and MiniC calls cannot pass pointers.
+    own = _declared_footprint(fn)
+    out = MemFootprint(own.writes | {l for l in writes if isinstance(l, GlobalLoc)},
+                       own.reads | {l for l in reads if isinstance(l, GlobalLoc)})
+    program.memo[key] = (fn, out)
     return out
 
 
@@ -239,10 +207,13 @@ def validate(program: Program) -> list[Diagnostic]:
     for fn in program.functions:
         _validate_function(fn, program, logic_decls, diags)
 
+    # Footprints are derived for every callee and every function a
+    # relational clause reaches, so their assigns clauses must cover them.
     involved = _relationally_involved(program)
+    called = set(_callees(program.functions))
     for fn in program.functions:
-        if fn.name in involved:
-            _check_assigns_coverage(fn, program, diags)
+        if fn.name in involved or fn.name in called:
+            _check_assigns_coverage(fn, program, diags, fn.name in involved)
 
     for ax in program.axiomatics:
         _validate_axiomatic(ax, program, diags)
@@ -252,46 +223,9 @@ def validate(program: Program) -> list[Diagnostic]:
 
 def _relationally_involved(program: Program) -> set[str]:
     """Functions reachable from any relational clause (callset or callpure)."""
-    roots: set[str] = set()
-
-    def scan_term(t: Term) -> None:
-        if isinstance(t, CallPure):
-            roots.add(t.callee)
-            for a in t.args:
-                scan_term(a)
-        elif isinstance(t, Bin):
-            scan_term(t.left)
-            scan_term(t.right)
-        elif isinstance(t, (At, OldTerm)):
-            pass
-        elif isinstance(t, LogicApp):
-            for a in t.args:
-                scan_term(a)
-
-    def scan_pred(p: Pred) -> None:
-        if isinstance(p, Cmp):
-            scan_term(p.left)
-            scan_term(p.right)
-        elif isinstance(p, (PAnd, POr, PImp)):
-            scan_pred(p.left)
-            scan_pred(p.right)
-        elif isinstance(p, PNot):
-            scan_pred(p.body)
-        elif isinstance(p, (PForall, PExists)):
-            scan_pred(p.body)
-        elif isinstance(p, PredApp):
-            for a in p.args:
-                scan_term(a)
-
-    for _fn, clause in program.clauses():
-        for cs in clause.calls:
-            roots.add(cs.callee)
-            for a in cs.args:
-                scan_term(a)
-        scan_pred(clause.pred)
-
+    work = sorted({n.callee for _fn, clause in program.clauses()
+                   for n in walk(clause) if isinstance(n, (CallSpec, CallPure))})
     out: set[str] = set()
-    work = sorted(roots)
     while work:
         name = work.pop()
         if name in out:
@@ -299,17 +233,16 @@ def _relationally_involved(program: Program) -> set[str]:
         out.add(name)
         fn = program.function(name)
         if fn is not None:
-            work.extend(_callees(fn))
+            work.extend(_callees(fn.body))
     return out
 
 
 def _check_assigns_coverage(fn: FunctionDef, program: Program,
-                            diags: list[Diagnostic]) -> None:
+                            diags: list[Diagnostic], involved: bool) -> None:
     declared = _declared_footprint(fn)
-    covered = declared.writes | declared.reads
-    written, read = _touched_state(fn, program)
-    missing = sorted((written | read) - covered, key=str)
-    if missing and not fn.contract.assigns:
+    missing = sorted(_touched_state(fn, program) - declared.writes
+                     - declared.reads, key=str)
+    if missing and not fn.contract.assigns and involved:
         diags.append(_err(fn.span,
                           f"{fn.name} is part of a relational property but has no "
                           f"assigns clause covering {_loc_str(missing[0])}"))
@@ -329,10 +262,6 @@ def _validate_function(fn: FunctionDef, program: Program,
         seen_formals.add(p.name)
         if p.name in scope.globals:
             diags.append(_err(p.span, f"formal {p.name} shadows a global"))
-
-    for g in program.globals:
-        if g.ty == PTR:
-            pass  # declaration alone is allowed; uses are rejected below
 
     _validate_stmts(fn.body, fn, scope, program, logic_decls, diags, in_loop=False)
 
@@ -459,7 +388,7 @@ def _validate_call(s: CallStmt, fn, scope, program, logic_decls, diags) -> None:
 
 def _validate_term(t: Term, scope: _FnScope, diags: list[Diagnostic],
                    logic: bool, extra: dict[str, str] | None = None,
-                   clause_env: dict | None = None, ret=None) -> None:
+                   ret=None) -> None:
     env = extra or {}
     if isinstance(t, FloatLit):
         diags.append(_err(t.span, "float literals are not supported"))
@@ -480,14 +409,14 @@ def _validate_term(t: Term, scope: _FnScope, diags: list[Diagnostic],
                 if ty == PTR:
                     diags.append(_err(side.span,
                                       f"pointer {side.name} used in arithmetic"))
-        _validate_term(t.left, scope, diags, logic, extra, clause_env, ret)
-        _validate_term(t.right, scope, diags, logic, extra, clause_env, ret)
+        _validate_term(t.left, scope, diags, logic, extra, ret)
+        _validate_term(t.right, scope, diags, logic, extra, ret)
     elif isinstance(t, (CallResult, At, CallPure, OldTerm, ResultTerm, LogicApp)):
         if not logic:
             diags.append(_err(t.span, "logic construct in program expression"))
             return
         if isinstance(t, OldTerm):
-            _validate_term(t.term, scope, diags, logic, extra, clause_env, ret)
+            _validate_term(t.term, scope, diags, logic, extra, ret)
         elif isinstance(t, ResultTerm):
             if ret != INT:
                 diags.append(_err(t.span, "\\result outside an int function's ensures"))
@@ -499,27 +428,27 @@ def _validate_term(t: Term, scope: _FnScope, diags: list[Diagnostic],
             if not isinstance(t.base, (Var, Deref)):
                 diags.append(_err(t.span, "\\at expects a variable or dereference"))
             else:
-                _validate_term(t.base, scope, diags, logic, extra, clause_env, ret)
+                _validate_term(t.base, scope, diags, logic, extra, ret)
         elif isinstance(t, (CallPure, LogicApp)):
             for a in t.args:
-                _validate_term(a, scope, diags, logic, extra, clause_env, ret)
+                _validate_term(a, scope, diags, logic, extra, ret)
 
 
 def _validate_pred(p: Pred, scope: _FnScope, diags: list[Diagnostic],
                    ctx: str, extra: dict[str, str] | None = None,
-                   clause_env: dict | None = None, ret=None) -> None:
+                   ret=None) -> None:
     logic = ctx != "code"
     allow_result = INT if (ctx == "ensures" and ret == INT) else None
     if isinstance(p, Cmp):
-        _validate_term(p.left, scope, diags, logic, extra, clause_env, allow_result)
-        _validate_term(p.right, scope, diags, logic, extra, clause_env, allow_result)
+        _validate_term(p.left, scope, diags, logic, extra, allow_result)
+        _validate_term(p.right, scope, diags, logic, extra, allow_result)
     elif isinstance(p, (PAnd, POr, PImp)):
         if isinstance(p, PImp) and ctx == "code":
             diags.append(_err(p.span, "==> is not a program operator"))
-        _validate_pred(p.left, scope, diags, ctx, extra, clause_env, ret)
-        _validate_pred(p.right, scope, diags, ctx, extra, clause_env, ret)
+        _validate_pred(p.left, scope, diags, ctx, extra, ret)
+        _validate_pred(p.right, scope, diags, ctx, extra, ret)
     elif isinstance(p, PNot):
-        _validate_pred(p.body, scope, diags, ctx, extra, clause_env, ret)
+        _validate_pred(p.body, scope, diags, ctx, extra, ret)
     elif isinstance(p, (PForall, PExists)):
         if ctx == "code":
             diags.append(_err(p.span, "quantifiers are not program expressions"))
@@ -527,7 +456,7 @@ def _validate_pred(p: Pred, scope: _FnScope, diags: list[Diagnostic],
         inner = dict(extra or {})
         for b in p.binders:
             inner[b.name] = b.ty
-        _validate_pred(p.body, scope, diags, ctx, inner, clause_env, ret)
+        _validate_pred(p.body, scope, diags, ctx, inner, ret)
     elif isinstance(p, Separated):
         if ctx == "code":
             diags.append(_err(p.span, "\\separated is not a program expression"))
@@ -555,7 +484,7 @@ def _validate_pred(p: Pred, scope: _FnScope, diags: list[Diagnostic],
                 diags.append(_err(p.span,
                                   f"{p.name} expects {len(decl.params)} arguments"))
         for a in p.args:
-            _validate_term(a, scope, diags, True, extra, clause_env, ret)
+            _validate_term(a, scope, diags, True, extra, ret)
     elif isinstance(p, PBool):
         if ctx == "code":
             diags.append(_err(p.span, "\\true/\\false are not program expressions"))
@@ -628,7 +557,7 @@ def _validate_clause(clause: RelationalClause, fn: FunctionDef, program: Program
                               f"{clause.name}: {cs.callee} takes {len(int_formals)} "
                               f"int arguments, got {len(cs.args)}"))
         for a in cs.args:
-            free = _clause_term_free(a)
+            free = {n.name for n in walk(a) if isinstance(n, Var)}
             for name in sorted(free - set(binder_env)):
                 diags.append(_err(cs.span,
                                   f"{clause.name}: call argument uses {name}, "
@@ -637,19 +566,6 @@ def _validate_clause(clause: RelationalClause, fn: FunctionDef, program: Program
 
     _validate_clause_pred(clause.pred, clause, fn, program, diags,
                           binder_env, ids, int_returning)
-
-
-def _clause_term_free(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Bin):
-        return _clause_term_free(t.left) | _clause_term_free(t.right)
-    if isinstance(t, CallPure):
-        out: set[str] = set()
-        for a in t.args:
-            out |= _clause_term_free(a)
-        return out
-    return set()
 
 
 def _check_callpure(t: Term, clause, program, diags) -> None:

@@ -19,25 +19,25 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .minic import (
-    INT, PTR, VOID,
-    Program, FunctionDef, Param, RelationalClause,
-    PredicateDecl, LogicFnDecl, Lemma,
+    INT, VOID,
+    Program, FunctionDef,
+    PredicateDecl, Lemma,
     Stmt, DeclStmt, AssignStmt, CallStmt, IfStmt, WhileStmt, ReturnStmt,
     AssertStmt,
-    Term, IntLit, FloatLit, Var, Deref, Bin, CallResult, At, CallPure,
+    Term, IntLit, Var, Deref, Bin, At, CallPure,
     OldTerm, ResultTerm, LogicApp,
     Pred, PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
-    GlobalLoc, DerefLoc, Span,
+    GlobalLoc, Span, walk,
 )
 from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
-    FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant, FApp,
-    TRUE, FALSE, conj, imp, subst, subst_term, rename, simplify,
+    FBool, FCmp, FNot, FOr, FImp, FQuant, FApp,
+    TRUE, conj, imp, subst, subst_term, rename, simplify,
     simplify_term, free_vars,
 )
 from .selfcomp import (
-    TransformedProgram, WrapperFunction, ASSERT_LABEL, BEHAVIOR_PREFIX,
+    TransformedProgram, ASSERT_LABEL, BEHAVIOR_PREFIX,
     acsl_symbol, footprint_locs, _tail_convert, _flag_convert,
 )
 from .validate import footprint_of
@@ -137,27 +137,11 @@ def _pre_as_cur(t: Term, pre: StateEnv) -> StateEnv:
     """Environment that makes current-state reads inside \\old resolve to the
     pre-state."""
     out: StateEnv = dict(pre)
-    for name in _term_names(t):
-        if name not in out:
-            out[name] = IVar(pre_of(name))
+    for n in walk(t):
+        if isinstance(n, (Var, Deref)):
+            name = n.name if isinstance(n, Var) else cell(n.name)
+            out.setdefault(name, IVar(pre_of(name)))
     return out
-
-
-def _term_names(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Deref):
-        return {cell(t.name)}
-    if isinstance(t, Bin):
-        return _term_names(t.left) | _term_names(t.right)
-    if isinstance(t, (OldTerm,)):
-        return _term_names(t.term)
-    if isinstance(t, LogicApp):
-        out: set[str] = set()
-        for a in t.args:
-            out |= _term_names(a)
-        return out
-    return set()
 
 
 LabelValue = Callable[[Term, str], TermF]  # (resolved base, label) -> value
@@ -344,7 +328,7 @@ class _WP:
 
     def modified(self, stmts: tuple[Stmt, ...]) -> set[str]:
         out: set[str] = set()
-        for s in stmts:
+        for s in walk(stmts):
             if isinstance(s, DeclStmt):
                 out.add(s.name)
             elif isinstance(s, AssignStmt):
@@ -360,10 +344,6 @@ class _WP:
                     for loc in footprint_of(callee, self.program).writes:
                         if isinstance(loc, GlobalLoc):
                             out.add(loc.name)
-            elif isinstance(s, IfStmt):
-                out |= self.modified(s.then) | self.modified(s.orelse)
-            elif isinstance(s, WhileStmt):
-                out |= self.modified(s.body)
         return out
 
     # -- substitution fast path for branch merging ----------------------------

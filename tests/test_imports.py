@@ -1,0 +1,69 @@
+"""Every module under src/relprop uses each name it imports.
+
+Checked with the standard library's `ast`: a name counts as used when it
+appears as an identifier, as the root of an attribute access, or inside a
+string annotation. `__init__.py` re-exports names and is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "relprop"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out.setdefault(name, node.lineno)
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    out = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for n in ast.walk(ann) if ann is not None else ():
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                out |= _used(ast.parse(n.value, mode="eval"))
+    return out
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = _used(tree)
+    return [f"{path.name}:{line}: {name}"
+            for name, line in sorted(_imported(tree).items(),
+                                     key=lambda kv: (kv[1], kv[0]))
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_checker_flags_an_unused_name(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os, sys\n"
+                   "from typing import Optional\n"
+                   "def f(x: 'Optional[int]') -> None:\n"
+                   "    return sys.exit(x)\n", encoding="utf-8")
+    assert unused_imports(mod) == ["m.py:2: os"]

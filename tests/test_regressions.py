@@ -1,0 +1,273 @@
+"""Regression tests for defects of the hand-written walkers, the recursive
+footprint and the unbounded interpreter recursion."""
+
+import importlib
+
+import pytest
+
+from relprop.cli import main
+from relprop.dynamic import (
+    ClauseOracleError, InputVector, evaluate_clause, find_counterexample,
+    run_wrapper,
+)
+from relprop.interp import AssertViolated, interpret
+from relprop.minic import GlobalLoc, Program
+from relprop.parser import parse_program
+from relprop.selfcomp import transform
+from relprop.validate import MissingAssigns, footprint_of, validate
+
+from conftest import load
+
+# The package re-exports the function `validate`, which shadows the module.
+validate_mod = importlib.import_module("relprop.validate")
+
+
+def parse(src: str) -> Program:
+    p = parse_program(src, "t.mc")
+    assert isinstance(p, Program), [str(d) for d in p]
+    return p
+
+
+def run_cli(tmp_path, command: str, src: str) -> int:
+    path = tmp_path / "t.mc"
+    path.write_text(src, encoding="utf-8")
+    return main([command, str(path), "-o", str(tmp_path / "out")])
+
+
+# -- deep recursion in the interpreter ------------------------------------------
+
+
+def test_fact_random_search_returns_without_recursion_error():
+    t = transform(load("fact.mc"))
+    wrapper = t.entries[0].wrapper
+    assert find_counterexample(wrapper, t, ("random", 0, 1000)) is None
+
+
+def test_deep_recursion_is_an_error_outcome_not_a_crash():
+    source = load("fact.mc")
+    t = transform(source)
+    entry = t.entries[0]
+    vec = InputVector({"n": 5000}, property=entry.clause.name)
+    report = run_wrapper(entry.wrapper, vec, t)
+    assert report.outcome == "error"
+    assert report.error.startswith("FuelExhausted")
+    with pytest.raises(ClauseOracleError):
+        evaluate_clause(entry.clause, entry.wrapper, source, vec)
+
+
+def test_deep_callpure_in_oracle_is_a_clause_oracle_error():
+    source = parse("""
+    /*@ assigns \\result \\from n; */
+    int sum(int n) {
+      int r = 0;
+      if (n > 0) {
+        int t = 0;
+        t = sum(n - 1);
+        r = n + t;
+      }
+      return r;
+    }
+
+    /*@ assigns \\result \\from x;
+        relational Q:
+          \\forall int x1;
+          \\callset(\\call(id, x1, id1))
+          ==> \\callresult(id1) + \\callpure(sum, x1) == x1 + \\callpure(sum, x1);
+    */
+    int id(int x) {
+      return x;
+    }
+    """)
+    entry = transform(source).entries[0]
+    assert evaluate_clause(entry.clause, entry.wrapper, source,
+                           InputVector({"x1": 5}))
+    with pytest.raises(ClauseOracleError):
+        evaluate_clause(entry.clause, entry.wrapper, source,
+                        InputVector({"x1": 5000}))
+
+
+# -- assigns coverage of called functions ---------------------------------------
+
+
+UNCOVERED_CALLEE = """
+int g;
+
+/*@ assigns \\result \\from x; */
+int f(int x) {
+  int r = g;
+  return r;
+}
+
+int client(int y) {
+  int a = 0;
+  a = f(y);
+  return a;
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["prove", "transform"])
+def test_uncovered_callee_is_an_input_error(tmp_path, capsys, command):
+    assert run_cli(tmp_path, command, UNCOVERED_CALLEE) == 2
+    assert "f: assigns clauses do not cover g" in capsys.readouterr().err
+
+
+# -- global read only in a condition ---------------------------------------------
+
+
+CONDITION_READ = """
+int g;
+
+/*@ assigns \\result \\from x;
+    relational P:
+      \\forall int x1;
+      \\callset(\\call(f, x1, id1))
+      ==> \\callresult(id1) >= 0;
+*/
+int f(int x) {
+  int r = 0;
+  if (g > 0) {
+    r = 1;
+  }
+  return r;
+}
+
+void client(int y) {
+  int a = 0;
+  int b = 0;
+  g = 1;
+  a = f(y);
+  g = 0;
+  b = f(y);
+  /*@ assert a == b; */
+  return;
+}
+"""
+
+
+def test_global_read_in_condition_needs_assigns(tmp_path, capsys):
+    p = parse(CONDITION_READ)
+    with pytest.raises(AssertViolated):
+        interpret(p.function("client"), [3], program=p)
+    assert "f: assigns clauses do not cover g" in \
+        [d.message for d in validate(p)]
+    assert run_cli(tmp_path, "prove", CONDITION_READ) == 2
+
+
+def test_call_result_target_counts_as_touched_state():
+    p = parse("""
+    int g;
+
+    /*@ assigns \\result \\from x; */
+    int h(int x) { return x; }
+
+    /*@ assigns \\result \\from x; */
+    int f(int x) {
+      g = h(x);
+      return x;
+    }
+
+    int client(int y) {
+      int a = 0;
+      a = f(y);
+      return a;
+    }
+    """)
+    assert "f: assigns clauses do not cover g" in \
+        [d.message for d in validate(p)]
+
+
+# -- \callresult under a logic function application -----------------------------
+
+
+LOGIC_APP = """
+/*@ axiomatic Dbl {
+  logic integer dbl(integer a);
+} */
+
+/*@ assigns \\result \\from x;
+    relational R:
+      \\forall int x1;
+      \\callset(\\call(id, x1, id1))
+      ==> dbl(\\callresult(id1)) == dbl(x1);
+*/
+int id(int x) {
+  return x;
+}
+"""
+
+
+def test_callresult_inside_logic_application_is_translated(tmp_path, capsys):
+    assert run_cli(tmp_path, "transform", LOGIC_APP) == 0
+    text = (tmp_path / "out" / "t.transformed.mc").read_text()
+    assert "\\callresult" not in text
+    capsys.readouterr()
+    assert run_cli(tmp_path, "prove", LOGIC_APP) == 0
+    out = capsys.readouterr().out
+    assert "R" in out and "Valid" in out
+
+
+# -- footprints --------------------------------------------------------------
+
+
+def diamond(n: int) -> str:
+    parts = ["int g = 0;\n",
+             "/*@ assigns g \\from g; */\nvoid f_0() {\n  g = g + 1;\n  return;\n}\n"]
+    for i in range(1, n + 1):
+        parts.append(f"/*@ assigns g \\from g; */\nvoid f_{i}() {{\n"
+                     f"  f_{i - 1}();\n  f_{i - 1}();\n  return;\n}}\n")
+    return "\n".join(parts)
+
+
+def test_diamond_footprint_scans_each_function_once(monkeypatch):
+    p = parse(diamond(20))
+    calls = []
+    original = validate_mod._touched_state
+
+    def counting(fn, program):
+        calls.append(fn.name)
+        return original(fn, program)
+
+    monkeypatch.setattr(validate_mod, "_touched_state", counting)
+    fp = footprint_of(p.function("f_20"), p)
+    assert fp.writes == {GlobalLoc("g")} and fp.reads == {GlobalLoc("g")}
+    assert len(calls) == len(set(calls)) == 21
+
+
+def test_mutually_recursive_footprints_are_unchanged():
+    p = parse("""
+    int g;
+    int h;
+    int k;
+
+    /*@ assigns g \\from g, k; */
+    void a(int n) {
+      if (n > 0) {
+        b(n - 1);
+      }
+      g = g + k;
+      return;
+    }
+
+    /*@ assigns h \\from h; */
+    void b(int n) {
+      if (n > 0) {
+        a(n - 1);
+      }
+      h = h + 1;
+      return;
+    }
+    """)
+    assert validate(p) == []
+    fa = footprint_of(p.function("a"), p)
+    fb = footprint_of(p.function("b"), p)
+    assert fa.writes == fb.writes == {GlobalLoc("g"), GlobalLoc("h")}
+    assert fa.reads == fb.reads == {GlobalLoc("g"), GlobalLoc("h"),
+                                    GlobalLoc("k")}
+
+
+def test_missing_assigns_raised_on_every_call():
+    p = parse(UNCOVERED_CALLEE)
+    for _ in range(2):
+        with pytest.raises(MissingAssigns):
+            footprint_of(p.function("client"), p)

@@ -1,0 +1,77 @@
+"""The shared AST traversal, the Program index and the operator table."""
+
+import operator
+
+from relprop.logic import ARITH, CMP, ediv
+from relprop.minic import (
+    Bin, CallPure, Cmp, DeclStmt, IfStmt, IntLit, LogicApp, PForall, Binder,
+    Program, Var, walk, map_nodes, Span,
+)
+from relprop.parser import parse_program
+
+
+def test_walk_is_preorder_and_flattens_tuples():
+    t = Bin("+", Var("a"), CallPure(1, "f", (Var("b"), IntLit(2))))
+    kinds = [type(n).__name__ for n in walk(t)]
+    assert kinds == ["Bin", "Var", "CallPure", "Var", "IntLit"]
+    assert [n.name for n in walk((Var("x"), Var("y"))) if isinstance(n, Var)] \
+        == ["x", "y"]
+
+
+def test_walk_reaches_conditions_and_nested_bodies():
+    body = (IfStmt(Cmp(">", Var("g"), IntLit(0)),
+                   (DeclStmt("r", IntLit(1)),), ()),)
+    names = [n.name for n in walk(body) if isinstance(n, (Var, DeclStmt))]
+    assert names == ["g", "r"]
+
+
+def test_map_nodes_keeps_unchanged_nodes_and_spans():
+    span = Span("f.mc", 1, 1, 1, 5)
+    t = Bin("*", Var("a", span=span), IntLit(3), span=span)
+    assert map_nodes(t, lambda n: None) is t
+    out = map_nodes(t, lambda n: Var("b") if n == Var("a") else None)
+    assert out == Bin("*", Var("b"), IntLit(3))
+    assert out.span == span and out.right is t.right
+
+
+def test_map_nodes_replacement_stops_descent():
+    p = PForall((Binder("x"),), Cmp("==", Var("x"), Var("y")))
+    seen = []
+
+    def rule(n):
+        seen.append(type(n).__name__)
+        return p if isinstance(n, PForall) else None
+
+    assert map_nodes(p, rule) is p
+    assert seen == ["PForall"]
+
+
+def test_map_nodes_rewrites_inside_logic_applications():
+    t = LogicApp("dbl", (CallPure(1, "f", (Var("x"),)),))
+    out = map_nodes(t, lambda n: LogicApp("f_acsl", n.args)
+                    if isinstance(n, CallPure) else None)
+    assert out == LogicApp("dbl", (LogicApp("f_acsl", (Var("x"),)),))
+
+
+def test_program_index_matches_declaration_order():
+    p = parse_program("""
+    int f(int x) { return x; }
+    int g(int x) { return x; }
+    int f(int y) { return y; }
+    """)
+    assert isinstance(p, Program)
+    assert p.function("f") is p.functions[0]
+    assert p.function("g") is p.functions[1]
+    assert p.function("h") is None
+
+
+def test_operator_table_matches_integer_semantics():
+    assert set(CMP) == {"==", "!=", "<=", ">=", "<", ">"}
+    assert set(ARITH) == {"+", "-", "*", "/"}
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            assert CMP["<="](a, b) == (a <= b)
+            assert CMP["!="](a, b) == (a != b)
+            assert ARITH["-"](a, b) == a - b
+            assert ARITH["/"](a, b) == ediv(a, b)
+    assert ARITH["*"] is operator.mul
