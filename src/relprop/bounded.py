@@ -343,9 +343,8 @@ class _Scalar:
 
 
 def _scalar_search(forms: list[Form], order: list[str], bound: int,
-                   budget: int) -> tuple[int, Optional[dict[str, int]],
-                                         bool, bool]:
-    """Returns (rows, assignment, used_tables, complete). Enumeration is
+                   budget: int) -> tuple[int, Optional[dict[str, int]], bool]:
+    """Returns (rows, assignment, used_tables). Enumeration is
     lexicographic; tables are branched lazily at reached points."""
     ev = _Scalar(bound, budget)
     rng = range(-bound, bound + 1)
@@ -368,8 +367,8 @@ def _scalar_search(forms: list[Form], order: list[str], bound: int,
         env = dict(zip(order, values))
         ev.tables.clear()
         if attempt(env):
-            return rows, env, bool(ev.tables), True
-    return rows, None, False, True
+            return rows, env, bool(ev.tables)
+    return rows, None, False
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +407,7 @@ def check_bounded(vc: VerificationCondition, bound: int,
         return BoundedResult("counterexample", bound, assignment,
                              method="vectorized", rows=rows)
 
-    rows, assignment, used_tables, _ = _scalar_search(forms, order, bound,
-                                                      budget)
+    rows, assignment, used_tables = _scalar_search(forms, order, bound, budget)
     if assignment is None:
         return BoundedResult("valid", bound, method="enumeration", rows=rows)
     if used_tables or any(_dirty(v) for v in assignment):

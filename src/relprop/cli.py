@@ -13,14 +13,13 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .minic import Diagnostic, Program
+from .minic import Diagnostic
 from .parser import parse_program
 from .pretty import pretty_print
-from .validate import validate
 from .selfcomp import transform, TransformedProgram, TransformError
-from .vcgen import vcs_for, VerificationCondition, MissingLoopInvariant
+from .vcgen import MissingLoopInvariant
 from .smtlib import emit_smtlib
-from .bounded import check_bounded, BudgetExceeded
+from .prove import prove_program
 from .dynamic import (
     InputVector, find_counterexample, runtime_check,
     load_counterexamples,
@@ -37,29 +36,18 @@ def _print_diags(diags: list[Diagnostic]) -> None:
         print(d, file=sys.stderr)
 
 
-def _load(path: str) -> Program | None:
+def _transform(path: str) -> TransformedProgram | None:
+    """Parse and transform one input; diagnostics go to stderr."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        program = parse_program(Path(path).read_text(encoding="utf-8"), path)
     except OSError as exc:
         print(f"{path}: error: {exc}", file=sys.stderr)
         return None
-    result = parse_program(text, path)
-    if isinstance(result, list):
-        _print_diags(result)
-        return None
-    errors = [d for d in validate(result) if d.severity == "error"]
-    if errors:
-        _print_diags(errors)
-        return None
-    return result
-
-
-def _transform(path: str) -> TransformedProgram | None:
-    program = _load(path)
-    if program is None:
+    if isinstance(program, list):
+        _print_diags(program)
         return None
     try:
-        return transform(program)
+        return transform(program)  # validates the input first
     except TransformError as exc:
         _print_diags(exc.diagnostics)
         return None
@@ -108,77 +96,13 @@ def cmd_transform(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check(vc: VerificationCondition, bound: int) -> tuple[str, Optional[dict], str]:
-    """(status, assignment, detail) for one VC."""
-    try:
-        r = check_bounded(vc, bound)
-    except BudgetExceeded:
-        return "unknown", None, "budget"
-    detail = r.reason or r.method
-    return r.status, r.assignment, detail
-
-
-def prove_program(t: TransformedProgram, bound: int,
-                  assume_lemmas: bool = False) -> dict[str, dict]:
-    """Check every VC, admitting each clause's lemma into other proofs once
-    its wrapper assertion is valid (or immediately under assume_lemmas).
-    Lemma VCs take the status of their wrapper: their proof reduces to the
-    wrapper assertion plus the link behaviors.
-
-    Returns {vc name: {status, kind, ...}} for all VCs.
-    """
-    all_lemmas = {e.lemma_name for e in t.entries}
-    admitted: set[str] = set(all_lemmas) if assume_lemmas else set()
-    wrapper_status: dict[str, tuple[str, Optional[dict], str]] = {}
-
-    # Admission fixpoint: proving one wrapper may unlock another.
-    while True:
-        vcs = vcs_for(t, admitted=frozenset(admitted))
-        progress = False
-        for vc in vcs:
-            if vc.kind != "wrapper-assert" or vc.name in wrapper_status:
-                continue
-            status, assignment, detail = _check(vc, bound)
-            if status == "valid":
-                wrapper_status[vc.name] = (status, assignment, detail)
-                lemma = t.lemma_of_wrapper(vc.function)
-                if lemma and lemma not in admitted:
-                    admitted.add(lemma)
-                progress = True
-        if not progress:
-            break
-
-    vcs = vcs_for(t, admitted=frozenset(admitted))
-    results: dict[str, dict] = {}
-    lemma_by_wrapper = {e.wrapper.fn.name: e.lemma_name for e in t.entries}
-    wrapper_valid = {}
-    for vc in vcs:
-        entry: dict = {"function": vc.function, "assertion": vc.assertion,
-                       "kind": vc.kind, "clause": vc.clause,
-                       "hypotheses": list(vc.hypothesis_names()),
-                       "links": list(vc.links)}
-        if vc.kind == "lemma":
-            entry["status"] = "pending"
-            results[vc.name] = entry
-            continue
-        if vc.kind == "wrapper-assert" and vc.name in wrapper_status:
-            status, assignment, detail = wrapper_status[vc.name]
-        else:
-            status, assignment, detail = _check(vc, bound)
-        entry["status"] = status
-        entry["detail"] = detail
-        if assignment is not None:
-            entry["assignment"] = assignment
-        results[vc.name] = entry
-        if vc.kind == "wrapper-assert":
-            wrapper_valid[lemma_by_wrapper.get(vc.function)] = status
-    for name, entry in results.items():
-        if entry["kind"] == "lemma":
-            lemma = entry["assertion"]
-            status = wrapper_valid.get(lemma, "unknown")
-            entry["status"] = "valid" if status == "valid" else "unknown"
-            entry["detail"] = "reduces to the wrapper assertion"
-    return results
+def _verdict(r: dict, bound: int) -> str:
+    """Table label of a VC result; a valid one says what it rests on."""
+    if r["status"] != "valid":
+        return r["status"].capitalize()
+    if r["scope"] == "instance":
+        return "Valid (instance of hypothesis)"
+    return f"Valid (bounded ±{bound})"
 
 
 def cmd_prove(args) -> int:
@@ -187,7 +111,7 @@ def cmd_prove(args) -> int:
         return EXIT_INPUT_ERROR
     out = _outdir(args)
     try:
-        results = prove_program(t, args.bound, args.assume_lemmas)
+        run = prove_program(t, args.bound, args.assume_lemmas)
     except MissingLoopInvariant as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -195,25 +119,21 @@ def cmd_prove(args) -> int:
     if args.emit_smt:
         smt_dir = out / "smt"
         smt_dir.mkdir(exist_ok=True)
-        admitted = frozenset(e.lemma_name for e in t.entries)
-        for vc in vcs_for(t, admitted=admitted):
+        for vc in run.vcs:
             (smt_dir / f"{vc.name}.smt2").write_text(emit_smtlib(vc),
                                                      encoding="utf-8")
+    results = run.results
     index = {"input": args.input, "bound": args.bound, "vcs": results}
     (out / "vc_index.json").write_text(json.dumps(index, indent=2,
                                                   sort_keys=True) + "\n",
                                        encoding="utf-8")
 
-    clause_rows = []
-    for e in t.entries:
-        wrapper_vcs = [r for r in results.values()
-                       if r["kind"] == "wrapper-assert"
-                       and r["clause"] == e.clause.name]
-        status = wrapper_vcs[0]["status"] if wrapper_vcs else "unknown"
-        label = {"valid": "Valid", "counterexample": "Counterexample",
-                 "unknown": "Unknown"}[status]
-        clause_rows.append((e.clause.name, e.wrapper.fn.name, label))
-    other_rows = [(name, r["kind"], r["status"])
+    wrappers = [r for r in results.values() if r["kind"] == "wrapper-assert"]
+    clause_rows = [(e.clause.name, e.wrapper.fn.name,
+                    next((_verdict(r, args.bound) for r in wrappers
+                          if r["clause"] == e.clause.name), "Unknown"))
+                   for e in t.entries]
+    other_rows = [(name, r["kind"], _verdict(r, args.bound))
                   for name, r in sorted(results.items())
                   if r["kind"] not in ("wrapper-assert", "lemma")]
 
@@ -226,11 +146,9 @@ def cmd_prove(args) -> int:
             print()
             print(_table(other_rows, ("VC", "Kind", "Status")))
 
-    wrapper_results = [r for r in results.values()
-                       if r["kind"] == "wrapper-assert"]
-    if any(r["status"] == "counterexample" for r in wrapper_results):
+    if any(r["status"] == "counterexample" for r in wrappers):
         return EXIT_VIOLATION
-    if all(r["status"] == "valid" for r in wrapper_results):
+    if all(r["status"] == "valid" for r in wrappers):
         return EXIT_OK
     return EXIT_INCOMPLETE if args.strict else EXIT_OK
 

@@ -102,6 +102,10 @@ class TransformedProgram:
                 out[p] = e.clause.name
         return out
 
+    @property
+    def lemma_names(self) -> frozenset[str]:
+        return frozenset(e.lemma_name for e in self.entries)
+
     def wrapper_for(self, clause_name: str) -> Optional[WrapperFunction]:
         for e in self.entries:
             if e.clause.name == clause_name:

@@ -98,6 +98,19 @@ def _touched_state(fn: FunctionDef, program: Program) -> set[Loc]:
     return out
 
 
+def _uncovered(fn: FunctionDef, program: Program) -> tuple[Loc, ...]:
+    """Touched state of `fn` that its assigns clauses do not declare, sorted;
+    memoized per program."""
+    key = ("uncovered", id(fn))
+    hit = program.memo.get(key)
+    if hit is None:
+        declared = _declared_footprint(fn)
+        hit = program.memo[key] = (fn, tuple(sorted(
+            _touched_state(fn, program) - declared.writes - declared.reads,
+            key=str)))
+    return hit[1]
+
+
 def _callees(node) -> list[str]:
     return [s.callee for s in walk(node) if isinstance(s, CallStmt)]
 
@@ -121,12 +134,11 @@ def footprint_of(fn: FunctionDef, program: Program) -> MemFootprint:
     todo = [fn]
     while todo:
         f = todo.pop()
-        declared = _declared_footprint(f)
-        missing = sorted(_touched_state(f, program) - declared.writes
-                         - declared.reads, key=str)
+        missing = _uncovered(f, program)
         if missing:
             raise MissingAssigns(f"{f.name}: body touches {_loc_str(missing[0])} "
                                  "but no assigns clause covers it")
+        declared = _declared_footprint(f)
         writes |= declared.writes
         reads |= declared.reads
         for name in _callees(f.body):
@@ -239,9 +251,7 @@ def _relationally_involved(program: Program) -> set[str]:
 
 def _check_assigns_coverage(fn: FunctionDef, program: Program,
                             diags: list[Diagnostic], involved: bool) -> None:
-    declared = _declared_footprint(fn)
-    missing = sorted(_touched_state(fn, program) - declared.writes
-                     - declared.reads, key=str)
+    missing = _uncovered(fn, program)
     if missing and not fn.contract.assigns and involved:
         diags.append(_err(fn.span,
                           f"{fn.name} is part of a relational property but has no "

@@ -600,23 +600,19 @@ def function_vcs(fn: FunctionDef, program: Program) -> list[_Item]:
 
 
 def vcs_for(transformed: TransformedProgram,
-            admitted: Optional[frozenset[str]] = None
-            ) -> list[VerificationCondition]:
+            admitted: frozenset[str]) -> list[VerificationCondition]:
     """Verification conditions of a transformed program.
 
     `admitted` names the relational lemmas allowed into hypothesis
-    environments (None admits every generated lemma). A wrapper assertion
-    never sees the lemma of its own clause.
+    environments, which list them in sorted order after the requires
+    clauses. A wrapper assertion never sees the lemma of its own clause.
     """
     program = transformed.program
     lemma_forms: dict[str, Form] = {}
     for ax in program.axiomatics:
         for lem in ax.lemmas():
             lemma_forms[lem.name] = compile_lemma(lem, program)
-    if admitted is None:
-        admitted_set = set(lemma_forms)
-    else:
-        admitted_set = set(admitted) & set(lemma_forms)
+    admitted_set = set(admitted) & set(lemma_forms)
 
     wrapper_names = {e.wrapper.fn.name: e for e in transformed.entries}
 
@@ -638,45 +634,31 @@ def vcs_for(transformed: TransformedProgram,
                     for i, p in enumerate(fn.contract.requires, 1)]
         requires = [(n, f) for n, f in requires if f != TRUE]
         entry = wrapper_names.get(fn.name)
-        own_lemma = transformed.lemma_of_wrapper(fn.name)
+        clause = entry.clause.name if entry is not None else None
+        own_lemma = entry.lemma_name if entry is not None else None
         for item in function_vcs(fn, program):
-            hyps: list[tuple[str, Form]] = list(requires)
-            for lname in sorted(admitted_set):
-                if item.kind == "wrapper-assert" and lname == own_lemma:
-                    continue  # a lemma cannot justify its own wrapper
-                hyps.append((lname, lemma_forms[lname]))
+            # a lemma cannot justify its own wrapper
+            hyps = requires + [(n, lemma_forms[n]) for n in sorted(admitted_set)
+                               if item.kind != "wrapper-assert" or n != own_lemma]
             replayable = False
-            clause = entry.clause.name if entry is not None else None
             if item.kind == "wrapper-assert" and entry is not None:
                 slots = set(entry.wrapper.binder_params)
                 slots |= set(entry.wrapper.dup_globals)
                 slots |= {cell(p) for p in entry.wrapper.pointer_params}
                 replayable = free_vars(item.form) <= slots
             out.append(VerificationCondition(
-                name=unique(f"{fn.name}__{item.label}"),
-                function=fn.name,
-                assertion=item.label,
-                kind=item.kind,
-                goal=item.form,
-                hypotheses=tuple(hyps),
-                links=tuple(sorted(item.links)),
-                clause=clause,
-                replayable=replayable,
-                span=item.span,
-            ))
+                name=unique(f"{fn.name}__{item.label}"), function=fn.name,
+                assertion=item.label, kind=item.kind, goal=item.form,
+                hypotheses=tuple(hyps), links=tuple(sorted(item.links)),
+                clause=clause, replayable=replayable, span=item.span))
 
     # Lemma VCs: the goal restates the property over the `_acsl` mirrors.
     # Their proof reduces to the wrapper assertion plus the link behaviors,
     # so provers report them through their wrapper's status.
     for e in transformed.entries:
         out.append(VerificationCondition(
-            name=unique(f"lemma__{e.lemma_name}"),
-            function=e.wrapper.fn.name,
-            assertion=e.lemma_name,
-            kind="lemma",
-            goal=lemma_forms[e.lemma_name],
-            hypotheses=(),
-            links=tuple(sorted(transformed.acsl_symbols)),
-            clause=e.clause.name,
-        ))
+            name=unique(f"lemma__{e.lemma_name}"), function=e.wrapper.fn.name,
+            assertion=e.lemma_name, kind="lemma", goal=lemma_forms[e.lemma_name],
+            hypotheses=(), links=tuple(sorted(transformed.acsl_symbols)),
+            clause=e.clause.name))
     return out

@@ -112,7 +112,7 @@ def test_vectorized_and_scalar_agree_on_small_formulas():
     ]
     for form in cases:
         rows_v, a_v = _vectorized_search([form], ["a", "b"], 3, 10**9)
-        rows_s, a_s, _, _ = _scalar_search([form], ["a", "b"], 3, 10**9)
+        rows_s, a_s, _ = _scalar_search([form], ["a", "b"], 3, 10**9)
         assert (a_v is None) == (a_s is None)
         if a_v is not None:
             assert a_v == a_s  # same lexicographic first witness

@@ -52,16 +52,18 @@ def test_quantifier_emission():
 
 def test_emission_deterministic(fig5):
     t = transform(fig5)
-    vcs = vcs_for(t)
+    vcs = vcs_for(t, t.lemma_names)
     a = [emit_smtlib(vc) for vc in vcs]
-    b = [emit_smtlib(vc) for vc in vcs_for(transform(fig5))]
+    t2 = transform(fig5)
+    b = [emit_smtlib(vc) for vc in vcs_for(t2, t2.lemma_names)]
     assert a == b
 
 
 def test_distinct_vcs_distinct_scripts(fig2, fig5):
     seen = {}
     for p in (fig2, fig5):
-        for vc in vcs_for(transform(p)):
+        t = transform(p)
+        for vc in vcs_for(t, t.lemma_names):
             script = emit_smtlib(vc)
             assert script not in seen.values()
             seen[vc.name] = script
@@ -79,7 +81,7 @@ def _solver():
 def test_solver_answers_unsat_on_fig2(fig2, tmp_path):
     name, path = _solver()
     t = transform(fig2)
-    vc = [v for v in vcs_for(t) if v.kind == "wrapper-assert"][0]
+    vc = [v for v in vcs_for(t, t.lemma_names) if v.kind == "wrapper-assert"][0]
     script = tmp_path / "vc.smt2"
     script.write_text(emit_smtlib(vc))
     args = [path, str(script)] if name == "z3" else [path, "--lang=smt2", str(script)]

@@ -105,7 +105,7 @@ def test_loop_function_ensures_vc():
     """
     p = parse_program(src)
     t = transform(p)
-    vcs = vcs_for(t)
+    vcs = vcs_for(t, t.lemma_names)
     by_kind = {vc.kind: vc for vc in vcs}
     assert set(by_kind) == {"ensures", "loop-init", "loop-preserve"}
     # preservation is bounded-valid; the exit-implies-post needs i >= n,
@@ -163,7 +163,7 @@ def test_call_rule_assumes_callee_contract():
 
 def test_wrapper_vc_self_exclusion(fig5):
     t = transform(fig5)
-    vcs = vcs_for(t)  # every lemma admitted
+    vcs = vcs_for(t, t.lemma_names)  # every lemma admitted
     wrapper_vc = [v for v in vcs if v.kind == "wrapper-assert"][0]
     assert "Relational_lemma_1" not in wrapper_vc.hypothesis_names()
 
@@ -172,7 +172,7 @@ def test_other_lemmas_enter_wrapper_hypotheses():
     src = open("src/relprop/corpus/comparators/cmp_sign_ok.mc").read()
     p = parse_program(src)
     t = transform(p)
-    vcs = vcs_for(t)
+    vcs = vcs_for(t, t.lemma_names)
     for vc in vcs:
         if vc.kind != "wrapper-assert":
             continue
@@ -185,7 +185,7 @@ def test_other_lemmas_enter_wrapper_hypotheses():
 
 def test_lemma_vcs_emitted_with_link_provenance(fig5):
     t = transform(fig5)
-    lemma_vcs = [v for v in vcs_for(t) if v.kind == "lemma"]
+    lemma_vcs = [v for v in vcs_for(t, t.lemma_names) if v.kind == "lemma"]
     assert len(lemma_vcs) == 1
     assert lemma_vcs[0].hypotheses == ()
     assert lemma_vcs[0].links == ("h",)
