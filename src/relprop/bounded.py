@@ -17,9 +17,10 @@ Outcomes:
                       havoc'd loop/call states, which no concrete run need
                       reproduce.
 
-Quantifier-free, table-free problems take a vectorized numpy path; the
-scalar evaluator is the exact reference (unbounded integers) and handles
-quantifier expansion and table search.
+Quantifier-free, table-free problems whose terms provably stay within
+int64 take a vectorized numpy path; the scalar evaluator is the exact
+reference (unbounded integers) and handles quantifier expansion, table
+search and everything that could overflow int64.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant, FApp,
     TRUE, ARITH, CMP, simplify, free_vars, symbols, has_quantifier,
-    instance_of, rename,
+    instance_of, rename, dag_walk,
 )
 from .vcgen import VerificationCondition
 
@@ -63,43 +64,37 @@ def _dirty(name: str) -> bool:
     return "$h" in name or "$sk" in name
 
 
-def _node_count(f: Form, seen: Optional[set] = None) -> int:
+def _node_count(f: Form) -> int:
     # Dag-aware: shared subterms are evaluated once, so count them once.
-    seen = seen if seen is not None else set()
-    if id(f) in seen:
-        return 0
-    seen.add(id(f))
-    if isinstance(f, (FBool,)):
-        return 1
-    if isinstance(f, FCmp):
-        return 1 + _tnodes(f.left, seen) + _tnodes(f.right, seen)
-    if isinstance(f, FNot):
-        return 1 + _node_count(f.body, seen)
-    if isinstance(f, (FAnd, FOr)):
-        return 1 + sum(_node_count(i, seen) for i in f.items)
-    if isinstance(f, FImp):
-        return 1 + _node_count(f.hyp, seen) + _node_count(f.concl, seen)
-    if isinstance(f, FQuant):
-        return 1 + _node_count(f.body, seen)
-    if isinstance(f, FApp):
-        return 1 + sum(_tnodes(a, seen) for a in f.args)
-    raise TypeError
+    return sum(1 for _ in dag_walk(f))
 
 
-def _tnodes(t: TermF, seen: set) -> int:
-    if id(t) in seen:
-        return 0
-    seen.add(id(t))
-    if isinstance(t, (IVar, ICon)):
-        return 1
-    if isinstance(t, IOp):
-        return 1 + _tnodes(t.left, seen) + _tnodes(t.right, seen)
-    if isinstance(t, IIte):
-        return 1 + _node_count(t.cond, seen) + _tnodes(t.then, seen) \
-            + _tnodes(t.other, seen)
-    if isinstance(t, IApp):
-        return 1 + sum(_tnodes(a, seen) for a in t.args)
-    raise TypeError
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _fits_int64(forms: list[Form], bound: int) -> bool:
+    """True when no term can leave int64 with every variable in
+    [-bound, bound]: a worst-case magnitude per term node, over the dag."""
+    mag: dict[int, int] = {}
+    for f in forms:
+        for n in dag_walk(f):
+            if id(n) in mag:
+                continue
+            if isinstance(n, IVar):
+                m = bound
+            elif isinstance(n, ICon):
+                m = abs(n.value)
+            elif isinstance(n, IOp):
+                a, b = mag[id(n.left)], mag[id(n.right)]
+                m = a if n.op == "/" else a * b if n.op == "*" else a + b
+            elif isinstance(n, IIte):
+                m = max(mag[id(n.then)], mag[id(n.other)])
+            else:
+                continue
+            if m > _INT64_MAX:
+                return False
+            mag[id(n)] = m
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +392,7 @@ def check_bounded(vc: VerificationCondition, bound: int,
     any_tables = any(symbols(f) for f in forms)
     any_quant = any(has_quantifier(f) for f in forms)
 
-    if not any_tables and not any_quant:
+    if not any_tables and not any_quant and _fits_int64(forms, bound):
         rows, assignment = _vectorized_search(forms, order, bound, budget)
         if assignment is None:
             return BoundedResult("valid", bound, method="vectorized", rows=rows)

@@ -4,7 +4,10 @@ This is the language verification conditions live in: integer variables,
 arithmetic with Euclidean division, if-then-else terms, comparisons, the
 boolean connectives, quantifiers, and applications of uninterpreted
 functions (`IApp`, integer-valued) and predicates (`FApp`, boolean-valued).
-All nodes are immutable; substitution is capture-avoiding.
+All nodes are immutable; substitution is capture-avoiding. Formulas are
+dags: a subterm may be shared by many parents, rewrites return the nodes
+they leave unchanged as they are, and every traversal visits each distinct
+node once.
 """
 
 from __future__ import annotations
@@ -145,113 +148,97 @@ def emod(a: int, b: int) -> int:
 
 # -- traversals -----------------------------------------------------------------
 
-
-def term_free_vars(t: TermF) -> set[str]:
-    if isinstance(t, IVar):
-        return {t.name}
-    if isinstance(t, ICon):
-        return set()
-    if isinstance(t, IOp):
-        return term_free_vars(t.left) | term_free_vars(t.right)
-    if isinstance(t, IIte):
-        return free_vars(t.cond) | term_free_vars(t.then) | term_free_vars(t.other)
-    if isinstance(t, IApp):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_free_vars(a)
-        return out
-    raise TypeError(f"unknown term {t!r}")
+# Children of each node type, left to right.
+_CHILDREN = {
+    IVar: lambda n: (), ICon: lambda n: (), FBool: lambda n: (),
+    IOp: lambda n: (n.left, n.right),
+    IIte: lambda n: (n.cond, n.then, n.other),
+    IApp: lambda n: n.args, FApp: lambda n: n.args,
+    FCmp: lambda n: (n.left, n.right),
+    FNot: lambda n: (n.body,), FQuant: lambda n: (n.body,),
+    FAnd: lambda n: n.items, FOr: lambda n: n.items,
+    FImp: lambda n: (n.hyp, n.concl),
+}
 
 
-def free_vars(f: Form) -> set[str]:
-    if isinstance(f, FBool):
-        return set()
-    if isinstance(f, FCmp):
-        return term_free_vars(f.left) | term_free_vars(f.right)
-    if isinstance(f, FNot):
-        return free_vars(f.body)
-    if isinstance(f, (FAnd, FOr)):
-        out: set[str] = set()
-        for i in f.items:
-            out |= free_vars(i)
-        return out
-    if isinstance(f, FImp):
-        return free_vars(f.hyp) | free_vars(f.concl)
-    if isinstance(f, FQuant):
-        return free_vars(f.body) - set(f.vars)
-    if isinstance(f, FApp):
-        out = set()
-        for a in f.args:
-            out |= term_free_vars(a)
-        return out
-    raise TypeError(f"unknown formula {f!r}")
+def children(n: Union[TermF, Form]) -> tuple:
+    return _CHILDREN[type(n)](n)
+
+
+def dag_walk(root: Union[TermF, Form]):
+    """Each distinct node under `root` once, by identity, children before
+    their parents. Iterative, so deep chains need no recursion, and shared
+    subterms cost one visit however many paths reach them."""
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((c, False) for c in reversed(children(node))
+                     if id(c) not in seen)
+
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def free_vars(root: Union[TermF, Form]) -> set[str]:
+    """Free variables of a term or formula."""
+    fv: dict[int, frozenset[str]] = {}
+    for n in dag_walk(root):
+        if isinstance(n, IVar):
+            out = frozenset((n.name,))
+        else:
+            out = _NO_VARS
+            for c in children(n):
+                kid = fv[id(c)]
+                if kid is not out and not kid <= out:
+                    out = kid if out <= kid else out | kid
+            if isinstance(n, FQuant):
+                out = out - set(n.vars)
+        fv[id(n)] = out
+    return set(fv[id(root)])
 
 
 def symbols(f: Form) -> dict[str, tuple[int, str]]:
     """Uninterpreted symbols of a formula: name -> (arity, "int" | "bool")."""
     out: dict[str, tuple[int, str]] = {}
-
-    def term(t: TermF) -> None:
-        if isinstance(t, IOp):
-            term(t.left)
-            term(t.right)
-        elif isinstance(t, IIte):
-            walk(t.cond)
-            term(t.then)
-            term(t.other)
-        elif isinstance(t, IApp):
-            out[t.fn] = (len(t.args), "int")
-            for a in t.args:
-                term(a)
-
-    def walk(g: Form) -> None:
-        if isinstance(g, FCmp):
-            term(g.left)
-            term(g.right)
-        elif isinstance(g, FNot):
-            walk(g.body)
-        elif isinstance(g, (FAnd, FOr)):
-            for i in g.items:
-                walk(i)
-        elif isinstance(g, FImp):
-            walk(g.hyp)
-            walk(g.concl)
-        elif isinstance(g, FQuant):
-            walk(g.body)
-        elif isinstance(g, FApp):
-            out[g.pred] = (len(g.args), "bool")
-            for a in g.args:
-                term(a)
-
-    walk(f)
+    for n in dag_walk(f):
+        if isinstance(n, IApp):
+            out[n.fn] = (len(n.args), "int")
+        elif isinstance(n, FApp):
+            out[n.pred] = (len(n.args), "bool")
     return out
 
 
 def has_quantifier(f: Form) -> bool:
-    if isinstance(f, FQuant):
-        return True
-    if isinstance(f, FNot):
-        return has_quantifier(f.body)
-    if isinstance(f, (FAnd, FOr)):
-        return any(has_quantifier(i) for i in f.items)
-    if isinstance(f, FImp):
-        return has_quantifier(f.hyp) or has_quantifier(f.concl)
-    if isinstance(f, FCmp):
-        return _term_has_quant(f.left) or _term_has_quant(f.right)
-    if isinstance(f, FApp):
-        return any(_term_has_quant(a) for a in f.args)
-    return False
+    return any(isinstance(n, FQuant) for n in dag_walk(f))
 
 
-def _term_has_quant(t: TermF) -> bool:
-    if isinstance(t, IOp):
-        return _term_has_quant(t.left) or _term_has_quant(t.right)
-    if isinstance(t, IIte):
-        return has_quantifier(t.cond) or _term_has_quant(t.then) \
-            or _term_has_quant(t.other)
-    if isinstance(t, IApp):
-        return any(_term_has_quant(a) for a in t.args)
-    return False
+# Each compound node type rebuilt over new children.
+_REBUILD = {
+    IOp: lambda n, k: IOp(n.op, *k), IIte: lambda n, k: IIte(*k),
+    IApp: lambda n, k: IApp(n.fn, tuple(k)),
+    FApp: lambda n, k: FApp(n.pred, tuple(k)),
+    FCmp: lambda n, k: FCmp(n.op, *k), FNot: lambda n, k: FNot(*k),
+    FAnd: lambda n, k: FAnd(tuple(k)), FOr: lambda n, k: FOr(tuple(k)),
+    FImp: lambda n, k: FImp(*k), FQuant: lambda n, k: FQuant(n.kind, n.vars, *k),
+}
+
+
+def _same(new, old) -> bool:
+    return len(new) == len(old) and all(a is b for a, b in zip(new, old))
+
+
+def _rebuild(n, kids):
+    """`n` over the children `kids`: `n` itself when every child is the
+    same object, so rewrites keep the sharing of what they leave alone."""
+    return n if _same(kids, children(n)) else _REBUILD[type(n)](n, kids)
 
 
 # -- substitution ----------------------------------------------------------------
@@ -266,75 +253,40 @@ def _fresh(base: str) -> str:
     return f"{base}${_fresh_counter}"
 
 
-def subst_term(t: TermF, env: dict[str, TermF],
-               _memo: Optional[dict] = None) -> TermF:
-    # Substituted trees share structure heavily; the id-keyed memo keeps the
+def _subst(n, env: dict[str, TermF], memo: dict):
+    # Substituted dags share structure heavily; the id-keyed memo keeps the
     # output sharing (and the work) proportional to the dag, not the tree.
-    memo = _memo if _memo is not None else {}
-    key = id(t)
-    hit = memo.get(key)
+    hit = memo.get(id(n))
     if hit is not None:
         return hit[1]
-    if isinstance(t, IVar):
-        out: TermF = env.get(t.name, t)
-    elif isinstance(t, ICon):
-        out = t
-    elif isinstance(t, IOp):
-        out = IOp(t.op, subst_term(t.left, env, memo),
-                  subst_term(t.right, env, memo))
-    elif isinstance(t, IIte):
-        out = IIte(subst(t.cond, env, memo), subst_term(t.then, env, memo),
-                   subst_term(t.other, env, memo))
-    elif isinstance(t, IApp):
-        out = IApp(t.fn, tuple(subst_term(a, env, memo) for a in t.args))
-    else:
-        raise TypeError(f"unknown term {t!r}")
-    memo[key] = (t, out)
-    return out
-
-
-def subst(f: Form, env: dict[str, TermF], _memo: Optional[dict] = None) -> Form:
-    """Capture-avoiding simultaneous substitution of variables by terms."""
-    if not env:
-        return f
-    memo = _memo if _memo is not None else {}
-    key = id(f)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, FBool):
-        out: Form = f
-    elif isinstance(f, FCmp):
-        out = FCmp(f.op, subst_term(f.left, env, memo),
-                   subst_term(f.right, env, memo))
-    elif isinstance(f, FNot):
-        out = FNot(subst(f.body, env, memo))
-    elif isinstance(f, FAnd):
-        out = FAnd(tuple(subst(i, env, memo) for i in f.items))
-    elif isinstance(f, FOr):
-        out = FOr(tuple(subst(i, env, memo) for i in f.items))
-    elif isinstance(f, FImp):
-        out = FImp(subst(f.hyp, env, memo), subst(f.concl, env, memo))
-    elif isinstance(f, FQuant):
-        inner = {k: v for k, v in env.items() if k not in f.vars}
+    if isinstance(n, IVar):
+        out = env.get(n.name, n)
+    elif isinstance(n, FQuant):
+        body_vars = free_vars(n.body)
+        inner = {k: v for k, v in env.items()
+                 if k in body_vars and k not in n.vars}
         if not inner:
-            out = f
+            out = n
         else:
-            captured = [v for v in f.vars
-                        if any(v in term_free_vars(t) for t in inner.values())]
-            vars_ = list(f.vars)
-            body = f.body
+            reached = set().union(*(free_vars(t) for t in inner.values()))
+            captured = [v for v in n.vars if v in reached]
+            vars_ = list(n.vars)
+            body = n.body
             if captured:
                 ren = {v: IVar(_fresh(v)) for v in captured}
                 body = subst(body, ren)
                 vars_ = [ren[v].name if v in ren else v for v in vars_]
-            out = FQuant(f.kind, tuple(vars_), subst(body, inner))
-    elif isinstance(f, FApp):
-        out = FApp(f.pred, tuple(subst_term(a, env, memo) for a in f.args))
+            out = FQuant(n.kind, tuple(vars_), subst(body, inner))
     else:
-        raise TypeError(f"unknown formula {f!r}")
-    memo[key] = (f, out)
+        out = _rebuild(n, [_subst(c, env, memo) for c in children(n)])
+    memo[id(n)] = (n, out)
     return out
+
+
+def subst(f, env: dict[str, TermF]):
+    """Capture-avoiding simultaneous substitution of variables by terms, in
+    a term or a formula."""
+    return _subst(f, env, {}) if env else f
 
 
 def rename(f: Form, mapping: dict[str, str]) -> Form:
@@ -358,7 +310,7 @@ def simplify_term(t: TermF, _memo: Optional[dict] = None) -> TermF:
         if isinstance(left, ICon) and isinstance(right, ICon):
             out = ICon(ARITH[t.op](left.value, right.value))
         else:
-            out = IOp(t.op, left, right)
+            out = _rebuild(t, (left, right))
     elif isinstance(t, IIte):
         cond = simplify(t.cond, memo)
         then = simplify_term(t.then, memo)
@@ -368,9 +320,9 @@ def simplify_term(t: TermF, _memo: Optional[dict] = None) -> TermF:
         elif then == other:
             out = then
         else:
-            out = IIte(cond, then, other)
+            out = _rebuild(t, (cond, then, other))
     elif isinstance(t, IApp):
-        out = IApp(t.fn, tuple(simplify_term(a, memo) for a in t.args))
+        out = _rebuild(t, [simplify_term(a, memo) for a in t.args])
     else:
         raise TypeError(f"unknown term {t!r}")
     memo[key] = (t, out)
@@ -418,14 +370,14 @@ def _simplify_node(f: Form, memo: dict) -> Form:
         pushed = _cmp_over_ite(f.op, left, right)
         if pushed is not None:
             return simplify(pushed, memo)
-        return FCmp(f.op, left, right)
+        return _rebuild(f, (left, right))
     if isinstance(f, FNot):
         body = simplify(f.body, memo)
         if isinstance(body, FBool):
             return FBool(not body.value)
         if isinstance(body, FNot):
             return body.body
-        return FNot(body)
+        return _rebuild(f, (body,))
     if isinstance(f, FAnd):
         items = []
         for i in f.items:
@@ -434,7 +386,7 @@ def _simplify_node(f: Form, memo: dict) -> Form:
                 return FALSE
             if s != TRUE:
                 items.append(s)
-        return conj(items)
+        return f if len(items) > 1 and _same(items, f.items) else conj(items)
     if isinstance(f, FOr):
         items = []
         for i in f.items:
@@ -447,7 +399,7 @@ def _simplify_node(f: Form, memo: dict) -> Form:
             return FALSE
         if len(items) == 1:
             return items[0]
-        return FOr(tuple(items))
+        return _rebuild(f, items)
     if isinstance(f, FImp):
         hyp = simplify(f.hyp, memo)
         concl = simplify(f.concl, memo)
@@ -455,38 +407,44 @@ def _simplify_node(f: Form, memo: dict) -> Form:
             return TRUE
         if hyp == TRUE:
             return concl
-        return FImp(hyp, concl)
+        return _rebuild(f, (hyp, concl))
     if isinstance(f, FQuant):
         body = simplify(f.body, memo)
         if f.kind == "forall":
             body = _one_point(tuple(f.vars), body)
-            remaining = [v for v in f.vars if v in free_vars(body)]
+            remaining = tuple(v for v in f.vars if v in free_vars(body))
             if isinstance(body, FBool) or not remaining:
                 return body
-            return FQuant("forall", tuple(remaining), body)
+            if remaining != f.vars:
+                return FQuant("forall", remaining, body)
         if isinstance(body, FBool):
             return body
-        return FQuant(f.kind, f.vars, body)
+        return _rebuild(f, (body,))
     if isinstance(f, FApp):
-        return FApp(f.pred, tuple(simplify_term(a, memo) for a in f.args))
+        return _rebuild(f, [simplify_term(a, memo) for a in f.args])
     return f
 
 
+def point(names, hyp: Form) -> Optional[tuple[str, TermF, Form]]:
+    """A conjunct `v == t` of `hyp` with v in `names` and not free in t, as
+    (v, t, the other conjuncts): the one-point rule's equation."""
+    parts = hyp.items if isinstance(hyp, FAnd) else (hyp,)
+    for i, part in enumerate(parts):
+        if isinstance(part, FCmp) and part.op == "==":
+            for v, t in ((part.left, part.right), (part.right, part.left)):
+                if isinstance(v, IVar) and v.name in names \
+                        and v.name not in free_vars(t):
+                    return v.name, t, conj(list(parts[:i] + parts[i + 1:]))
+    return None
+
+
 def _one_point(vars_: tuple[str, ...], body: Form) -> Form:
-    """Eliminate `v == t ==> ...` antecedents for quantified v not free in t."""
-    changed = True
-    while changed:
-        changed = False
-        if isinstance(body, FImp) and isinstance(body.hyp, FCmp) \
-                and body.hyp.op == "==":
-            for var_side, term_side in ((body.hyp.left, body.hyp.right),
-                                        (body.hyp.right, body.hyp.left)):
-                if isinstance(var_side, IVar) and var_side.name in vars_ \
-                        and var_side.name not in term_free_vars(term_side):
-                    body = simplify(subst(body.concl,
-                                          {var_side.name: term_side}))
-                    changed = True
-                    break
+    """Eliminate `v == t` antecedent conjuncts for quantified v not free in
+    t."""
+    while isinstance(body, FImp) \
+            and (eq := point(vars_, body.hyp)) is not None:
+        v, t, rest = eq
+        body = simplify(subst(imp(rest, body.concl), {v: t}))
     return body
 
 
@@ -550,40 +508,3 @@ def instance_of(hypothesis: Form, goal: Form) -> bool:
         return match_form(hypothesis.body, goal,
                           frozenset(hypothesis.vars), {})
     return hypothesis == goal
-
-
-# -- printing (debugging aid) ----------------------------------------------------
-
-
-def term_str(t: TermF) -> str:
-    if isinstance(t, IVar):
-        return t.name
-    if isinstance(t, ICon):
-        return str(t.value)
-    if isinstance(t, IOp):
-        return f"({term_str(t.left)} {t.op} {term_str(t.right)})"
-    if isinstance(t, IIte):
-        return f"ite({form_str(t.cond)}, {term_str(t.then)}, {term_str(t.other)})"
-    if isinstance(t, IApp):
-        return f"{t.fn}({', '.join(term_str(a) for a in t.args)})"
-    raise TypeError
-
-
-def form_str(f: Form) -> str:
-    if isinstance(f, FBool):
-        return "true" if f.value else "false"
-    if isinstance(f, FCmp):
-        return f"{term_str(f.left)} {f.op} {term_str(f.right)}"
-    if isinstance(f, FNot):
-        return f"!({form_str(f.body)})"
-    if isinstance(f, FAnd):
-        return "(" + " && ".join(form_str(i) for i in f.items) + ")"
-    if isinstance(f, FOr):
-        return "(" + " || ".join(form_str(i) for i in f.items) + ")"
-    if isinstance(f, FImp):
-        return f"({form_str(f.hyp)} ==> {form_str(f.concl)})"
-    if isinstance(f, FQuant):
-        return f"({f.kind} {', '.join(f.vars)}. {form_str(f.body)})"
-    if isinstance(f, FApp):
-        return f"{f.pred}({', '.join(term_str(a) for a in f.args)})"
-    raise TypeError

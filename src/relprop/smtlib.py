@@ -3,14 +3,25 @@
 One script per VC: UFNIA logic, sorted declarations for every free symbol,
 one assert per hypothesis, the negated goal, `(check-sat)`. An `unsat`
 answer means the VC is valid. Output is deterministic byte-for-byte.
+
+VC formulas are dags: the forward VC pass shares each variable's current
+value among every later use. Each assert prints a shared node once, under a
+`let`, so the text grows with the dag, not with the tree it unfolds to,
+except under quantifiers: a node that mentions a quantifier-bound name is
+printed inline, so a chain of shared values over a call's fresh names that
+the one-point rule did not remove is still printed as a tree.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from itertools import count
+from typing import Iterator
+
 from .logic import (
-    TermF, Form, IVar, ICon, IOp, IIte, IApp,
+    Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant, FApp,
-    free_vars, symbols,
+    children, dag_walk, free_vars, symbols,
 )
 from .vcgen import VerificationCondition
 
@@ -25,45 +36,64 @@ def _sym(name: str) -> str:
     return f"|{name}|"
 
 
-def term_sexpr(t: TermF) -> str:
-    if isinstance(t, IVar):
-        return _sym(t.name)
-    if isinstance(t, ICon):
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if isinstance(t, IOp):
-        return f"({_OPS[t.op]} {term_sexpr(t.left)} {term_sexpr(t.right)})"
-    if isinstance(t, IIte):
-        return f"(ite {form_sexpr(t.cond)} {term_sexpr(t.then)} {term_sexpr(t.other)})"
-    if isinstance(t, IApp):
-        if not t.args:
-            return _sym(t.fn)
-        return f"({_sym(t.fn)} {' '.join(term_sexpr(a) for a in t.args)})"
-    raise TypeError(f"unknown term {t!r}")
+def _node_text(n, kids: list[str]) -> str:
+    """One node's s-expression, given its children's texts in order."""
+    if isinstance(n, IVar):
+        return _sym(n.name)
+    if isinstance(n, ICon):
+        return str(n.value) if n.value >= 0 else f"(- {-n.value})"
+    if isinstance(n, FBool):
+        return "true" if n.value else "false"
+    if isinstance(n, (IApp, FApp)):
+        name = _sym(n.fn if isinstance(n, IApp) else n.pred)
+        return f"({name} {' '.join(kids)})" if kids else name
+    if isinstance(n, IOp):
+        return f"({_OPS[n.op]} {kids[0]} {kids[1]})"
+    if isinstance(n, IIte):
+        return f"(ite {' '.join(kids)})"
+    if isinstance(n, FCmp):
+        if n.op == "!=":
+            return f"(not (= {kids[0]} {kids[1]}))"
+        return f"({_CMPS[n.op]} {kids[0]} {kids[1]})"
+    if isinstance(n, FNot):
+        return f"(not {kids[0]})"
+    if isinstance(n, (FAnd, FOr)):
+        return f"({'and' if isinstance(n, FAnd) else 'or'} {' '.join(kids)})"
+    if isinstance(n, FImp):
+        return f"(=> {kids[0]} {kids[1]})"
+    if isinstance(n, FQuant):
+        binders = " ".join(f"({_sym(v)} Int)" for v in n.vars)
+        return f"({n.kind} ({binders}) {kids[0]})"
+    raise TypeError(f"unknown node {n!r}")
 
 
-def form_sexpr(f: Form) -> str:
-    if isinstance(f, FBool):
-        return "true" if f.value else "false"
-    if isinstance(f, FCmp):
-        if f.op == "!=":
-            return f"(not (= {term_sexpr(f.left)} {term_sexpr(f.right)}))"
-        return f"({_CMPS[f.op]} {term_sexpr(f.left)} {term_sexpr(f.right)})"
-    if isinstance(f, FNot):
-        return f"(not {form_sexpr(f.body)})"
-    if isinstance(f, FAnd):
-        return f"(and {' '.join(form_sexpr(i) for i in f.items)})"
-    if isinstance(f, FOr):
-        return f"(or {' '.join(form_sexpr(i) for i in f.items)})"
-    if isinstance(f, FImp):
-        return f"(=> {form_sexpr(f.hyp)} {form_sexpr(f.concl)})"
-    if isinstance(f, FQuant):
-        binders = " ".join(f"({_sym(v)} Int)" for v in f.vars)
-        return f"({f.kind} ({binders}) {form_sexpr(f.body)})"
-    if isinstance(f, FApp):
-        if not f.args:
-            return _sym(f.pred)
-        return f"({_sym(f.pred)} {' '.join(term_sexpr(a) for a in f.args)})"
-    raise TypeError(f"unknown formula {f!r}")
+def form_sexpr(f: Form, names: Iterator[int]) -> str:
+    """A formula's s-expression. Every compound node reached more than once
+    is printed once, bound by `let` to `$sN` (N drawn from `names`, in
+    children-first order), unless it mentions a quantifier-bound name;
+    bindings that use no other binding share the outermost `let`."""
+    order = list(dag_walk(f))
+    refs: Counter[int] = Counter(id(c) for n in order for c in children(n))
+    quantified = {v for n in order if isinstance(n, FQuant) for v in n.vars}
+    text: dict[int, str] = {}
+    level: dict[int, int] = {}   # deepest `let` a node's text refers to
+    bound: dict[int, bool] = {}  # mentions a quantifier-bound name
+    lets: dict[int, list[str]] = defaultdict(list)  # level -> bindings
+    for n in order:
+        kids = children(n)
+        bound[id(n)] = (isinstance(n, IVar) and n.name in quantified) \
+            or any(bound[id(c)] for c in kids)
+        level[id(n)] = max((level[id(c)] for c in kids), default=0)
+        text[id(n)] = _node_text(n, [text[id(c)] for c in kids])
+        if kids and refs[id(n)] > 1 and not bound[id(n)]:
+            name = f"$s{next(names)}"
+            level[id(n)] += 1
+            lets[level[id(n)]].append(f"({name} {text[id(n)]})")
+            text[id(n)] = name
+    out = text[id(f)]
+    for depth in sorted(lets, reverse=True):
+        out = f"(let ({' '.join(lets[depth])}) {out})"
+    return out
 
 
 def emit_smtlib(vc: VerificationCondition) -> str:
@@ -87,9 +117,10 @@ def emit_smtlib(vc: VerificationCondition) -> str:
         doms = " ".join(["Int"] * arity)
         ret = "Bool" if kind == "bool" else "Int"
         lines.append(f"(declare-fun {_sym(name)} ({doms}) {ret})")
+    names = count(1)
     for hname, h in vc.hypotheses:
         lines.append(f"; hypothesis: {hname}")
-        lines.append(f"(assert {form_sexpr(h)})")
-    lines.append("(assert (not %s))" % form_sexpr(vc.goal))
+        lines.append(f"(assert {form_sexpr(h, names)})")
+    lines.append("(assert (not %s))" % form_sexpr(vc.goal, names))
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

@@ -1,12 +1,29 @@
 """Weakest-precondition verification conditions for transformed programs.
 
-Statements are compiled backwards by substitution; pointer dereferences are
-scalarized (each `*p` is the integer variable `p$cell`, sound under the
-generated separation hypotheses and the no-aliasing restriction); loops use
-the invariant rule with havoc renaming of modified variables; calls havoc
-the callee's written state and assume its ensures clauses, including the
-generated `_acsl` link behaviors, which is how relational lemmas become
-usable in client proofs.
+One forward pass over each (return-free) body computes them, in the style
+of Flanagan & Saxe (POPL 2001) and Leino (IPL 2005). The pass keeps a
+state, mapping each variable to its value as a term over the entry values
+(assignments update it; after an `if`, each variable both branches left
+alone keeps its term and every other one becomes `ite(c, then, else)`), and
+a path of *frames*. A frame is an assumption plus the fresh `$h` names it
+introduces: an assertion, once checked, is a frame, and so is a call, which
+havocs the callee's written state under fresh names and assumes its ensures
+clauses, including the generated `_acsl` link behaviors (this is how
+relational lemmas become usable in client proofs). The frames a branch adds
+become one frame after the `if`, `(c ==> A_then) && (!c ==> A_else)` over
+both branches' fresh names, except that a fresh name a branch fixes as
+`v == t` is replaced by `t`. Each obligation met on the way (an assertion, a
+callee's requires, a loop's initiation and preservation) is closed over the
+frames on its path: `A ==> goal`, and `forall fresh. A ==> goal` simplified
+at a frame with fresh names, so the one-point rule removes the names that
+ensures pin down. Loops use the invariant rule: the modified variables get
+fresh names that stay free, the body runs under `inv && cond`, and the code
+after the loop under `inv && !cond`. Terms are shared, not copied, so a
+VC's dag grows linearly with the body (its SMT text does too, except for
+shared terms under a quantifier that mention its names; see `smtlib`).
+Pointer dereferences are scalarized (each `*p` is the integer variable
+`p$cell`, sound under the generated separation hypotheses and the
+no-aliasing restriction).
 
 A VC's hypothesis environment carries the function's requires clauses and
 the admitted relational lemmas, minus the VC's own clause lemma for wrapper
@@ -15,7 +32,7 @@ assertions (the lemma may never justify its own wrapper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .minic import (
@@ -33,8 +50,8 @@ from .minic import (
 from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FOr, FImp, FQuant, FApp,
-    TRUE, conj, imp, subst, subst_term, rename, simplify,
-    simplify_term, free_vars,
+    TRUE, conj, imp, subst, rename, simplify,
+    simplify_term, free_vars, point,
 )
 from .selfcomp import (
     TransformedProgram, ASSERT_LABEL, BEHAVIOR_PREFIX,
@@ -93,11 +110,19 @@ class CompileError(Exception):
     pass
 
 
+LabelValue = Callable[[Term, str], TermF]  # (resolved base, label) -> value
+
+
 def compile_term(t: Term, cur: Optional[StateEnv] = None,
                  pre: Optional[StateEnv] = None,
-                 result: Optional[TermF] = None) -> TermF:
+                 result: Optional[TermF] = None,
+                 label_value: Optional[LabelValue] = None) -> TermF:
     """Compile a contract-level term. `cur` overrides current-state reads,
-    `pre` overrides pre-state reads (defaulting to `name$pre` variables)."""
+    `pre` overrides pre-state reads (defaulting to `name$pre` variables);
+    `label_value`, when given, resolves every `\\at`."""
+    def sub(u: Term) -> TermF:
+        return compile_term(u, cur, pre, result, label_value)
+
     if isinstance(t, IntLit):
         return ICon(t.value)
     if isinstance(t, Var):
@@ -105,14 +130,16 @@ def compile_term(t: Term, cur: Optional[StateEnv] = None,
     if isinstance(t, Deref):
         return _lookup(cur, cell(t.name), IVar(cell(t.name)))
     if isinstance(t, Bin):
-        return IOp(t.op, compile_term(t.left, cur, pre, result),
-                   compile_term(t.right, cur, pre, result))
+        return IOp(t.op, sub(t.left), sub(t.right))
     if isinstance(t, OldTerm):
         pre_env = pre if pre is not None else {}
-        return compile_term(t.term, _pre_as_cur(t.term, pre_env), pre, result)
+        return compile_term(t.term, _pre_as_cur(t.term, pre_env), pre, result,
+                            label_value)
     if isinstance(t, At):
+        if label_value is not None:
+            return label_value(t.base, t.label)
         if t.label in ("Post", "Here"):
-            return compile_term(t.base, cur, pre, result)
+            return sub(t.base)
         if t.label in ("Pre", "Old"):
             if isinstance(t.base, Var):
                 return _lookup(pre, t.base.name, IVar(pre_of(t.base.name)))
@@ -125,11 +152,9 @@ def compile_term(t: Term, cur: Optional[StateEnv] = None,
             raise CompileError("\\result outside an ensures clause")
         return result
     if isinstance(t, LogicApp):
-        return IApp(t.name, tuple(compile_term(a, cur, pre, result)
-                                  for a in t.args))
+        return IApp(t.name, tuple(sub(a) for a in t.args))
     if isinstance(t, CallPure):
-        return IApp(acsl_symbol(t.callee),
-                    tuple(compile_term(a, cur, pre, result) for a in t.args))
+        return IApp(acsl_symbol(t.callee), tuple(sub(a) for a in t.args))
     raise CompileError(f"cannot compile term {t!r}")
 
 
@@ -142,9 +167,6 @@ def _pre_as_cur(t: Term, pre: StateEnv) -> StateEnv:
             name = n.name if isinstance(n, Var) else cell(n.name)
             out.setdefault(name, IVar(pre_of(name)))
     return out
-
-
-LabelValue = Callable[[Term, str], TermF]  # (resolved base, label) -> value
 
 
 def scalarize_predapp(p: PredApp, program: Program,
@@ -193,112 +215,69 @@ def compile_pred(p: Pred, program: Program,
                  pre: Optional[StateEnv] = None,
                  result: Optional[TermF] = None,
                  label_value: Optional[LabelValue] = None) -> Form:
-    """Compile a contract-level predicate to a formula."""
+    """Compile a contract-level predicate to a formula. Quantifiers bind
+    their int binders; pointer binders have no scalar value."""
 
     def term(t: Term) -> TermF:
-        return compile_term(t, cur, pre, result)
+        return compile_term(t, cur, pre, result, label_value)
 
-    def default_label_value(base: Term, label: str) -> TermF:
-        if label in ("Pre", "Old"):
-            return compile_term(At(base, "Pre"), cur, pre, result)
-        if label in ("Post", "Here"):
-            return term(base)
-        raise CompileError(f"label {label} outside a relational clause")
-
-    lv = label_value or default_label_value
+    def pred(q: Pred) -> Form:
+        return compile_pred(q, program, cur, pre, result, label_value)
 
     if isinstance(p, PBool):
         return FBool(p.value)
     if isinstance(p, Cmp):
         return FCmp(p.op, term(p.left), term(p.right))
     if isinstance(p, PAnd):
-        return conj([compile_pred(p.left, program, cur, pre, result, label_value),
-                     compile_pred(p.right, program, cur, pre, result, label_value)])
+        return conj([pred(p.left), pred(p.right)])
     if isinstance(p, POr):
-        return FOr((compile_pred(p.left, program, cur, pre, result, label_value),
-                    compile_pred(p.right, program, cur, pre, result, label_value)))
+        return FOr((pred(p.left), pred(p.right)))
     if isinstance(p, PImp):
-        return FImp(compile_pred(p.left, program, cur, pre, result, label_value),
-                    compile_pred(p.right, program, cur, pre, result, label_value))
+        return FImp(pred(p.left), pred(p.right))
     if isinstance(p, PNot):
-        return FNot(compile_pred(p.body, program, cur, pre, result, label_value))
+        return FNot(pred(p.body))
     if isinstance(p, (PForall, PExists)):
         kind = "forall" if isinstance(p, PForall) else "exists"
-        names = tuple(b.name for b in p.binders)
         shadow_cur = dict(cur) if cur else {}
-        for n in names:
-            shadow_cur.pop(n, None)
+        for b in p.binders:
+            shadow_cur.pop(b.name, None)
         body = compile_pred(p.body, program, shadow_cur or None, pre, result,
                             label_value)
-        return FQuant(kind, names, body)
+        return FQuant(kind, tuple(b.name for b in p.binders if b.ty == INT),
+                      body)
     if isinstance(p, Separated):
         # Distinct scalarized cells are separated by construction.
         return TRUE
     if isinstance(p, PredApp):
-        return scalarize_predapp(p, program, term, lv)
+        return scalarize_predapp(p, program, term,
+                                 lambda base, label: term(At(base, label)))
     raise CompileError(f"cannot compile predicate {p!r}")
 
 
 def compile_lemma(lemma: Lemma, program: Program) -> Form:
     """Compile a generated lemma into a closed formula. Pointer binders
     disappear; their cells become `ptr$label` variables, quantified along
-    with everything else."""
+    with everything else: int binders first, then the rest sorted."""
     body = lemma.body
     binder_order: list[str] = []
     if isinstance(body, PForall):
         binder_order = [b.name for b in body.binders if b.ty == INT]
         body = body.body
 
-    def lv(base: Term, label: str) -> TermF:
-        name = base.name if isinstance(base, (Var, Deref)) else None
-        if name is None:
+    def at_label(base: Term, label: str) -> TermF:
+        if not isinstance(base, (Var, Deref)):
             raise CompileError("\\at expects a variable or dereference")
-        return IVar(f"{name}${label}")
+        return IVar(f"{base.name}${label}")
 
-    def term(t: Term) -> TermF:
-        if isinstance(t, At):
-            return lv(t.base, t.label)
-        if isinstance(t, Bin):
-            return IOp(t.op, term(t.left), term(t.right))
-        if isinstance(t, IntLit):
-            return ICon(t.value)
-        if isinstance(t, Var):
-            return IVar(t.name)
-        if isinstance(t, LogicApp):
-            return IApp(t.name, tuple(term(a) for a in t.args))
-        raise CompileError(f"cannot compile lemma term {t!r}")
-
-    def walk(p: Pred) -> Form:
-        if isinstance(p, PBool):
-            return FBool(p.value)
-        if isinstance(p, Cmp):
-            return FCmp(p.op, term(p.left), term(p.right))
-        if isinstance(p, PAnd):
-            return conj([walk(p.left), walk(p.right)])
-        if isinstance(p, POr):
-            return FOr((walk(p.left), walk(p.right)))
-        if isinstance(p, PImp):
-            return FImp(walk(p.left), walk(p.right))
-        if isinstance(p, PNot):
-            return FNot(walk(p.body))
-        if isinstance(p, (PForall, PExists)):
-            kind = "forall" if isinstance(p, PForall) else "exists"
-            return FQuant(kind, tuple(b.name for b in p.binders if b.ty == INT),
-                          walk(p.body))
-        if isinstance(p, Separated):
-            return TRUE
-        if isinstance(p, PredApp):
-            return scalarize_predapp(p, program, term, lv)
-        raise CompileError(f"cannot compile lemma predicate {p!r}")
-
-    form = simplify(walk(body))
-    extra = sorted(free_vars(form) - set(binder_order))
-    allvars = tuple(v for v in binder_order + extra if v in free_vars(form))
+    form = simplify(compile_pred(body, program, label_value=at_label))
+    free = free_vars(form)
+    extra = sorted(free - set(binder_order))
+    allvars = tuple(v for v in binder_order + extra if v in free)
     return FQuant("forall", allvars, form) if allvars else form
 
 
 # ---------------------------------------------------------------------------
-# Weakest preconditions
+# Weakest preconditions: one forward pass
 # ---------------------------------------------------------------------------
 
 
@@ -311,9 +290,65 @@ class _Item:
     links: set[str]
 
 
-class _WP:
-    """One backward pass over a (return-free) body, carrying the main goals
-    and every obligation picked up along the way."""
+@dataclass(frozen=True)
+class _Frame:
+    """One assumption on the path to a program point, innermost first:
+    `assume` holds for every value of the `fresh` names it introduces, and
+    `links` names the callees whose link ensures it contains."""
+    assume: Form
+    fresh: tuple[str, ...] = ()
+    links: frozenset[str] = frozenset()
+    outer: Optional["_Frame"] = None
+
+
+def _close(path: Optional[_Frame], form: Form, links: set[str]) -> Form:
+    """`form` under every frame of `path`; collects the frames' links."""
+    while path is not None:
+        form = imp(path.assume, form)
+        if path.fresh:
+            form = simplify(FQuant("forall", path.fresh, form))
+        links |= path.links
+        path = path.outer
+    return form
+
+
+def _frames_since(path: Optional[_Frame], stop: _Frame) -> list[_Frame]:
+    out = []
+    while path is not stop:
+        out.append(path)
+        path = path.outer
+    return out[::-1]
+
+
+def _pin(frames: list[_Frame]) -> tuple[StateEnv, list[_Frame]]:
+    """The one-point rule over the frames one branch added: a fresh name
+    that a frame's assumption fixes as `v == t` becomes `t` there and in
+    every later frame, and is no longer fresh. Returns the replacements,
+    for the branch's state, and the frames. Sound after the merge because a
+    branch's fresh names occur only under its guard."""
+    pinned: StateEnv = {}
+    out = []
+    for f in frames:
+        assume, fresh = subst(f.assume, pinned), list(f.fresh)
+        while (eq := point(fresh, assume)) is not None:
+            v, t, rest = eq
+            pinned = {k: subst(x, {v: t}) for k, x in pinned.items()}
+            pinned[v] = t
+            fresh.remove(v)
+            assume = simplify(subst(rest, {v: t}))
+        out.append(_Frame(assume, tuple(fresh), f.links))
+    return pinned, out
+
+
+def _target(t: Term) -> str:
+    return t.name if isinstance(t, Var) else cell(t.name)
+
+
+class _Forward:
+    """One forward pass over a (return-free) body. The state maps each
+    variable to its value as a term over entry values and fresh names; the
+    path is the chain of frames assumed so far. Each obligation is closed
+    over its path where it is met."""
 
     def __init__(self, fn: FunctionDef, program: Program):
         self.fn = fn
@@ -324,18 +359,14 @@ class _WP:
         self.counter += 1
         return f"{base}$h{self.counter}"
 
-    # -- modified variables (logic names) ------------------------------------
-
     def modified(self, stmts: tuple[Stmt, ...]) -> set[str]:
+        """Logic names a statement sequence may write."""
         out: set[str] = set()
         for s in walk(stmts):
             if isinstance(s, DeclStmt):
                 out.add(s.name)
             elif isinstance(s, AssignStmt):
-                if isinstance(s.target, Var):
-                    out.add(s.target.name)
-                else:
-                    out.add(cell(s.target.name))
+                out.add(_target(s.target))
             elif isinstance(s, CallStmt):
                 if s.target:
                     out.add(s.target)
@@ -346,136 +377,107 @@ class _WP:
                             out.add(loc.name)
         return out
 
-    # -- substitution fast path for branch merging ----------------------------
+    def obligation(self, kind: str, label: str, span: Optional[Span],
+                   form: Form, path: Optional[_Frame]) -> _Item:
+        links: set[str] = set()
+        return _Item(kind, label, span, _close(path, form, links), links)
 
-    def subst_map(self, stmts: tuple[Stmt, ...],
-                  env: dict[str, TermF]) -> Optional[dict[str, TermF]]:
-        env = dict(env)
+    def run(self, stmts: tuple[Stmt, ...], state: StateEnv,
+            path: Optional[_Frame]) -> tuple[Optional[_Frame], list[_Item]]:
+        """Run `stmts` from `state`, which it updates, under `path`. Returns
+        the final path and the obligations met: the last statement's first,
+        as a backward pass would list them."""
+        found: list[list[_Item]] = []
         for s in stmts:
-            if isinstance(s, DeclStmt):
-                env[s.name] = subst_term(compile_term(s.init), env) \
-                    if s.init is not None else ICon(0)
-            elif isinstance(s, AssignStmt):
-                value = subst_term(compile_term(s.value), env)
-                name = s.target.name if isinstance(s.target, Var) \
-                    else cell(s.target.name)
-                env[name] = value
-            elif isinstance(s, IfStmt):
-                c = simplify(subst(compile_pred(s.cond, self.program), env))
-                then_env = self.subst_map(s.then, env)
-                else_env = self.subst_map(s.orelse, env)
-                if then_env is None or else_env is None:
-                    return None
-                merged = dict(env)
-                for name in set(then_env) | set(else_env):
-                    base = env.get(name, IVar(name))
-                    a = then_env.get(name, base)
-                    b = else_env.get(name, base)
-                    merged[name] = a if a is b or a == b else \
-                        simplify_term(IIte(c, a, b))
-                env = merged
-            else:
-                return None
-        return env
+            path, items = self.step(s, state, path)
+            found.append(items)
+        return path, [it for items in reversed(found) for it in items]
 
-    # -- statement rules -------------------------------------------------------
-
-    def wp_seq(self, stmts: tuple[Stmt, ...],
-               items: list[_Item]) -> list[_Item]:
-        """Transform items backwards through `stmts`.
-
-        The result extends `items` positionally: the first len(items)
-        entries are the incoming goals pulled back to the sequence entry,
-        and obligations discovered inside (assertions, loop conditions, call
-        preconditions) are appended, also expressed at the entry point.
-        """
-        for s in reversed(stmts):
-            items = self.wp_stmt(s, items)
-        return items
-
-    def wp_stmt(self, s: Stmt, items: list[_Item]) -> list[_Item]:
+    def step(self, s: Stmt, state: StateEnv, path: Optional[_Frame]
+             ) -> tuple[Optional[_Frame], list[_Item]]:
         if isinstance(s, DeclStmt):
             # Locals without an initializer start at zero, as in the
             # interpreter.
-            init = compile_term(s.init) if s.init is not None else ICon(0)
-            return self._subst_all(items, {s.name: init})
-        if isinstance(s, AssignStmt):
-            e = compile_term(s.value)
-            name = s.target.name if isinstance(s.target, Var) \
-                else cell(s.target.name)
-            return self._subst_all(items, {name: e})
-        if isinstance(s, AssertStmt):
-            p = compile_pred(s.pred, self.program)
-            label = s.label or "assert"
+            state[s.name] = subst(compile_term(s.init), state) \
+                if s.init is not None else ICon(0)
+        elif isinstance(s, AssignStmt):
+            state[_target(s.target)] = subst(compile_term(s.value), state)
+        elif isinstance(s, AssertStmt):
+            p = subst(compile_pred(s.pred, self.program), state)
             kind = "wrapper-assert" if s.label == ASSERT_LABEL else "assert"
-            out = [replace(it, form=imp(p, it.form), links=set(it.links))
-                   for it in items]
-            out.append(_Item(kind, label, s.span, p, set()))
-            return out
-        if isinstance(s, IfStmt):
-            merged_env = self.subst_map((s,), {})
-            if merged_env is not None:
-                return self._subst_all(items, merged_env)
-            c = compile_pred(s.cond, self.program)
-            n = len(items)
-            then_items = self.wp_seq(s.then, _copy_items(items))
-            else_items = self.wp_seq(s.orelse, _copy_items(items))
-            out: list[_Item] = []
-            for base, a, b in zip(items, then_items[:n], else_items[:n]):
-                out.append(replace(base,
-                                   form=conj([imp(c, a.form),
-                                              imp(FNot(c), b.form)]),
-                                   links=a.links | b.links))
-            out.extend(replace(o, form=imp(c, o.form)) for o in then_items[n:])
-            out.extend(replace(o, form=imp(FNot(c), o.form))
-                       for o in else_items[n:])
-            return out
-        if isinstance(s, WhileStmt):
-            return self._wp_while(s, items)
-        if isinstance(s, CallStmt):
-            return self._wp_call(s, items)
-        if isinstance(s, ReturnStmt):
+            return _Frame(p, outer=path), [
+                self.obligation(kind, s.label or "assert", s.span, p, path)]
+        elif isinstance(s, IfStmt):
+            return self._if(s, state, path)
+        elif isinstance(s, WhileStmt):
+            return self._while(s, state, path)
+        elif isinstance(s, CallStmt):
+            return self._call(s, state, path)
+        elif isinstance(s, ReturnStmt):
             raise AssertionError("returns are eliminated before wp")
-        raise TypeError(f"unknown statement {s!r}")
+        else:
+            raise TypeError(f"unknown statement {s!r}")
+        return path, []
 
-    def _subst_all(self, items: list[_Item],
-                   env: dict[str, TermF]) -> list[_Item]:
-        return [replace(it, form=subst(it.form, env), links=set(it.links))
-                for it in items]
+    def _if(self, s: IfStmt, state: StateEnv, path: Optional[_Frame]
+            ) -> tuple[Optional[_Frame], list[_Item]]:
+        c = simplify(subst(compile_pred(s.cond, self.program), state))
+        then_guard = _Frame(c, outer=path)
+        else_guard = _Frame(FNot(c), outer=path)
+        then_state, else_state = dict(state), dict(state)
+        then_path, then_items = self.run(s.then, then_state, then_guard)
+        else_path, else_items = self.run(s.orelse, else_state, else_guard)
+        # What each branch assumed becomes one frame, guarded by its side.
+        then_pins, then_frames = _pin(_frames_since(then_path, then_guard))
+        else_pins, else_frames = _pin(_frames_since(else_path, else_guard))
+        for name in then_state | else_state:
+            base = state.get(name, IVar(name))
+            a = then_state.get(name, base)
+            b = else_state.get(name, base)
+            if a is not base or b is not base:
+                a, b = subst(a, then_pins), subst(b, else_pins)
+                state[name] = a if a is b or a == b else \
+                    simplify_term(IIte(c, a, b))
+        frames = then_frames + else_frames
+        if frames:
+            path = _Frame(
+                conj([imp(c, conj([f.assume for f in then_frames])),
+                      imp(FNot(c), conj([f.assume for f in else_frames]))]),
+                tuple(v for f in frames for v in f.fresh),
+                frozenset().union(*(f.links for f in frames)), path)
+        return path, then_items + else_items
 
-    def _wp_while(self, s: WhileStmt, items: list[_Item]) -> list[_Item]:
+    def _while(self, s: WhileStmt, state: StateEnv, path: Optional[_Frame]
+               ) -> tuple[Optional[_Frame], list[_Item]]:
         if s.invariant is None:
             raise MissingLoopInvariant(
                 f"{self.fn.name}: while loop needs a loop invariant")
         inv = compile_pred(s.invariant, self.program)
         cond = compile_pred(s.cond, self.program)
-        havoc = {m: self.fresh(m) for m in sorted(self.modified(s.body))}
+        # Initiation holds on entry; the loop then runs from an arbitrary
+        # state where the modified variables carry fresh names, left free.
+        init = self.obligation("loop-init", "loop_init", s.span,
+                               subst(inv, state), path)
+        for m in sorted(self.modified(s.body)):
+            state[m] = IVar(self.fresh(m))
+        body_state = dict(state)
+        body_path, body_items = self.run(
+            s.body, body_state, _Frame(subst(conj([inv, cond]), state),
+                                       outer=path))
+        preserve = self.obligation("loop-preserve", "loop_preserve", s.span,
+                                   subst(inv, body_state), body_path)
+        exit_frame = _Frame(subst(conj([inv, FNot(cond)]), state), outer=path)
+        return exit_frame, [preserve] + body_items + [init]
 
-        # Anything to prove after the loop holds in an arbitrary exit state.
-        out = [replace(it,
-                       form=rename(imp(conj([inv, FNot(cond)]), it.form), havoc),
-                       links=set(it.links))
-               for it in items]
-        # Preservation plus everything to prove inside the body, in an
-        # arbitrary iteration state.
-        body_items = self.wp_seq(
-            s.body, [_Item("loop-preserve", "loop_preserve", s.span, inv, set())])
-        for o in body_items:
-            out.append(replace(o,
-                               form=rename(imp(conj([inv, cond]), o.form), havoc),
-                               links=set(o.links)))
-        # Initiation keeps flowing back to the function entry.
-        out.append(_Item("loop-init", "loop_init", s.span, inv, set()))
-        return out
-
-    def _wp_call(self, s: CallStmt, items: list[_Item]) -> list[_Item]:
+    def _call(self, s: CallStmt, state: StateEnv, path: Optional[_Frame]
+              ) -> tuple[Optional[_Frame], list[_Item]]:
         callee = self.program.function(s.callee)
         args = [compile_term(a) for a in s.args]
         if callee is None:
             # Application of a declared logic function: pure, no havoc.
-            if s.target is None:
-                return items
-            return self._subst_all(items, {s.target: IApp(s.callee, tuple(args))})
+            if s.target is not None:
+                state[s.target] = subst(IApp(s.callee, tuple(args)), state)
+            return path, []
 
         formal_env: StateEnv = {p.name: a for p, a in zip(callee.formals, args)}
         fp = footprint_of(callee, self.program)
@@ -483,20 +485,16 @@ class _WP:
                   if isinstance(loc, GlobalLoc) and loc in fp.writes]
 
         fresh_vars: list[str] = []
-        havoc_env: dict[str, TermF] = {}
+        havoc: StateEnv = {}
         post_env: StateEnv = dict(formal_env)
         result_term: Optional[TermF] = None
         if s.target is not None:
-            r = self.fresh(s.target)
-            fresh_vars.append(r)
-            havoc_env[s.target] = IVar(r)
-            result_term = IVar(r)
+            result_term = havoc[s.target] = IVar(self.fresh(s.target))
+            fresh_vars.append(result_term.name)
         for g in writes:
-            gv = self.fresh(g)
-            fresh_vars.append(gv)
-            havoc_env[g] = IVar(gv)
-            post_env[g] = IVar(gv)
-        # The callee's pre-state is the current point; globals keep their
+            gv = post_env[g] = havoc[g] = IVar(self.fresh(g))
+            fresh_vars.append(gv.name)
+        # The callee's pre-state is the call point; globals keep their
         # names, formals denote the argument terms.
         pre_env: StateEnv = dict(formal_env)
         for loc in fp.writes | fp.reads:
@@ -514,29 +512,18 @@ class _WP:
                                         result_term))
                 if b.name.startswith(BEHAVIOR_PREFIX):
                     link_used = True
-        ens_form = conj(ens)
 
-        out: list[_Item] = []
-        for it in items:
-            form = subst(it.form, havoc_env)
-            form = imp(ens_form, form)
-            if fresh_vars:
-                form = simplify(FQuant("forall", tuple(fresh_vars), form))
-            links = set(it.links)
-            if link_used:
-                links.add(s.callee)
-            out.append(replace(it, form=form, links=links))
-
+        items = []
         reqs = [compile_pred(p, self.program, formal_env, formal_env)
                 for p in callee.contract.requires]
         if reqs:
-            out.append(_Item("call-requires", f"requires_of_{s.callee}",
-                             s.span, conj(reqs), set()))
-        return out
-
-
-def _copy_items(items: list[_Item]) -> list[_Item]:
-    return [replace(it, links=set(it.links)) for it in items]
+            items.append(self.obligation(
+                "call-requires", f"requires_of_{s.callee}", s.span,
+                subst(conj(reqs), state), path))
+        frame = _Frame(subst(conj(ens), state), tuple(fresh_vars),
+                       frozenset({s.callee} if link_used else ()), path)
+        state.update(havoc)
+        return frame, items
 
 
 def _strip_pre_suffix(form: Form) -> Form:
@@ -556,9 +543,10 @@ def wp(stmt, post: Form, fn: Optional[FunctionDef] = None,
     program = program or Program(())
     fn = fn or FunctionDef("$wp", (), VOID, ())
     stmts = tuple(stmt) if isinstance(stmt, (list, tuple)) else (stmt,)
-    engine = _WP(fn, program)
-    items = engine.wp_seq(stmts, [_Item("goal", "post", None, post, set())])
-    return conj([it.form for it in items])
+    state: StateEnv = {}
+    path, items = _Forward(fn, program).run(stmts, state, None)
+    return conj([_close(path, subst(post, state), set())]
+                + [it.form for it in items])
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +575,17 @@ def _function_items(fn: FunctionDef, program: Program) -> list[_Item]:
 
 def function_vcs(fn: FunctionDef, program: Program) -> list[_Item]:
     """All proof obligations of one function, expressed at entry (before
-    requires hypotheses are attached)."""
-    engine = _WP(fn, program)
+    requires hypotheses are attached): exit goals first, then the body's
+    obligations."""
     body = _tail_convert(list(fn.body), RESULT_VAR)
     if body is None:
         body = _flag_convert(list(fn.body), RESULT_VAR, "$done")
-    items = _function_items(fn, program)
-    out = engine.wp_seq(tuple(body), items)
+    state: StateEnv = {}
+    path, items = _Forward(fn, program).run(tuple(body), state, None)
+    goals = _function_items(fn, program)
+    for it in goals:
+        it.form = _close(path, subst(it.form, state), it.links)
+    out = goals + items
     for it in out:
         it.form = simplify(_strip_pre_suffix(it.form))
     return out

@@ -2,9 +2,11 @@
 
 The generators build ASTs directly and stay within the fragment where every
 analysis is total: no division in executable positions (no runtime
-division-by-zero), small literals (no 64-bit overflow), no loops or calls in
-randomly generated bodies. Contracts over-approximate: every global gets an
-assigns clause, which is always a sound footprint.
+division-by-zero), small literals (no 64-bit overflow), no loops in randomly
+generated bodies. Inside an if, a block may return early (the completion-flag
+path of return elimination) or call a pure one-argument helper. Contracts
+over-approximate: every global gets an assigns clause, which is always a
+sound footprint.
 """
 
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from relprop.minic import (
     INT, VOID, Program, GlobalDecl, FunctionDef, Param, Contract,
     AssignsClause, GlobalLoc, FormalLoc, ResultLoc, RelationalClause,
     CallSpec, Binder,
-    DeclStmt, AssignStmt, IfStmt, ReturnStmt,
+    DeclStmt, AssignStmt, CallStmt, IfStmt, ReturnStmt,
     IntLit, Var, Bin, CallResult, At, Term,
     Cmp, PAnd, POr, PImp, PNot, Pred,
 )
@@ -45,10 +47,16 @@ def cond_strategy(names: list[str], depth: int = 1) -> st.SearchStrategy[Pred]:
 
 @st.composite
 def body_strategy(draw, readable: list[str], writable: list[str],
-                  depth: int = 2, taken: set[str] | None = None) -> tuple:
+                  depth: int = 2, taken: set[str] | None = None,
+                  ret: str | None = None, callees: tuple[str, ...] = ()
+                  ) -> tuple:
+    """A block of declarations, assignments and ifs. Inside an if, a block
+    may end in an early return (`ret` is the function's return type) and
+    may call the one-argument int functions `callees`."""
     # `taken` is shared across nested blocks: locals are function-scoped.
     stmts = []
     names = list(readable)
+    top = taken is None
     taken = taken if taken is not None else set(names)
     n = draw(st.integers(1, 4))
     for _ in range(n):
@@ -58,6 +66,10 @@ def body_strategy(draw, readable: list[str], writable: list[str],
             kinds.append("decl")
         if depth > 0:
             kinds.append("if")
+        if not top and callees and writable:
+            kinds.append("call")
+        if not top and ret is not None:
+            kinds.append("return")
         kind = draw(st.sampled_from(kinds))
         if kind == "decl":
             name = free_locals[0]
@@ -70,19 +82,31 @@ def body_strategy(draw, readable: list[str], writable: list[str],
             stmts.append(AssignStmt(Var(target), draw(term_strategy(names))))
         elif kind == "if":
             cond = draw(cond_strategy(names))
-            then = draw(body_strategy(names, writable, depth - 1, taken))
-            orelse = draw(body_strategy(names, writable, depth - 1, taken)) \
+            then = draw(body_strategy(names, writable, depth - 1, taken, ret,
+                                      callees))
+            orelse = draw(body_strategy(names, writable, depth - 1, taken,
+                                        ret, callees)) \
                 if draw(st.booleans()) else ()
             stmts.append(IfStmt(cond, then, orelse))
+        elif kind == "call":
+            stmts.append(CallStmt(draw(st.sampled_from(writable)),
+                                  draw(st.sampled_from(list(callees))),
+                                  (draw(term_strategy(names, 1)),)))
+        elif kind == "return":
+            value = draw(term_strategy(names)) if ret == INT else None
+            stmts.append(ReturnStmt(value))
+            break
     return tuple(stmts)
 
 
 @st.composite
 def function_strategy(draw, name: str, global_names: list[str],
-                      n_formals: int, ret: str) -> FunctionDef:
+                      n_formals: int, ret: str,
+                      callees: tuple[str, ...] = ()) -> FunctionDef:
     formals = tuple(Param(f"p{i}", INT) for i in range(n_formals))
     readable = [p.name for p in formals] + list(global_names)
-    body = list(draw(body_strategy(readable, list(global_names))))
+    body = list(draw(body_strategy(readable, list(global_names), ret=ret,
+                                   callees=callees)))
     locals_in_scope = readable + [s.name for s in body
                                   if isinstance(s, DeclStmt)]
     if ret == INT:
@@ -131,7 +155,12 @@ def clause_program_strategy(draw) -> tuple[Program, str]:
     global_names = ["g", "w"][:n_globals]
     n_formals = draw(st.integers(0, 2))
     ret = draw(st.sampled_from([INT, VOID])) if n_globals else INT
-    fn = draw(function_strategy("f", global_names, n_formals, ret))
+    # An optional pure helper `h`, which f may call inside a branch; each
+    # call of f is inlined two levels deep, so h's body is inlined too.
+    helpers = [draw(function_strategy("h", [], 1, INT))] \
+        if draw(st.booleans()) else []
+    fn = draw(function_strategy("f", global_names, n_formals, ret,
+                                tuple(h.name for h in helpers)))
 
     n_calls = draw(st.integers(1, 2))
     call_ids = [f"id{i + 1}" for i in range(n_calls)]
@@ -143,7 +172,7 @@ def clause_program_strategy(draw) -> tuple[Program, str]:
             b = f"x{i + 1}_{j}"
             binders.append(Binder(b, INT))
             args.append(Var(b))
-        calls.append(CallSpec(1, "f", tuple(args), cid))
+        calls.append(CallSpec(1 + len(helpers), "f", tuple(args), cid))
     int_calls = call_ids if ret == INT else []
     pred = draw(rel_pred_strategy([b.name for b in binders], call_ids,
                                   int_calls, global_names))
@@ -152,7 +181,8 @@ def clause_program_strategy(draw) -> tuple[Program, str]:
     fn = FunctionDef(fn.name, fn.formals, fn.ret, fn.body,
                      Contract(c.requires, c.assigns, c.ensures, c.behaviors,
                               (clause,)))
-    items = tuple(GlobalDecl(g, INT, None) for g in global_names) + (fn,)
+    items = tuple(GlobalDecl(g, INT, None) for g in global_names) \
+        + tuple(helpers) + (fn,)
     return Program(items), "R"
 
 
@@ -163,8 +193,13 @@ def program_strategy(draw) -> Program:
     global_names = ["g", "w"][:n_globals]
     items: list = [GlobalDecl(g, INT, draw(st.none() | st.integers(-5, 5)))
                    for g in global_names]
+    callees: tuple[str, ...] = ()
     for i in range(draw(st.integers(1, 2))):
-        items.append(draw(function_strategy(
-            f"f{i}", global_names, draw(st.integers(0, 2)),
-            draw(st.sampled_from([INT, VOID])))))
+        n_formals = draw(st.integers(0, 2))
+        fn = draw(function_strategy(
+            f"f{i}", global_names, n_formals,
+            draw(st.sampled_from([INT, VOID])), callees))
+        items.append(fn)
+        if fn.ret == INT and n_formals == 1:
+            callees = (fn.name,)
     return Program(tuple(items))

@@ -1,0 +1,312 @@
+"""VCs are shared dags, and everything that reads them is linear in the dag:
+the forward VC pass, the `logic` walkers, the bounded checker's node count
+and the SMT printer."""
+
+import re
+
+import pytest
+
+from relprop.bounded import _node_count, check_bounded
+from relprop.logic import (
+    IVar, ICon, IOp, IIte, IApp, FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant,
+    FApp, dag_walk, free_vars, symbols, has_quantifier,
+)
+from relprop.minic import Program
+from relprop.parser import parse_program
+from relprop.selfcomp import transform
+from relprop.smtlib import emit_smtlib
+from relprop.vcgen import VerificationCondition, function_vcs, vcs_for
+
+from conftest import CORPUS
+
+
+def parse(src: str) -> Program:
+    p = parse_program(src, "t.mc")
+    assert isinstance(p, Program), [str(d) for d in p]
+    return p
+
+
+def seq_ifs(k: int) -> str:
+    """k sequential `if (a > c) { x = x + a; assert x > 0; }`."""
+    body = "".join(f"  if (a > {c}) {{\n    x = x + a;\n"
+                   f"    /*@ assert x > 0; */\n  }}\n" for c in range(k))
+    return ("/*@ assigns \\result \\from a; */\nint f(int a) {\n"
+            f"  int x = 0;\n{body}  return x;\n}}\n")
+
+
+def sizes(k: int) -> tuple[int, int]:
+    """Largest distinct-node count and script length over seq-ifs(k)'s VCs."""
+    t = transform(parse(seq_ifs(k)))
+    vcs = vcs_for(t, t.lemma_names)
+    assert [v.kind for v in vcs] == ["assert"] * k
+    return (max(sum(1 for _ in dag_walk(v.goal)) for v in vcs),
+            max(len(emit_smtlib(v)) for v in vcs))
+
+
+def test_seq_ifs_vcs_grow_linearly():
+    (n8, b8), (n16, b16), (n32, b32) = sizes(8), sizes(16), sizes(32)
+    # Linear growth doubles these with k; the old fork grew them as 2^k.
+    assert n16 <= 2.25 * n8 and n32 <= 2.25 * n16
+    assert b16 <= 2.25 * b8 and b32 <= 2.25 * b16
+
+
+def test_seq_ifs_vcs_are_valid():
+    t = transform(parse(seq_ifs(8)))
+    assert {check_bounded(v, 8).status for v in vcs_for(t, t.lemma_names)} \
+        == {"valid"}
+
+
+def chain(depth: int):
+    """x_i = ite(c_i > 0, x_{i-1} + g(a), x_{i-1}): 2^depth paths, and a
+    dag of 4 nodes per level."""
+    zero, inc = ICon(0), IApp("g", (IVar("a"),))
+    x = IVar("x0")
+    for i in range(1, depth + 1):
+        x = IIte(FCmp(">", IVar(f"c{i}"), zero), IOp("+", x, inc), x)
+    return FCmp(">", x, zero)
+
+
+def test_walkers_visit_each_shared_node_once():
+    goal = chain(200)
+    names = {f"c{i}" for i in range(1, 201)} | {"a", "x0"}
+    assert free_vars(goal) == names
+    assert symbols(goal) == {"g": (1, "int")}
+    assert not has_quantifier(goal)
+    # x0, a, g(a), 0, four nodes per level and the comparison
+    assert _node_count(goal) == 4 + 4 * 200 + 1
+    closed = FQuant("forall", ("a",), goal)
+    assert has_quantifier(closed)
+    assert free_vars(closed) == names - {"a"}
+    script = emit_smtlib(VerificationCondition("t", "t", "g", "assert", goal, ()))
+    assert len(script) < 40_000
+    assert script.count("(let ") == 200  # each x_i is bound, one level each
+
+
+def test_dag_walk_yields_children_first_once():
+    shared = IOp("+", IVar("x"), ICon(1))
+    f = FAnd((FCmp("<", shared, IVar("y")), FCmp(">", shared, ICon(1))))
+    order = list(dag_walk(f))
+    assert len(order) == len({id(n) for n in order}) == 8
+    pos = {id(n): i for i, n in enumerate(order)}
+    for n in order:
+        for c in (getattr(n, a) for a in ("left", "right") if hasattr(n, a)):
+            assert pos[id(c)] < pos[id(n)]
+    assert order[-1] is f
+
+
+def test_free_vars_respects_binders_in_shared_subterms():
+    body = FCmp("==", IVar("v"), IVar("w"))
+    f = FAnd((FQuant("forall", ("v",), body), body))
+    assert free_vars(f) == {"v", "w"}
+    assert free_vars(FQuant("exists", ("v",), body)) == {"w"}
+
+
+# -- the emitted text is the tree, with shared nodes bound ----------------------
+
+
+def _sexpr_tokens(text: str) -> list[str]:
+    return re.findall(r"\|[^|]*\||[()]|[^\s()]+", text)
+
+
+def _parse_sexpr(tokens: list[str]):
+    pos = 0
+
+    def item():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        if tok != "(":
+            return tok
+        out = []
+        while tokens[pos] != ")":
+            out.append(item())
+        pos += 1
+        return out
+
+    return item()
+
+
+def _expand_lets(e, env: dict):
+    if isinstance(e, str):
+        return env.get(e, e)
+    if e and e[0] == "let":
+        inner = dict(env)
+        for name, value in e[1]:
+            inner[name] = _expand_lets(value, env)
+        return _expand_lets(e[2], inner)
+    return [_expand_lets(x, env) for x in e]
+
+
+def _show(e) -> str:
+    return e if isinstance(e, str) else "(" + " ".join(_show(x) for x in e) + ")"
+
+
+def _tree(n) -> str:
+    """Reference printer: the formula as a tree, no sharing."""
+    name = lambda s: s if re.fullmatch(r"[A-Za-z_$.][\w$.]*", s) else f"|{s}|"
+    if isinstance(n, IVar):
+        return name(n.name)
+    if isinstance(n, ICon):
+        return str(n.value) if n.value >= 0 else f"(- {-n.value})"
+    if isinstance(n, FBool):
+        return "true" if n.value else "false"
+    if isinstance(n, (IApp, FApp)):
+        head = name(n.fn if isinstance(n, IApp) else n.pred)
+        return f"({head} {' '.join(_tree(a) for a in n.args)})" if n.args else head
+    if isinstance(n, IOp):
+        op = "div" if n.op == "/" else n.op
+        return f"({op} {_tree(n.left)} {_tree(n.right)})"
+    if isinstance(n, IIte):
+        return f"(ite {_tree(n.cond)} {_tree(n.then)} {_tree(n.other)})"
+    if isinstance(n, FCmp):
+        if n.op == "!=":
+            return f"(not (= {_tree(n.left)} {_tree(n.right)}))"
+        op = "=" if n.op == "==" else n.op
+        return f"({op} {_tree(n.left)} {_tree(n.right)})"
+    if isinstance(n, FNot):
+        return f"(not {_tree(n.body)})"
+    if isinstance(n, (FAnd, FOr)):
+        op = "and" if isinstance(n, FAnd) else "or"
+        return f"({op} {' '.join(_tree(i) for i in n.items)})"
+    if isinstance(n, FImp):
+        return f"(=> {_tree(n.hyp)} {_tree(n.concl)})"
+    if isinstance(n, FQuant):
+        binders = " ".join(f"({name(v)} Int)" for v in n.vars)
+        return f"({n.kind} ({binders}) {_tree(n.body)})"
+    raise TypeError(n)
+
+
+CORPUS_FILES = sorted(p.relative_to(CORPUS).as_posix()
+                      for p in CORPUS.rglob("*.mc"))
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_let_expanded_script_equals_tree_printer(name):
+    t = transform(parse_program((CORPUS / name).read_text(encoding="utf-8"),
+                                name))
+    for vc in vcs_for(t, t.lemma_names):
+        asserts = [l for l in emit_smtlib(vc).splitlines()
+                   if l.startswith("(assert ")]
+        expanded = [_show(_expand_lets(_parse_sexpr(_sexpr_tokens(l)), {}))
+                    for l in asserts]
+        want = [f"(assert {_tree(h)})" for _, h in vc.hypotheses]
+        want.append(f"(assert (not {_tree(vc.goal)}))")
+        assert expanded == want, vc.name
+
+
+def test_shared_node_is_bound_once():
+    d = IOp("-", IVar("x"), IVar("y"))
+    goal = FCmp("==", IOp("*", d, d), ICon(0))
+    script = emit_smtlib(VerificationCondition("t", "t", "g", "assert", goal, ()))
+    assert "(assert (not (let (($s1 (- x y))) (= (* $s1 $s1) 0))))" in script
+
+
+def test_node_under_its_binder_stays_inline():
+    d = IOp("+", IVar("v"), ICon(1))
+    goal = FQuant("forall", ("v",), FCmp(">", IOp("*", d, d), IVar("w")))
+    script = emit_smtlib(VerificationCondition("t", "t", "g", "assert", goal, ()))
+    assert "let" not in script
+    assert "(* (+ v 1) (+ v 1))" in script
+
+
+# -- the forward pass -------------------------------------------------------------
+
+
+MIXED = """
+int g;
+
+/*@ requires x >= 0;
+    assigns g \\from g, x;
+    ensures g == \\old(g) + x;
+*/
+void add(int x) {
+  g = g + x;
+  return;
+}
+
+/*@ requires g >= 0;
+    assigns g \\from g, a;
+    ensures g >= 0;
+*/
+void f(int a) {
+  int i = 0;
+  /*@ assert first: g >= 0; */
+  if (a > 0) {
+    /*@ assert then_a: a > 0; */
+    add(a);
+  } else {
+    /*@ assert else_a: a <= 0; */
+  }
+  /*@ loop invariant g >= 0 && i >= 0; */
+  while (i < 3) {
+    /*@ assert in_loop: i < 3; */
+    i = i + 1;
+  }
+  /*@ assert last: i >= 3; */
+  return;
+}
+"""
+
+
+def test_obligations_keep_the_backward_order():
+    # exit goals; then statements last first; a loop's preservation, body
+    # and initiation; an if's then-branch before its else-branch
+    p = parse(MIXED)
+    assert [it.label for it in function_vcs(p.function("f"), p)] == [
+        "ensures_1", "last", "loop_preserve", "in_loop", "loop_init",
+        "requires_of_add", "then_a", "else_a", "first"]
+
+
+def test_call_in_a_branch_is_pinned_by_its_ensures():
+    # The callee's ensures fixes the fresh value of g, so no quantifier is
+    # left and the VCs stay on the vectorized path.
+    p = parse(MIXED)
+    items = function_vcs(p.function("f"), p)
+    assert not any(has_quantifier(it.form) for it in items)
+    assert all("$h1" not in v for it in items for v in free_vars(it.form))
+    t = transform(p)
+    for vc in vcs_for(t, t.lemma_names):
+        r = check_bounded(vc, 4)
+        assert (r.status, r.method) in {("valid", "vectorized"),
+                                        ("valid", "instantiation")}, vc.name
+
+
+PINNED_IN_A_CONJUNCTION = """
+int g;
+
+/*@ assigns g \\from g, x;
+    assigns \\result \\from g, x;
+    ensures \\result == g && g == \\old(g) + x;
+*/
+int bump(int x) {
+  g = g + x;
+  return g;
+}
+
+/*@ assigns g \\from g, a;
+    assigns \\result \\from g, a;
+*/
+int f(int a) {
+  int r = 0;
+  r = bump(a);
+  /*@ assert top: r >= g - 1; */
+  if (a > 0) {
+    r = bump(r);
+  }
+  /*@ assert after: r >= g - 1; */
+  return r;
+}
+"""
+
+
+def test_one_point_rule_looks_inside_conjunctions():
+    # \result is fixed by a later fresh name, which the next conjunct fixes
+    # in turn: after a call and after a call in a branch, both names go.
+    p = parse(PINNED_IN_A_CONJUNCTION)
+    items = function_vcs(p.function("f"), p)
+    assert [it.label for it in items] == ["after", "top"]
+    assert not any(has_quantifier(it.form) for it in items)
+    assert all(free_vars(it.form) == {"a", "g"} for it in items)
+    t = transform(p)
+    assert {check_bounded(v, 4).status for v in vcs_for(t, t.lemma_names)} \
+        == {"valid"}

@@ -1,20 +1,25 @@
 """Regression tests for defects of the hand-written walkers, the recursive
-footprint and the unbounded interpreter recursion."""
+footprint, the unbounded interpreter recursion and int64 wraparound in the
+vectorized bounded check."""
 
 import importlib
 
 import pytest
 
+from relprop.bounded import check_bounded
 from relprop.cli import main
 from relprop.dynamic import (
     ClauseOracleError, InputVector, evaluate_clause, find_counterexample,
-    run_wrapper,
+    run_wrapper, runtime_check,
 )
+from relprop.logic import FCmp, ICon, IOp, IVar
 from relprop.interp import AssertViolated, interpret
 from relprop.minic import GlobalLoc, Program
 from relprop.parser import parse_program
+from relprop.prove import prove_program
 from relprop.selfcomp import transform
 from relprop.validate import MissingAssigns, footprint_of, validate
+from relprop.vcgen import VerificationCondition
 
 from conftest import load
 
@@ -271,3 +276,33 @@ def test_missing_assigns_raised_on_every_call():
     for _ in range(2):
         with pytest.raises(MissingAssigns):
             footprint_of(p.function("client"), p)
+
+
+# -- int64 wraparound in the vectorized bounded check ----------------------------
+
+
+def test_int64_wraparound_does_not_prove_valid():
+    # x * 2^62 * 4 wraps to 0 in int64 for every x; the exact scalar path
+    # finds the counterexample, and it replays.
+    t = transform(parse("""
+    /*@ assigns \\result \\from x;
+        relational W:
+          \\forall int x1;
+          \\callset(\\call(f, x1, id1))
+          ==> \\callresult(id1) * 4611686018427387904 * 4 == 0;
+    */
+    int f(int x) {
+      return x;
+    }
+    """))
+    entry = prove_program(t, 8).results["relational_wrapper_1__Rpp"]
+    assert entry["status"] == "counterexample"
+    vec = InputVector(entry["assignment"], property="W")
+    assert [r.outcome for r in runtime_check(t, [vec])] == ["fail"]
+
+
+def test_products_within_int64_stay_vectorized():
+    goal = FCmp("!=", IOp("*", IOp("*", IVar("x"), ICon(2 ** 40)), ICon(4)),
+                ICon(1))
+    r = check_bounded(VerificationCondition("t", "t", "g", "assert", goal, ()), 8)
+    assert (r.status, r.method) == ("valid", "vectorized")

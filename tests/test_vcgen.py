@@ -10,7 +10,7 @@ from relprop.minic import (
 from relprop.parser import parse_program
 from relprop.selfcomp import transform
 from relprop.logic import (
-    IVar, ICon, IOp, FCmp, FImp, TRUE, subst, simplify, free_vars, form_str,
+    IVar, ICon, IOp, FCmp, FImp, TRUE, subst, simplify, free_vars,
 )
 from relprop.vcgen import (
     wp, vcs_for, function_vcs, compile_pred, compile_lemma,
