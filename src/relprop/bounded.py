@@ -18,9 +18,9 @@ Outcomes:
                       reproduce.
 
 Quantifier-free, table-free problems whose terms provably stay within
-int64 take a vectorized numpy path; the scalar evaluator is the exact
-reference (unbounded integers) and handles quantifier expansion, table
-search and everything that could overflow int64.
+int64 take a vectorized numpy path that evaluates each node over its own
+variables' axes; the exact scalar evaluator (unbounded integers) handles
+quantifiers, tables and everything that could overflow int64.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ def _negate_goal(goal: Form, taken: set[str],
     return FNot(goal), opened
 
 
-def _prepare(vc: VerificationCondition) -> tuple[list[Form], set[str]]:
-    """Hypotheses plus negated goal, Skolemized.
+def _prepare(goal: Form, hyps: list[Form]) -> tuple[list[Form], set[str]]:
+    """Hypotheses plus negated goal (both already simplified), Skolemized.
 
     Quantified hypotheses over uninterpreted symbols (admitted lemmas) are
     excluded from the search: instantiating their tables at every quantified
@@ -145,15 +145,14 @@ def _prepare(vc: VerificationCondition) -> tuple[list[Form], set[str]]:
     is reported as unknown rather than as a counterexample, so soundness is
     unaffected.
     """
-    goal = simplify(vc.goal)
     taken: set[str] = set(free_vars(goal))
-    for _, h in vc.hypotheses:
+    for h in hyps:
         taken |= free_vars(h)
     counter = [0]
     neg_goal, _ = _negate_goal(goal, taken, counter)
     forms: list[Form] = []
-    for _, h in vc.hypotheses:
-        h = simplify(_skolemize_exists(simplify(h), taken, counter))
+    for h in hyps:
+        h = simplify(_skolemize_exists(h, taken, counter))
         if h == TRUE:
             continue
         if symbols(h) and has_quantifier(h):
@@ -231,8 +230,8 @@ def _np_form(f: Form, env, memo=None) -> np.ndarray:
 
 def _vectorized_search(forms: list[Form], order: list[str], bound: int,
                        budget: int) -> tuple[int, Optional[dict[str, int]]]:
-    """Lexicographic enumeration in numpy chunks; returns (rows, assignment)
-    with the first falsifying assignment or None."""
+    """Lexicographic enumeration by numpy broadcasting, in blocks of at most
+    _CHUNK cells; returns (rows, first falsifying assignment or None)."""
     size = 2 * bound + 1
     k = len(order)
     total = size ** k
@@ -244,21 +243,28 @@ def _vectorized_search(forms: list[Form], order: list[str], bound: int,
         env: dict[str, np.ndarray] = {}
         ok = all(bool(np.all(_np_form(f, env))) for f in forms)
         return 1, ({} if ok else None)
-    strides = [size ** (k - 1 - i) for i in range(k)]
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        env = {v: (idx // strides[i]) % size - bound
-               for i, v in enumerate(order)}
-        mask = np.ones(hi - lo, dtype=bool)
+    # A block spans the last `whole` axes, a slice of the axis before them,
+    # and one value of each earlier axis.
+    whole = 0
+    while whole < k - 1 and size ** (whole + 1) <= _CHUNK:
+        whole += 1
+    widths = [1] * (k - 1 - whole) + [_CHUNK // size ** whole] + [size] * whole
+    values = np.arange(-bound, bound + 1, dtype=np.int64)
+    for starts in itertools.product(*(range(0, size, w) for w in widths)):
+        cuts = [values[s:s + w] for s, w in zip(starts, widths)]
+        env = dict(zip(order, np.ix_(*cuts)))  # variable i on axis i
+        mask = np.bool_(True)
         memo: dict = {}
         for f in forms:
             mask = mask & _np_form(f, env, memo)
             if not mask.any():
                 break
         if mask.any():
-            at = int(np.argmax(mask))
-            return lo + at + 1, {v: int(env[v][at]) for v in order}
+            shape = tuple(len(c) for c in cuts)
+            at = np.argmax(np.broadcast_to(mask, shape))
+            idx = [s + int(c) for s, c in zip(starts, np.unravel_index(at, shape))]
+            return (int(np.ravel_multi_index(idx, (size,) * k)) + 1,
+                    {v: i - bound for v, i in zip(order, idx)})
     return total, None
 
 
@@ -383,11 +389,11 @@ def check_bounded(vc: VerificationCondition, bound: int,
     goal = simplify(vc.goal)
     if goal == TRUE:
         return BoundedResult("valid", bound, method="instantiation", rows=0)
-    for _name, h in vc.hypotheses:
-        if instance_of(simplify(h), goal):
-            return BoundedResult("valid", bound, method="instantiation", rows=0)
+    hyps = [simplify(h) for _name, h in vc.hypotheses]
+    if any(instance_of(h, goal) for h in hyps):
+        return BoundedResult("valid", bound, method="instantiation", rows=0)
 
-    forms, free = _prepare(vc)
+    forms, free = _prepare(goal, hyps)
     order = sorted(free)
     any_tables = any(symbols(f) for f in forms)
     any_quant = any(has_quantifier(f) for f in forms)

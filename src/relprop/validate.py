@@ -118,7 +118,8 @@ def _callees(node) -> list[str]:
 def footprint_of(fn: FunctionDef, program: Program) -> MemFootprint:
     """Footprint of `fn`: its declared assigns/\\from locations plus the
     global locations declared by every function reachable from it.
-    Memoized per program.
+    Memoized per program; the walk takes a callee's memoized footprint
+    instead of descending into it.
 
     Raises MissingAssigns when a reachable body touches a global or deref
     that no assigns clause covers, and UnknownCallee for calls to undefined
@@ -146,7 +147,13 @@ def footprint_of(fn: FunctionDef, program: Program) -> MemFootprint:
                 continue
             seen.add(name)
             callee = program.function(name)
-            if callee is not None:
+            done = program.memo.get(("footprint", id(callee)))
+            if done is not None:
+                # Memoized, so nothing below it raised; its global
+                # locations are what descending would collect.
+                writes |= done[1].writes
+                reads |= done[1].reads
+            elif callee is not None:
                 todo.append(callee)
             elif name not in program.logic_decls():
                 # (a declared logic application is pure by construction)

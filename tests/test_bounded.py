@@ -1,13 +1,23 @@
 """The bounded validity oracle."""
 
-import pytest
+import tracemalloc
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from relprop import bounded
 from relprop.logic import (
-    FBool, FCmp, FImp, FQuant, FApp, FAnd, IVar, ICon, IOp, IApp, ediv, emod,
+    FBool, FCmp, FImp, FQuant, FApp, FAnd, FOr, FNot, IVar, ICon, IOp, IIte,
+    IApp, CMP, ediv, emod, free_vars,
 )
 from relprop.vcgen import VerificationCondition, vcs_for
-from relprop.bounded import check_bounded, BudgetExceeded, _scalar_search
+from relprop.bounded import (
+    check_bounded, BudgetExceeded, _scalar_search, _vectorized_search,
+)
 from relprop.selfcomp import transform
+
+from conftest import load
 
 
 def vc_of(goal, hyps=(), name="t__g", kind="assert"):
@@ -101,8 +111,6 @@ def test_euclidean_division_convention():
 
 
 def test_vectorized_and_scalar_agree_on_small_formulas():
-    from relprop.bounded import _vectorized_search
-    import itertools
     cases = [
         FCmp("<", IOp("*", IVar("a"), IVar("b")), ICon(10)),
         FImp(FCmp(">", IVar("a"), ICon(0)),
@@ -113,6 +121,83 @@ def test_vectorized_and_scalar_agree_on_small_formulas():
     for form in cases:
         rows_v, a_v = _vectorized_search([form], ["a", "b"], 3, 10**9)
         rows_s, a_s, _ = _scalar_search([form], ["a", "b"], 3, 10**9)
-        assert (a_v is None) == (a_s is None)
-        if a_v is not None:
-            assert a_v == a_s  # same lexicographic first witness
+        # same lexicographic first witness, after the same number of rows
+        assert (rows_v, a_v) == (rows_s, a_s)
+
+
+NAMES = ("a", "b", "c", "d")
+COMPARE = st.sampled_from(sorted(CMP))
+CONSTANTS = st.integers(-9, 9).map(ICon)
+
+
+def forms(names):
+    """Formulas over `names` with ite, `/` (possibly by zero), negative
+    constants and constant-only parts."""
+    variables = st.sampled_from(names).map(IVar) if names else CONSTANTS
+    t = st.recursive(variables | variables | CONSTANTS, lambda t: st.one_of(
+        st.builds(IOp, st.sampled_from(("+", "-", "*", "/")), t, t),
+        st.builds(IIte, st.builds(FCmp, COMPARE, t, t), t, t)), max_leaves=6)
+    atoms = st.builds(FCmp, COMPARE, t, t) | st.booleans().map(FBool)
+    return st.recursive(atoms, lambda f: st.one_of(
+        f.map(FNot), st.builds(FImp, f, f),
+        st.lists(f, min_size=2, max_size=3).map(lambda xs: FAnd(tuple(xs))),
+        st.lists(f, min_size=2, max_size=3).map(lambda xs: FOr(tuple(xs)))),
+        max_leaves=4)
+
+
+@st.composite
+def problems(draw):
+    names = NAMES[:draw(st.integers(0, 4))]
+    problem = draw(st.lists(forms(names), min_size=1, max_size=2))
+    # `v op c` pins move the first witness past the first row
+    for v in names:
+        problem += draw(st.lists(st.builds(FCmp, COMPARE, st.just(IVar(v)),
+                                           CONSTANTS), max_size=1))
+    return problem, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problems(), st.sampled_from((12, bounded._CHUNK)))
+def test_vectorized_and_scalar_search_agree(problem, chunk):
+    # A 12-cell chunk cuts the box into one-value prefixes and partial slices.
+    problem, bound = problem
+    assert bounded._fits_int64(problem, bound)
+    order = sorted({v for f in problem for v in free_vars(f)})
+    rows_s, a_s, _ = _scalar_search(problem, order, bound, 10**9)
+    with mock.patch.object(bounded, "_CHUNK", chunk):
+        assert _vectorized_search(problem, order, bound, 10**9) == (rows_s, a_s)
+
+
+@pytest.mark.parametrize("witness", [
+    {"a": -8, "b": -8, "c": -8, "d": -8, "e": -8, "f": -7},
+    {"a": 3, "b": -2, "c": 0, "d": 1, "e": -8, "f": 8},
+    {"a": 8, "b": 8, "c": 8, "d": 8, "e": 8, "f": 8},
+    {"a": -8, "b": 5, "c": 0, "d": -1, "e": 7, "f": 2, "g": -3},
+], ids=["first-block", "middle-block", "last-row", "one-value-prefix"])
+def test_vectorized_witness_in_a_later_block(witness):
+    # 17^6 rows span 17 blocks of 17^5; with 7 variables the first axis
+    # takes one value per block. Rows count up to and including the witness.
+    order = sorted(witness)
+    problem = [FAnd(tuple(FCmp("==", IVar(v), ICon(x))
+                          for v, x in witness.items()))]
+    index = 0
+    for v in order:
+        index = index * 17 + witness[v] + 8
+    assert _vectorized_search(problem, order, 8, 10**10) == (index + 1, witness)
+
+
+def test_six_variable_check_stays_small():
+    # cmp_pair_ok's P2 wrapper has 6 variables: 17^6 rows, all valid.
+    vc = next(v for v in vcs_for(transform(load("comparators/cmp_pair_ok.mc")),
+                                 admitted=frozenset())
+              if v.name == "relational_wrapper_2__Rpp")
+    tracemalloc.start()
+    try:
+        r = check_bounded(vc, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.is_valid and r.method == "vectorized"
+    assert r.rows == 17 ** 6
+    assert peak < 64 * 2 ** 20

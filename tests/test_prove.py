@@ -1,15 +1,19 @@
 """One proof run: lemma admission order, the `.smt2` scripts and
-`vc_index.json` entries of the VCs that were checked, and bounded labels."""
+`vc_index.json` entries of the VCs that were checked, bounded labels, and
+the corpus verdicts at bound 8."""
 
 import importlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from relprop.cli import main
 
 from conftest import CORPUS, corpus_path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # The package re-exports the function `validate`, which shadows the module.
 validate_mod = importlib.import_module("relprop.validate")
@@ -63,8 +67,7 @@ def test_unproved_lemmas_do_not_justify_each_other(tmp_path):
 @pytest.mark.parametrize(
     "path", sorted(CORPUS.rglob("*.mc")), ids=lambda p: p.stem)
 def test_scripts_carry_the_checked_hypotheses(tmp_path, path):
-    # the bound does not change what is emitted; 3 keeps cmp_pair_ok fast
-    _, vcs = prove(tmp_path, path, "--bound", 3)
+    _, vcs = prove(tmp_path, path, "--bound", 8)
     for name, entry in vcs.items():
         assert script_hypotheses(tmp_path, name) == entry["hypotheses"]
         if entry["kind"] == "wrapper-assert":
@@ -171,3 +174,26 @@ def test_assigns_coverage_is_computed_once_per_function(tmp_path, monkeypatch):
     code, _ = prove(tmp_path, src)
     assert code == 0
     assert len(calls) <= n + 1
+
+
+def test_corpus_verdicts_at_bound_8_match_the_known_answers(tmp_path):
+    known = json.loads((PERFBENCH / "known_answers.json").read_text(
+        encoding="utf-8"))["corpus"]
+    paths = {name: PERFBENCH / entry["file"] if "file" in entry
+             else corpus_path(name) for name, entry in known.items()}
+    assert len(paths) == 15
+    for name, entry in known.items():
+        out = tmp_path / name.replace("/", "__")
+        assert main(["prove", str(paths[name]), "--bound", "8",
+                     "-o", str(out)]) in (0, 1)
+        vcs = json.loads((out / "vc_index.json").read_text())["vcs"]
+        verdicts = {v["clause"]: v["status"] for v in vcs.values()
+                    if v["kind"] == "wrapper-assert"}
+        assert verdicts.keys() == entry["clauses"].keys(), name
+        for clause, answer in entry["clauses"].items():
+            # reproducer C's wrapper is undecided by the bounded check
+            allowed = {answer["truth"]} | (
+                {"unknown"} if name == "reproducer_c.mc" else set())
+            assert verdicts[clause] in allowed, (name, clause)
+        for vc_name, status in entry.get("vcs", {}).items():
+            assert vcs[vc_name]["status"] == status, (name, vc_name)

@@ -239,6 +239,23 @@ def test_diamond_footprint_scans_each_function_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 21
 
 
+def test_prove_walks_each_diamond_body_a_bounded_number_of_times(
+        tmp_path, monkeypatch):
+    # Each f_i's footprint is asked for at its callers; the walk must take
+    # f_(i-1)'s memoized footprint instead of descending to f_0 again.
+    n = 40
+    original = validate_mod._callees
+    calls = []
+
+    def counting(node):
+        calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(validate_mod, "_callees", counting)
+    assert run_cli(tmp_path, "prove", diamond(n)) == 0
+    assert len(calls) <= 2 * n + 4
+
+
 def test_mutually_recursive_footprints_are_unchanged():
     p = parse("""
     int g;
