@@ -22,7 +22,7 @@ from .smtlib import emit_smtlib
 from .prove import prove_program
 from .dynamic import (
     InputVector, find_counterexample, runtime_check,
-    load_counterexamples,
+    load_counterexamples, save_counterexample,
 )
 
 EXIT_OK = 0
@@ -198,9 +198,7 @@ def cmd_test(args) -> int:
         if vec is not None:
             found.append(vec)
             cex_path = out / f"{stem}.{name}.cex.json"
-            cex_path.write_text(json.dumps(vec.to_json(), indent=2,
-                                           sort_keys=True) + "\n",
-                                encoding="utf-8")
+            save_counterexample(vec, cex_path)
             rows.append((name, f"counterexample ({cex_path.name})"))
             report[name] = {"outcome": "counterexample",
                             "vector": vec.to_json(), "seconds": elapsed}

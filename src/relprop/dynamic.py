@@ -335,10 +335,11 @@ def evaluate_clause(clause: RelationalClause, wrapper: WrapperFunction,
     return walk(clause.pred)
 
 
-def save_counterexamples(vectors: list[InputVector], path) -> None:
-    data = [v.to_json() for v in vectors]
+def save_counterexample(vec: InputVector, path) -> None:
+    """Write one counterexample as a JSON object; `load_counterexamples`
+    reads it back."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
+        json.dump(vec.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

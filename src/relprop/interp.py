@@ -4,8 +4,9 @@ Program arithmetic is 64-bit two's-complement with overflow reported as a
 runtime error (never wrapped); division is Euclidean, matching the logic,
 and errors on a zero divisor. Assertions are evaluated against the snapshot
 table (`Pre` is taken at function entry, `Here` is the current state);
-applications of generated `_acsl` symbols are evaluated by running the
-mirrored C function on an isolated copy of the relevant state.
+applications of generated `_acsl` logic functions are evaluated by running
+the mirrored C function on an isolated copy of the global state. Quantifiers
+and predicate applications are not executable.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from .minic import (
     INT,
-    Program, FunctionDef, PredicateDecl,
+    Program, FunctionDef,
     Stmt, DeclStmt, AssignStmt, CallStmt, IfStmt, WhileStmt, ReturnStmt,
     AssertStmt,
     Term, IntLit, Var, Deref, Bin, At, CallPure, OldTerm, ResultTerm,
@@ -123,7 +124,6 @@ class Interp:
     def __init__(self, program: Program, fuel: Fuel):
         self.program = program
         self.fuel = fuel
-        self.logic_decls = program.logic_decls()
         self.depth = 0
 
     # -- expressions --------------------------------------------------------
@@ -339,105 +339,8 @@ class Interp:
         if isinstance(p, (PForall, PExists)):
             raise NotExecutable("quantifiers are not executable at runtime")
         if isinstance(p, PredApp):
-            return self._eval_predapp(p, state, frame)
+            raise NotExecutable(f"predicate {p.name} is not executable")
         raise TypeError(f"unknown predicate {p!r}")
-
-    def _eval_predapp(self, p: PredApp, state: State,
-                      frame: dict[str, int]) -> bool:
-        """Check a generated predicate by running its mirrored function on
-        the claimed pre-state and comparing with the claimed post-state."""
-        fn = self._mirrored(p.name)
-        decl = self.logic_decls.get(p.name)
-        if fn is None or not isinstance(decl, PredicateDecl):
-            raise NotExecutable(f"{p.name} has no executable definition")
-        args = list(p.args)
-        res_claim: Optional[int] = None
-        idx = 0
-        if decl.params and decl.params[0].name == "res":
-            res_claim = self.logic_term(args[0], state, frame)
-            idx = 1
-
-        iso = State()
-        iso.globals = {g.name: (g.init or 0) for g in self.program.globals
-                       if g.ty == INT}
-        call_args: list[int] = []
-        ptr_cells: dict[str, int] = {}
-        for param in fn.formals:
-            arg = args[idx]
-            idx += 1
-            if param.ty == INT:
-                call_args.append(self.logic_term(arg, state, frame))
-            else:
-                if not isinstance(arg, Var):
-                    raise NotExecutable(f"{p.name}: pointer argument must be a name")
-                cid = iso.alloc(0)
-                ptr_cells[arg.name] = cid
-                call_args.append(cid)
-
-        if decl.labels:
-            label_map = dict(zip(decl.labels, p.labels))
-            pre_label, post_label = (label_map[decl.labels[0]],
-                                     label_map[decl.labels[1]])
-            checks: list = []
-            bases: list[Term] = []
-            for r in decl.reads:
-                assert isinstance(r, At)
-                if r.base not in bases:
-                    bases.append(r.base)
-            # Initialize pre-state values and collect post-state claims.
-            for base in bases:
-                if isinstance(base, Var):
-                    pre_v = self._label_value(Var(base.name), pre_label, state, frame)
-                    post_v = self._label_value(Var(base.name), post_label, state, frame)
-                    iso.globals[base.name] = pre_v
-                    checks.append((Var(base.name), post_v))
-                else:
-                    inst_name = self._pointer_instance(decl, fn, p, base.name)
-                    pre_v = self._label_value(Deref(inst_name), pre_label,
-                                              state, frame)
-                    post_v = self._label_value(Deref(inst_name), post_label,
-                                               state, frame)
-                    cid = ptr_cells[inst_name]
-                    iso.heap[cid] = pre_v
-                    checks.append((Deref(inst_name), post_v, cid))
-            result = self.run(fn, call_args, iso)
-            if res_claim is not None and result != res_claim:
-                return False
-            for chk in checks:
-                if isinstance(chk[0], Var):
-                    if iso.globals[chk[0].name] != chk[1]:
-                        return False
-                else:
-                    if iso.heap[chk[2]] != chk[1]:
-                        return False
-            return True
-
-        # Value-style predicate: trailing (pre, post) pairs per location.
-        fp_locs = [param.name for param in decl.params[idx:]]
-        pairs = []
-        for i in range(0, len(fp_locs), 2):
-            name = fp_locs[i]
-            assert name.endswith("_pre")
-            g = name[:-len("_pre")]
-            pre_v = self.logic_term(args[idx + i], state, frame)
-            post_v = self.logic_term(args[idx + i + 1], state, frame)
-            pairs.append((g, pre_v, post_v))
-        for g, pre_v, _ in pairs:
-            iso.globals[g] = pre_v
-        result = self.run(fn, call_args, iso)
-        if res_claim is not None and result != res_claim:
-            return False
-        return all(iso.globals[g] == post_v for g, _, post_v in pairs)
-
-    def _pointer_instance(self, decl: PredicateDecl, fn: FunctionDef,
-                          p: PredApp, formal: str) -> str:
-        offset = 1 if decl.params and decl.params[0].name == "res" else 0
-        for i, param in enumerate(fn.formals):
-            if param.name == formal:
-                arg = p.args[offset + i]
-                if isinstance(arg, Var):
-                    return arg.name
-        raise NotExecutable(f"{p.name}: cannot resolve pointer {formal}")
 
 
 def interpret(fn: FunctionDef, args: list[int], state: Optional[State] = None,

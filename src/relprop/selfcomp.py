@@ -243,8 +243,8 @@ def _contains_return(stmts) -> bool:
     return any(isinstance(s, ReturnStmt) for s in walk(stmts))
 
 
-def _tail_convert(stmts: list[Stmt],
-                  ret_target: Optional[str]) -> Optional[list[Stmt]]:
+def tail_convert(stmts: list[Stmt],
+                 ret_target: Optional[str]) -> Optional[list[Stmt]]:
     """Rewrite returns in tail position into ret-variable assignments.
 
     Returns None when a return occurs outside tail position, in which case
@@ -262,8 +262,8 @@ def _tail_convert(stmts: list[Stmt],
     if isinstance(last, IfStmt):
         if not _contains_return((last,)):
             return stmts
-        then = _tail_convert(list(last.then), ret_target)
-        orelse = _tail_convert(list(last.orelse), ret_target)
+        then = tail_convert(list(last.then), ret_target)
+        orelse = tail_convert(list(last.orelse), ret_target)
         if then is None or orelse is None:
             return None
         return prefix + [IfStmt(last.cond, tuple(then), tuple(orelse))]
@@ -272,8 +272,8 @@ def _tail_convert(stmts: list[Stmt],
     return stmts
 
 
-def _flag_convert(stmts: list[Stmt], ret_target: Optional[str],
-                  flag: str) -> list[Stmt]:
+def flag_convert(stmts: list[Stmt], ret_target: Optional[str],
+                 flag: str) -> list[Stmt]:
     """Early returns set a completion flag; everything after a statement
     that may return runs under `flag == 0`."""
 
@@ -330,9 +330,9 @@ class _Inliner:
         for p, arg in zip(int_formals, arg_terms):
             out.append(DeclStmt(env[p.name], arg))
         body = self.rename_stmts(list(callee.body), env, tag, depth)
-        converted = _tail_convert(body, ret_target)
+        converted = tail_convert(body, ret_target)
         if converted is None:
-            converted = _flag_convert(body, ret_target,
+            converted = flag_convert(body, ret_target,
                                       self.names.fresh(f"done_{tag}"))
         out.extend(converted)
         return out

@@ -25,6 +25,12 @@ Pointer dereferences are scalarized (each `*p` is the integer variable
 `p$cell`, sound under the generated separation hypotheses and the
 no-aliasing restriction).
 
+Contracts compile once, independently of any state, over canonical names
+(see `compile_term`). A call binds its callee's requires and ensures with the
+capture-avoiding `subst` the pass uses for assignments: formals go to the
+argument terms, pre-state names to the call point, the result and the
+written globals to fresh names; then the caller's state applies.
+
 A VC's hypothesis environment carries the function's requires clauses and
 the admitted relational lemmas, minus the VC's own clause lemma for wrapper
 assertions (the lemma may never justify its own wrapper).
@@ -33,7 +39,7 @@ assertions (the lemma may never justify its own wrapper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .minic import (
     INT, VOID,
@@ -55,7 +61,7 @@ from .logic import (
 )
 from .selfcomp import (
     TransformedProgram, ASSERT_LABEL, BEHAVIOR_PREFIX,
-    acsl_symbol, footprint_locs, _tail_convert, _flag_convert,
+    acsl_symbol, footprint_locs, tail_convert, flag_convert,
 )
 from .validate import footprint_of
 
@@ -97,81 +103,56 @@ def pre_of(name: str) -> str:
     return f"{name}$pre"
 
 
+def _target(t: Term) -> str:
+    return t.name if isinstance(t, Var) else cell(t.name)
+
+
 StateEnv = dict[str, TermF]  # logic-variable name -> term
-
-
-def _lookup(env: Optional[StateEnv], name: str, default: TermF) -> TermF:
-    if env is not None and name in env:
-        return env[name]
-    return default
 
 
 class CompileError(Exception):
     pass
 
 
-LabelValue = Callable[[Term, str], TermF]  # (resolved base, label) -> value
+def compile_term(t: Term) -> TermF:
+    """Compile a contract-level term over canonical names: `x` and `p$cell`
+    for the current state, `x$pre` for `\\old` and `\\at(·, Pre|Old)`,
+    `$ret` for `\\result`, and `x$L` (`p$L` for `*p`) at any other label L.
+    A call binds these names with `subst`."""
+    return _compile_term(t, "")
 
 
-def compile_term(t: Term, cur: Optional[StateEnv] = None,
-                 pre: Optional[StateEnv] = None,
-                 result: Optional[TermF] = None,
-                 label_value: Optional[LabelValue] = None) -> TermF:
-    """Compile a contract-level term. `cur` overrides current-state reads,
-    `pre` overrides pre-state reads (defaulting to `name$pre` variables);
-    `label_value`, when given, resolves every `\\at`."""
-    def sub(u: Term) -> TermF:
-        return compile_term(u, cur, pre, result, label_value)
-
+def _compile_term(t: Term, suffix: str) -> TermF:
+    """`t` with its state names suffixed by `suffix`: "" for the current
+    state, `$pre` inside `\\old`."""
     if isinstance(t, IntLit):
         return ICon(t.value)
-    if isinstance(t, Var):
-        return _lookup(cur, t.name, IVar(t.name))
-    if isinstance(t, Deref):
-        return _lookup(cur, cell(t.name), IVar(cell(t.name)))
+    if isinstance(t, (Var, Deref)):
+        return IVar(_target(t) + suffix)
     if isinstance(t, Bin):
-        return IOp(t.op, sub(t.left), sub(t.right))
+        return IOp(t.op, _compile_term(t.left, suffix),
+                   _compile_term(t.right, suffix))
     if isinstance(t, OldTerm):
-        pre_env = pre if pre is not None else {}
-        return compile_term(t.term, _pre_as_cur(t.term, pre_env), pre, result,
-                            label_value)
+        return _compile_term(t.term, "$pre")
     if isinstance(t, At):
-        if label_value is not None:
-            return label_value(t.base, t.label)
         if t.label in ("Post", "Here"):
-            return sub(t.base)
+            return _compile_term(t.base, suffix)
         if t.label in ("Pre", "Old"):
-            if isinstance(t.base, Var):
-                return _lookup(pre, t.base.name, IVar(pre_of(t.base.name)))
-            if isinstance(t.base, Deref):
-                return _lookup(pre, cell(t.base.name),
-                               IVar(pre_of(cell(t.base.name))))
-        raise CompileError(f"label {t.label} outside a relational clause")
+            return _compile_term(t.base, "$pre")
+        if not isinstance(t.base, (Var, Deref)):
+            raise CompileError("\\at expects a variable or dereference")
+        return IVar(f"{t.base.name}${t.label}")
     if isinstance(t, ResultTerm):
-        if result is None:
-            raise CompileError("\\result outside an ensures clause")
-        return result
+        return IVar(RESULT_VAR)
     if isinstance(t, LogicApp):
-        return IApp(t.name, tuple(sub(a) for a in t.args))
+        return IApp(t.name, tuple(_compile_term(a, suffix) for a in t.args))
     if isinstance(t, CallPure):
-        return IApp(acsl_symbol(t.callee), tuple(sub(a) for a in t.args))
+        return IApp(acsl_symbol(t.callee),
+                    tuple(_compile_term(a, suffix) for a in t.args))
     raise CompileError(f"cannot compile term {t!r}")
 
 
-def _pre_as_cur(t: Term, pre: StateEnv) -> StateEnv:
-    """Environment that makes current-state reads inside \\old resolve to the
-    pre-state."""
-    out: StateEnv = dict(pre)
-    for n in walk(t):
-        if isinstance(n, (Var, Deref)):
-            name = n.name if isinstance(n, Var) else cell(n.name)
-            out.setdefault(name, IVar(pre_of(name)))
-    return out
-
-
-def scalarize_predapp(p: PredApp, program: Program,
-                      term_of: Callable[[Term], TermF],
-                      label_value: LabelValue) -> FApp:
+def scalarize_predapp(p: PredApp, program: Program) -> FApp:
     """Compile a predicate application to its scalar form.
 
     Label-parameterized predicates lose their pointer arguments; instead,
@@ -182,14 +163,14 @@ def scalarize_predapp(p: PredApp, program: Program,
     if not isinstance(decl, PredicateDecl):
         raise CompileError(f"unknown predicate {p.name}")
     if not decl.labels:
-        return FApp(p.name, tuple(term_of(a) for a in p.args))
+        return FApp(p.name, tuple(compile_term(a) for a in p.args))
     label_map = dict(zip(decl.labels, p.labels))
     args: list[TermF] = []
     by_param: dict[str, Term] = {}
     for param, arg in zip(decl.params, p.args):
         by_param[param.name] = arg
         if param.ty == INT:
-            args.append(term_of(arg))
+            args.append(compile_term(arg))
     bases: list[Term] = []
     for r in decl.reads:
         assert isinstance(r, At)
@@ -206,28 +187,22 @@ def scalarize_predapp(p: PredApp, program: Program,
         else:
             resolved = base
         for decl_label in decl.labels:
-            args.append(label_value(resolved, label_map[decl_label]))
+            args.append(compile_term(At(resolved, label_map[decl_label])))
     return FApp(p.name, tuple(args))
 
 
-def compile_pred(p: Pred, program: Program,
-                 cur: Optional[StateEnv] = None,
-                 pre: Optional[StateEnv] = None,
-                 result: Optional[TermF] = None,
-                 label_value: Optional[LabelValue] = None) -> Form:
-    """Compile a contract-level predicate to a formula. Quantifiers bind
-    their int binders; pointer binders have no scalar value."""
-
-    def term(t: Term) -> TermF:
-        return compile_term(t, cur, pre, result, label_value)
+def compile_pred(p: Pred, program: Program) -> Form:
+    """Compile a contract-level predicate to a formula over the canonical
+    names of `compile_term`. Quantifiers bind their int binders; pointer
+    binders have no scalar value."""
 
     def pred(q: Pred) -> Form:
-        return compile_pred(q, program, cur, pre, result, label_value)
+        return compile_pred(q, program)
 
     if isinstance(p, PBool):
         return FBool(p.value)
     if isinstance(p, Cmp):
-        return FCmp(p.op, term(p.left), term(p.right))
+        return FCmp(p.op, compile_term(p.left), compile_term(p.right))
     if isinstance(p, PAnd):
         return conj([pred(p.left), pred(p.right)])
     if isinstance(p, POr):
@@ -238,19 +213,13 @@ def compile_pred(p: Pred, program: Program,
         return FNot(pred(p.body))
     if isinstance(p, (PForall, PExists)):
         kind = "forall" if isinstance(p, PForall) else "exists"
-        shadow_cur = dict(cur) if cur else {}
-        for b in p.binders:
-            shadow_cur.pop(b.name, None)
-        body = compile_pred(p.body, program, shadow_cur or None, pre, result,
-                            label_value)
         return FQuant(kind, tuple(b.name for b in p.binders if b.ty == INT),
-                      body)
+                      pred(p.body))
     if isinstance(p, Separated):
         # Distinct scalarized cells are separated by construction.
         return TRUE
     if isinstance(p, PredApp):
-        return scalarize_predapp(p, program, term,
-                                 lambda base, label: term(At(base, label)))
+        return scalarize_predapp(p, program)
     raise CompileError(f"cannot compile predicate {p!r}")
 
 
@@ -264,12 +233,7 @@ def compile_lemma(lemma: Lemma, program: Program) -> Form:
         binder_order = [b.name for b in body.binders if b.ty == INT]
         body = body.body
 
-    def at_label(base: Term, label: str) -> TermF:
-        if not isinstance(base, (Var, Deref)):
-            raise CompileError("\\at expects a variable or dereference")
-        return IVar(f"{base.name}${label}")
-
-    form = simplify(compile_pred(body, program, label_value=at_label))
+    form = simplify(compile_pred(body, program))
     free = free_vars(form)
     extra = sorted(free - set(binder_order))
     allvars = tuple(v for v in binder_order + extra if v in free)
@@ -338,10 +302,6 @@ def _pin(frames: list[_Frame]) -> tuple[StateEnv, list[_Frame]]:
             assume = simplify(subst(rest, {v: t}))
         out.append(_Frame(assume, tuple(fresh), f.links))
     return pinned, out
-
-
-def _target(t: Term) -> str:
-    return t.name if isinstance(t, Var) else cell(t.name)
 
 
 class _Forward:
@@ -479,48 +439,46 @@ class _Forward:
                 state[s.target] = subst(IApp(s.callee, tuple(args)), state)
             return path, []
 
-        formal_env: StateEnv = {p.name: a for p, a in zip(callee.formals, args)}
+        # The callee's pre-state is the call point: formals denote the
+        # argument terms, globals keep their names.
+        pre: StateEnv = {}
+        for p, a in zip(callee.formals, args):
+            pre[p.name] = pre[pre_of(p.name)] = a
         fp = footprint_of(callee, self.program)
-        writes = [loc.name for loc in footprint_locs(callee, self.program)
-                  if isinstance(loc, GlobalLoc) and loc in fp.writes]
-
-        fresh_vars: list[str] = []
-        havoc: StateEnv = {}
-        post_env: StateEnv = dict(formal_env)
-        result_term: Optional[TermF] = None
-        if s.target is not None:
-            result_term = havoc[s.target] = IVar(self.fresh(s.target))
-            fresh_vars.append(result_term.name)
-        for g in writes:
-            gv = post_env[g] = havoc[g] = IVar(self.fresh(g))
-            fresh_vars.append(gv.name)
-        # The callee's pre-state is the call point; globals keep their
-        # names, formals denote the argument terms.
-        pre_env: StateEnv = dict(formal_env)
         for loc in fp.writes | fp.reads:
             if isinstance(loc, GlobalLoc):
-                pre_env.setdefault(loc.name, IVar(loc.name))
+                pre[pre_of(loc.name)] = IVar(loc.name)
+        # After the call, the result and the written globals are fresh.
+        post: StateEnv = dict(pre)
+        havoc: StateEnv = {}
+        fresh_vars: list[str] = []
+        if callee.ret == INT:
+            post[RESULT_VAR] = IVar(self.fresh(s.target or RESULT_VAR))
+            fresh_vars.append(post[RESULT_VAR].name)
+            if s.target is not None:
+                havoc[s.target] = post[RESULT_VAR]
+        for loc in footprint_locs(callee, self.program):
+            if isinstance(loc, GlobalLoc) and loc in fp.writes:
+                post[loc.name] = havoc[loc.name] = IVar(self.fresh(loc.name))
+                fresh_vars.append(post[loc.name].name)
 
         ens: list[Form] = []
         link_used = False
         for p in callee.contract.ensures:
-            ens.append(compile_pred(p, self.program, post_env, pre_env,
-                                    result_term))
+            ens.append(compile_pred(p, self.program))
         for b in callee.contract.behaviors:
             for p in b.ensures:
-                ens.append(compile_pred(p, self.program, post_env, pre_env,
-                                        result_term))
+                ens.append(compile_pred(p, self.program))
                 if b.name.startswith(BEHAVIOR_PREFIX):
                     link_used = True
 
         items = []
-        reqs = [compile_pred(p, self.program, formal_env, formal_env)
-                for p in callee.contract.requires]
+        reqs = [compile_pred(p, self.program) for p in callee.contract.requires]
         if reqs:
             items.append(self.obligation(
                 "call-requires", f"requires_of_{s.callee}", s.span,
-                subst(conj(reqs), state), path))
-        frame = _Frame(subst(conj(ens), state), tuple(fresh_vars),
+                subst(subst(conj(reqs), pre), state), path))
+        frame = _Frame(subst(subst(conj(ens), post), state), tuple(fresh_vars),
                        frozenset({s.callee} if link_used else ()), path)
         state.update(havoc)
         return frame, items
@@ -559,17 +517,15 @@ def _function_items(fn: FunctionDef, program: Program) -> list[_Item]:
     link behaviors are definitional (they define the `_acsl` mirror) and get
     no goal."""
     items: list[_Item] = []
-    result = IVar(RESULT_VAR) if fn.ret == INT else None
     for i, p in enumerate(fn.contract.ensures, 1):
         items.append(_Item("ensures", f"ensures_{i}", p.span,
-                           compile_pred(p, program, None, None, result), set()))
+                           compile_pred(p, program), set()))
     for b in fn.contract.behaviors:
         if b.name.startswith(BEHAVIOR_PREFIX):
             continue
         for i, p in enumerate(b.ensures, 1):
             items.append(_Item("ensures", f"{b.name}_ensures_{i}", p.span,
-                               compile_pred(p, program, None, None, result),
-                               set()))
+                               compile_pred(p, program), set()))
     return items
 
 
@@ -577,9 +533,9 @@ def function_vcs(fn: FunctionDef, program: Program) -> list[_Item]:
     """All proof obligations of one function, expressed at entry (before
     requires hypotheses are attached): exit goals first, then the body's
     obligations."""
-    body = _tail_convert(list(fn.body), RESULT_VAR)
+    body = tail_convert(list(fn.body), RESULT_VAR)
     if body is None:
-        body = _flag_convert(list(fn.body), RESULT_VAR, "$done")
+        body = flag_convert(list(fn.body), RESULT_VAR, "$done")
     state: StateEnv = {}
     path, items = _Forward(fn, program).run(tuple(body), state, None)
     goals = _function_items(fn, program)
@@ -621,8 +577,7 @@ def vcs_for(transformed: TransformedProgram,
         return name
 
     for fn in program.functions:
-        requires = [("requires_%d" % i,
-                     simplify(compile_pred(p, program, None, None)))
+        requires = [("requires_%d" % i, simplify(compile_pred(p, program)))
                     for i, p in enumerate(fn.contract.requires, 1)]
         requires = [(n, f) for n, f in requires if f != TRUE]
         entry = wrapper_names.get(fn.name)

@@ -8,7 +8,7 @@ from relprop.parser import parse_program
 from relprop.selfcomp import transform
 from relprop.dynamic import (
     InputVector, run_wrapper, find_counterexample, runtime_check,
-    evaluate_clause, wrapper_slots, save_counterexamples,
+    evaluate_clause, wrapper_slots, save_counterexample,
     load_counterexamples,
 )
 
@@ -115,7 +115,7 @@ def test_runtime_check_replays_counterexample(neg, tmp_path):
     reports = runtime_check(neg, [vec])
     assert [r.outcome for r in reports] == ["fail"]
     path = tmp_path / "cex.json"
-    save_counterexamples([vec], path)
+    save_counterexample(vec, path)
     loaded = load_counterexamples(path)
     assert loaded == [vec]
     assert runtime_check(neg, loaded)[0].outcome == "fail"
@@ -167,3 +167,25 @@ def test_oracle_agreement_with_nested_callpure(crypt):
         dynamic = run_wrapper(entry.wrapper, vec, t).outcome
         direct = evaluate_clause(entry.clause, entry.wrapper, t.source, vec)
         assert dynamic == "pass" and direct
+
+
+def test_user_predicate_in_a_clause_is_a_runtime_error():
+    t = transform(parse_program("""
+    /*@ axiomatic Pos {
+      predicate pos(integer a);
+    } */
+
+    /*@ assigns \\result \\from x;
+        relational P:
+          \\forall int x1;
+          \\callset(\\call(id, x1, id1))
+          ==> pos(\\callresult(id1));
+    */
+    int id(int x) {
+      return x;
+    }
+    """, "t.mc"))
+    entry = t.entries[0]
+    report = run_wrapper(entry.wrapper, InputVector({"x1": 1}, property="P"), t)
+    assert report.outcome == "error"
+    assert report.error.startswith("NotExecutable")

@@ -1,8 +1,10 @@
-"""Every module under src/relprop uses each name it imports.
+"""Every module under src/relprop uses each name it imports, and imports
+no underscore-prefixed name from another relprop module.
 
 Checked with the standard library's `ast`: a name counts as used when it
 appears as an identifier, as the root of an attribute access, or inside a
-string annotation. `__init__.py` re-exports names and is exempt.
+string annotation. `__init__.py` re-exports names and is exempt from the
+first check.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "relprop"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -54,6 +57,16 @@ def unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
+def private_imports(path: Path) -> list[str]:
+    """Underscore-prefixed names imported from a relprop module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [f"{path.name}:{node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "relprop")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -67,3 +80,17 @@ def test_checker_flags_an_unused_name(tmp_path):
                    "def f(x: 'Optional[int]') -> None:\n"
                    "    return sys.exit(x)\n", encoding="utf-8")
     assert unused_imports(mod) == ["m.py:2: os"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path) == []
+
+
+def test_checker_flags_a_private_import(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "from .selfcomp import footprint_locs, _tail\n"
+                   "from relprop.logic import _fresh\n"
+                   "from os import _exit\n", encoding="utf-8")
+    assert private_imports(mod) == ["m.py:2: _tail", "m.py:3: _fresh"]

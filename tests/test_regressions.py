@@ -1,6 +1,7 @@
 """Regression tests for defects of the hand-written walkers, the recursive
-footprint, the unbounded interpreter recursion and int64 wraparound in the
-vectorized bounded check."""
+footprint, the unbounded interpreter recursion, int64 wraparound in the
+vectorized bounded check and variable capture when a callee's contract is
+bound to a call."""
 
 import importlib
 
@@ -323,3 +324,53 @@ def test_products_within_int64_stay_vectorized():
                 ICon(1))
     r = check_bounded(VerificationCondition("t", "t", "g", "assert", goal, ()), 8)
     assert (r.status, r.method) == ("valid", "vectorized")
+
+
+# -- binding a callee's contract to a call -----------------------------------------
+
+
+CAPTURING_ENSURES = """
+/*@ requires x >= 0; assigns \\result \\from x;
+    ensures \\forall int y; y == x ==> \\result == y + 1; */
+int g(int x) { return x + 1; }
+/*@ requires VAR >= 0; assigns \\result \\from VAR; */
+int f(int VAR) { int r = 0; r = g(VAR); /*@ assert r == 0; */ return r; }
+"""
+
+CAPTURING_REQUIRES = """
+/*@ requires \\forall int y; y == x ==> y >= 0; assigns \\result \\from x; */
+int g(int x) { return x + 1; }
+/*@ requires VAR >= 0; assigns \\result \\from VAR; */
+int f(int VAR) { int r = 0; r = g(VAR); return r; }
+"""
+
+
+def test_callee_quantifier_does_not_capture_caller_variable():
+    # r == g(v) == v + 1 >= 1, so the assert fails at v = 0 whatever the
+    # caller's variable is called.
+    for var in ("y", "z"):
+        results = prove_program(transform(parse(
+            CAPTURING_ENSURES.replace("VAR", var))), 8).results
+        assert results["f__assert"]["status"] == "counterexample", var
+        assert results["f__assert"]["assignment"] == {var: 0}
+
+
+def test_callee_requires_quantifier_does_not_capture_caller_variable():
+    for var in ("y", "z"):
+        results = prove_program(transform(parse(
+            CAPTURING_REQUIRES.replace("VAR", var))), 8).results
+        assert results["f__requires_of_g"]["status"] == "valid", var
+
+
+def test_call_discarding_an_int_result_proves(tmp_path, capsys):
+    src = """
+    /*@ assigns \\result \\from x;
+        ensures \\result == x + 1; */
+    int g(int x) { return x + 1; }
+    /*@ assigns \\result \\from y; */
+    int f(int y) { g(y); return y; }
+    """
+    assert run_cli(tmp_path, "prove", src) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "Valid" in captured.out

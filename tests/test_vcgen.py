@@ -17,6 +17,7 @@ from relprop.vcgen import (
     MissingLoopInvariant,
 )
 from relprop.bounded import check_bounded
+from relprop.prove import prove_program
 
 
 def test_wp_skip_is_identity():
@@ -216,3 +217,37 @@ def test_wp_substitution_lemma_spot_check():
     got = wp(AssignStmt(Var("x"), e), q)
     want = subst(q, {"x": IOp("-", IVar("y"), ICon(3))})
     assert got == want
+
+
+# -- contracts over canonical names, bound to a call by substitution -------------
+
+
+def test_contract_terms_compile_to_canonical_names():
+    q = parse_program("""
+    int g = 0;
+    /*@ assigns g \\from g, *p; assigns \\result \\from x;
+        ensures \\result == \\old(x + g) + \\at(*p, Pre) + *p + \\at(g, Here); */
+    int f(int x, int *p) { g = g + *p; return x + g; }
+    """, "t.mc")
+    form = compile_pred(q.function("f").contract.ensures[0], q)
+    assert free_vars(form) == {"$ret", "x$pre", "g$pre", "p$cell$pre",
+                               "p$cell", "g"}
+
+
+def test_caller_result_does_not_leak_into_callee_ensures():
+    # The early return writes f's own `$ret`; the call binds g's
+    # `\\result` to a fresh name, which `r` then holds.
+    results = prove_program(transform(parse_program("""
+    /*@ assigns \\result \\from x;
+        ensures \\result == x + 1; */
+    int g(int x) { return x + 1; }
+    /*@ assigns \\result \\from y; */
+    int f(int y) {
+      int r = 0;
+      if (y > 5) { return 1; }
+      r = g(y);
+      /*@ assert r == y + 1; */
+      return r;
+    }
+    """, "t.mc")), 8).results
+    assert results["f__assert"]["status"] == "valid"
