@@ -599,8 +599,9 @@ def build_axiomatic(clause: RelationalClause, program: Program, index: int = 1,
                     renamings: Optional[list[Renaming]] = None,
                     declared: Optional[set[str]] = None,
                     extra_decls: tuple[str, ...] = ()) -> Axiomatic:
-    """Axiomatic block for one clause: the not-yet-declared `_acsl` symbols
-    of its functions plus the lemma restating the property."""
+    """Axiomatic block for one clause: the `_acsl` symbols of its functions
+    that neither an earlier block nor the source declares, plus the lemma
+    restating the property."""
     renamings = renamings if renamings is not None else \
         make_renamings(clause, program)
     declared = declared if declared is not None else set()
@@ -613,7 +614,9 @@ def build_axiomatic(clause: RelationalClause, program: Program, index: int = 1,
         if fn is None:
             raise TransformError([Diagnostic(
                 "error", clause.span, f"{clause.name}: unknown function {fname}")])
-        items.append(_acsl_decl(fn, program))
+        # A source axiomatic may already declare the mirror.
+        if acsl_symbol(fname) not in program.logic_decls():
+            items.append(_acsl_decl(fn, program))
     items.append(_build_lemma(clause, program, index, renamings))
     return Axiomatic(f"{AXIOM_PREFIX}{index}", tuple(items))
 

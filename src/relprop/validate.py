@@ -118,53 +118,87 @@ def _callees(node) -> list[str]:
 def footprint_of(fn: FunctionDef, program: Program) -> MemFootprint:
     """Footprint of `fn`: its declared assigns/\\from locations plus the
     global locations declared by every function reachable from it.
-    Memoized per program; the walk takes a callee's memoized footprint
-    instead of descending into it.
+    Memoized per program for every function the walk finishes, so asking in
+    any order walks each body once.
 
     Raises MissingAssigns when a reachable body touches a global or deref
     that no assigns clause covers, and UnknownCallee for calls to undefined
     functions that also lack a logic declaration.
     """
     key = ("footprint", id(fn))
-    hit = program.memo.get(key)
-    if hit is not None:
-        return hit[1]
-    writes: set[Loc] = set()
-    reads: set[Loc] = set()
-    seen = {fn.name}
-    todo = [fn]
-    while todo:
-        f = todo.pop()
+    if key not in program.memo:
+        _memoize_footprints(fn, program)
+    return program.memo[key][1]
+
+
+def _globals(locs: set[Loc]) -> set[Loc]:
+    return {l for l in locs if isinstance(l, GlobalLoc)}
+
+
+def _memoize_footprints(root: FunctionDef, program: Program) -> None:
+    """Memoize the footprint of every function reachable from `root` and not
+    yet memoized, one strongly connected component of the call graph at a
+    time (Tarjan's algorithm, iterative). The members of a component reach
+    the same functions, so they share one set of reached global state;
+    only the callees' global state propagates: their deref locations are
+    framed on their own formals, and MiniC calls cannot pass pointers."""
+    number: dict[str, int] = {}  # depth-first visit order
+    low: dict[str, int] = {}
+    reached: dict[str, tuple[set[Loc], set[Loc]]] = {}  # global writes, reads
+    component: list[FunctionDef] = []  # visited, component not finished
+
+    def enter(f: FunctionDef):
         missing = _uncovered(f, program)
         if missing:
             raise MissingAssigns(f"{f.name}: body touches {_loc_str(missing[0])} "
                                  "but no assigns clause covers it")
-        declared = _declared_footprint(f)
-        writes |= declared.writes
-        reads |= declared.reads
+        callees = []
         for name in _callees(f.body):
-            if name in seen:
-                continue
-            seen.add(name)
             callee = program.function(name)
-            done = program.memo.get(("footprint", id(callee)))
-            if done is not None:
-                # Memoized, so nothing below it raised; its global
-                # locations are what descending would collect.
-                writes |= done[1].writes
-                reads |= done[1].reads
-            elif callee is not None:
-                todo.append(callee)
+            if callee is not None:
+                callees.append(callee)
             elif name not in program.logic_decls():
                 # (a declared logic application is pure by construction)
                 raise UnknownCallee(f"{f.name} calls undefined function {name}")
-    # Only the callees' global state propagates: their deref locations are
-    # framed on their own formals, and MiniC calls cannot pass pointers.
-    own = _declared_footprint(fn)
-    out = MemFootprint(own.writes | {l for l in writes if isinstance(l, GlobalLoc)},
-                       own.reads | {l for l in reads if isinstance(l, GlobalLoc)})
-    program.memo[key] = (fn, out)
-    return out
+        number[f.name] = low[f.name] = len(number)
+        own = _declared_footprint(f)
+        reached[f.name] = (_globals(own.writes), _globals(own.reads))
+        component.append(f)
+        return iter(callees)
+
+    def add(name: str, writes: set[Loc], reads: set[Loc]) -> None:
+        reached[name][0].update(writes)
+        reached[name][1].update(reads)
+
+    frames = [(root, enter(root))]
+    while frames:
+        f, callees = frames[-1]
+        for callee in callees:
+            done = program.memo.get(("footprint", id(callee)))
+            if done is not None:
+                # Memoized, so nothing below it raised.
+                add(f.name, _globals(done[1].writes), _globals(done[1].reads))
+            elif callee.name in number:  # in a component still open
+                low[f.name] = min(low[f.name], number[callee.name])
+            else:
+                frames.append((callee, enter(callee)))
+                break
+        else:
+            frames.pop()
+            if low[f.name] == number[f.name]:
+                # f roots its component; every member returned into f.
+                writes, reads = reached[f.name]
+                while True:
+                    m = component.pop()
+                    own = _declared_footprint(m)
+                    program.memo[("footprint", id(m))] = (
+                        m, MemFootprint(own.writes | writes, own.reads | reads))
+                    if m is f:
+                        break
+            if frames:
+                caller = frames[-1][0].name
+                low[caller] = min(low[caller], low[f.name])
+                add(caller, *reached[f.name])
 
 
 def _loc_str(loc: Loc) -> str:

@@ -114,45 +114,52 @@ class CompileError(Exception):
     pass
 
 
-def compile_term(t: Term) -> TermF:
+def compile_term(t: Term, bound: frozenset[str] = frozenset()) -> TermF:
     """Compile a contract-level term over canonical names: `x` and `p$cell`
     for the current state, `x$pre` for `\\old` and `\\at(·, Pre|Old)`,
     `$ret` for `\\result`, and `x$L` (`p$L` for `*p`) at any other label L.
-    A call binds these names with `subst`."""
-    return _compile_term(t, "")
+    The logic binders in `bound` have no state: under `\\old` or `\\at` they
+    stay themselves. A call binds these names with `subst`."""
+    return _compile_term(t, "", bound)
 
 
-def _compile_term(t: Term, suffix: str) -> TermF:
+def _compile_term(t: Term, suffix: str, bound: frozenset[str]) -> TermF:
     """`t` with its state names suffixed by `suffix`: "" for the current
     state, `$pre` inside `\\old`."""
     if isinstance(t, IntLit):
         return ICon(t.value)
+    if isinstance(t, Var) and t.name in bound:
+        return IVar(t.name)
     if isinstance(t, (Var, Deref)):
         return IVar(_target(t) + suffix)
     if isinstance(t, Bin):
-        return IOp(t.op, _compile_term(t.left, suffix),
-                   _compile_term(t.right, suffix))
+        return IOp(t.op, _compile_term(t.left, suffix, bound),
+                   _compile_term(t.right, suffix, bound))
     if isinstance(t, OldTerm):
-        return _compile_term(t.term, "$pre")
+        return _compile_term(t.term, "$pre", bound)
     if isinstance(t, At):
         if t.label in ("Post", "Here"):
-            return _compile_term(t.base, suffix)
+            return _compile_term(t.base, suffix, bound)
         if t.label in ("Pre", "Old"):
-            return _compile_term(t.base, "$pre")
+            return _compile_term(t.base, "$pre", bound)
         if not isinstance(t.base, (Var, Deref)):
             raise CompileError("\\at expects a variable or dereference")
+        if isinstance(t.base, Var) and t.base.name in bound:
+            return IVar(t.base.name)
         return IVar(f"{t.base.name}${t.label}")
     if isinstance(t, ResultTerm):
         return IVar(RESULT_VAR)
     if isinstance(t, LogicApp):
-        return IApp(t.name, tuple(_compile_term(a, suffix) for a in t.args))
+        return IApp(t.name, tuple(_compile_term(a, suffix, bound)
+                                  for a in t.args))
     if isinstance(t, CallPure):
         return IApp(acsl_symbol(t.callee),
-                    tuple(_compile_term(a, suffix) for a in t.args))
+                    tuple(_compile_term(a, suffix, bound) for a in t.args))
     raise CompileError(f"cannot compile term {t!r}")
 
 
-def scalarize_predapp(p: PredApp, program: Program) -> FApp:
+def scalarize_predapp(p: PredApp, program: Program,
+                      bound: frozenset[str] = frozenset()) -> FApp:
     """Compile a predicate application to its scalar form.
 
     Label-parameterized predicates lose their pointer arguments; instead,
@@ -163,14 +170,14 @@ def scalarize_predapp(p: PredApp, program: Program) -> FApp:
     if not isinstance(decl, PredicateDecl):
         raise CompileError(f"unknown predicate {p.name}")
     if not decl.labels:
-        return FApp(p.name, tuple(compile_term(a) for a in p.args))
+        return FApp(p.name, tuple(compile_term(a, bound) for a in p.args))
     label_map = dict(zip(decl.labels, p.labels))
     args: list[TermF] = []
     by_param: dict[str, Term] = {}
     for param, arg in zip(decl.params, p.args):
         by_param[param.name] = arg
         if param.ty == INT:
-            args.append(compile_term(arg))
+            args.append(compile_term(arg, bound))
     bases: list[Term] = []
     for r in decl.reads:
         assert isinstance(r, At)
@@ -191,18 +198,21 @@ def scalarize_predapp(p: PredApp, program: Program) -> FApp:
     return FApp(p.name, tuple(args))
 
 
-def compile_pred(p: Pred, program: Program) -> Form:
+def compile_pred(p: Pred, program: Program,
+                 bound: frozenset[str] = frozenset()) -> Form:
     """Compile a contract-level predicate to a formula over the canonical
-    names of `compile_term`. Quantifiers bind their int binders; pointer
-    binders have no scalar value."""
+    names of `compile_term`; `bound` holds the enclosing quantifiers' int
+    binders. Quantifiers bind their int binders; pointer binders have no
+    scalar value."""
 
     def pred(q: Pred) -> Form:
-        return compile_pred(q, program)
+        return compile_pred(q, program, bound)
 
     if isinstance(p, PBool):
         return FBool(p.value)
     if isinstance(p, Cmp):
-        return FCmp(p.op, compile_term(p.left), compile_term(p.right))
+        return FCmp(p.op, compile_term(p.left, bound),
+                    compile_term(p.right, bound))
     if isinstance(p, PAnd):
         return conj([pred(p.left), pred(p.right)])
     if isinstance(p, POr):
@@ -213,13 +223,14 @@ def compile_pred(p: Pred, program: Program) -> Form:
         return FNot(pred(p.body))
     if isinstance(p, (PForall, PExists)):
         kind = "forall" if isinstance(p, PForall) else "exists"
-        return FQuant(kind, tuple(b.name for b in p.binders if b.ty == INT),
-                      pred(p.body))
+        names = tuple(b.name for b in p.binders if b.ty == INT)
+        return FQuant(kind, names,
+                      compile_pred(p.body, program, bound | set(names)))
     if isinstance(p, Separated):
         # Distinct scalarized cells are separated by construction.
         return TRUE
     if isinstance(p, PredApp):
-        return scalarize_predapp(p, program)
+        return scalarize_predapp(p, program, bound)
     raise CompileError(f"cannot compile predicate {p!r}")
 
 

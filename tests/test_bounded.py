@@ -1,10 +1,11 @@
 """The bounded validity oracle."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from relprop import bounded
 from relprop.logic import (
@@ -13,7 +14,8 @@ from relprop.logic import (
 )
 from relprop.vcgen import VerificationCondition, vcs_for
 from relprop.bounded import (
-    check_bounded, BudgetExceeded, _scalar_search, _vectorized_search,
+    check_bounded, BudgetExceeded, _count_rows, _scalar_search,
+    _vectorized_search,
 )
 from relprop.selfcomp import transform
 
@@ -201,3 +203,59 @@ def test_six_variable_check_stays_small():
     assert r.is_valid and r.method == "vectorized"
     assert r.rows == 17 ** 6
     assert peak < 64 * 2 ** 20
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problems(), st.sampled_from((12, bounded._CHUNK)))
+def test_contraction_counts_the_satisfying_rows(problem, chunk):
+    # With a 12-cell chunk most factors do not fit and the count declines.
+    problem, bound = problem
+    order = sorted({v for f in problem for v in free_vars(f)})
+    assume(order)  # a box of one row is never counted
+    ev = bounded._Scalar(bound, 10**9)
+    want = sum(all(ev.form(f, dict(zip(order, values))) for f in problem)
+               for values in itertools.product(range(-bound, bound + 1),
+                                               repeat=len(order)))
+    with mock.patch.object(bounded, "_CHUNK", chunk):
+        got = _count_rows(problem, order, bound, float("inf"))
+    assert got == want or (got is None and chunk == 12)
+
+
+def cmp_pair_ok_vc(name):
+    return next(v for v in vcs_for(transform(load("comparators/cmp_pair_ok.mc")),
+                                   admitted=frozenset())
+                if v.name == name)
+
+
+@pytest.mark.parametrize("name", ["relational_wrapper_2__Rpp",
+                                  "relational_wrapper_3__Rpp"])
+def test_six_variable_valid_vcs_are_counted_without_a_walk(name):
+    # Three 4-variable per-call factors (P3's `r2 != r3` split on its sides'
+    # values) count 0 falsifying rows of 17^6, so no block is walked.
+    vc = cmp_pair_ok_vc(name)
+    with mock.patch.object(bounded, "_walk_blocks",
+                           side_effect=AssertionError("walked a block")):
+        r = check_bounded(vc, 8)
+    assert r.is_valid and r.method == "vectorized"
+    assert r.rows == 17 ** 6
+
+
+def test_six_variable_counterexample_keeps_the_walks_first_row():
+    a, b, c, d, e, f = map(IVar, "abcdef")
+    problem = [FCmp("!=", IOp("+", a, b), IOp("*", c, d)),
+               FCmp(">", e, ICon(5)),
+               FNot(FOr((FCmp("<", f, ICon(-3)), FCmp("==", a, b))))]
+    order = list("abcdef")
+    counts = []
+
+    def counting(*args):
+        counts.append(_count_rows(*args))
+        return counts[-1]
+
+    with mock.patch.object(bounded, "_count_rows", side_effect=counting):
+        found = _vectorized_search(problem, order, 8, 10**10)
+    assert counts and counts[0] > 0
+    rows_s, a_s, _ = _scalar_search(problem, order, 8, 10**10)
+    assert found == (rows_s, a_s)
+    assert a_s == {"a": -8, "b": -7, "c": -8, "d": -8, "e": 6, "f": -3}

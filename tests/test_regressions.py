@@ -1,7 +1,7 @@
 """Regression tests for defects of the hand-written walkers, the recursive
 footprint, the unbounded interpreter recursion, int64 wraparound in the
-vectorized bounded check and variable capture when a callee's contract is
-bound to a call."""
+vectorized bounded check, variable capture when a callee's contract is
+bound to a call, `\\old` of a logic binder and a mirror declared twice."""
 
 import importlib
 
@@ -257,6 +257,25 @@ def test_prove_walks_each_diamond_body_a_bounded_number_of_times(
     assert len(calls) <= 2 * n + 4
 
 
+def test_top_down_footprints_walk_each_diamond_body_once(monkeypatch):
+    # Asking for f_40 first memoizes every function its walk finishes, so
+    # f_39 ... f_0 are answered from the memo.
+    n = 40
+    p = parse(diamond(n))
+    original = validate_mod._callees
+    calls = []
+
+    def counting(node):
+        calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(validate_mod, "_callees", counting)
+    for i in range(n, -1, -1):
+        fp = footprint_of(p.function(f"f_{i}"), p)
+        assert fp.writes == {GlobalLoc("g")} and fp.reads == {GlobalLoc("g")}
+    assert len(calls) <= 2 * n + 4
+
+
 def test_mutually_recursive_footprints_are_unchanged():
     p = parse("""
     int g;
@@ -374,3 +393,37 @@ def test_call_discarding_an_int_result_proves(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "Valid" in captured.out
+
+
+@pytest.mark.parametrize("ensures", [
+    "\\forall int y; \\old(y) == y",
+    "\\forall int y; y == \\old(x) ==> \\result == \\old(y)",
+    "\\forall int x; \\old(x) == x",
+])
+def test_old_of_a_logic_binder_is_the_binder(ensures):
+    # A logic binder has no pre-state: \old(y) is y itself.
+    src = f"""
+    /*@ assigns \\result \\from x;
+        ensures {ensures}; */
+    int g(int x) {{ return x; }}
+    """
+    results = prove_program(transform(parse(src)), 8).results
+    assert results["g__ensures_1"]["status"] == "valid"
+
+
+def test_source_declared_mirror_is_not_declared_again(tmp_path):
+    src = """
+    /*@ axiomatic H {
+      logic integer h_acsl(integer a);
+    } */
+    /*@ assigns \\result \\from x;
+        relational R1:
+          \\forall int x1;
+          \\callset(\\call(h, x1, id1), \\call(h, x1, id2))
+          ==> \\callresult(id1) == \\callresult(id2);
+    */
+    int h(int x) { return x + 1; }
+    """
+    assert run_cli(tmp_path, "transform", src) == 0
+    text = (tmp_path / "out" / "t.transformed.mc").read_text(encoding="utf-8")
+    assert text.count("h_acsl(integer") == 1
