@@ -120,8 +120,10 @@ def cmd_prove(args) -> int:
         smt_dir = out / "smt"
         smt_dir.mkdir(exist_ok=True)
         for vc in run.vcs:
-            (smt_dir / f"{vc.name}.smt2").write_text(emit_smtlib(vc),
-                                                     encoding="utf-8")
+            # A lemma VC is never checked: it takes its wrapper's status.
+            if vc.kind != "lemma":
+                (smt_dir / f"{vc.name}.smt2").write_text(emit_smtlib(vc),
+                                                         encoding="utf-8")
     results = run.results
     index = {"input": args.input, "bound": args.bound, "vcs": results}
     (out / "vc_index.json").write_text(json.dumps(index, indent=2,
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any wrapper VC stays unknown")
     p.add_argument("--emit-smt", action=argparse.BooleanOptionalAction,
-                   default=True, help="write one .smt2 file per VC")
+                   default=True, help="write one .smt2 file per checked VC")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("test", help="search for counterexamples")

@@ -110,7 +110,6 @@ def run_wrapper(wrapper: WrapperFunction, input: InputVector,
     interp = Interp(program, Fuel(fuel))
     outcome, error = "pass", None
     trace: list[tuple[str, dict[str, int]]] = []
-    frame = {p.name: a for p, a in zip(wrapper.fn.formals, args)}
     entry = dict(state.globals)
     entry.update({f"*{p.name}": state.heap[c]
                   for p, c in zip(wrapper.fn.formals, args) if p.ty == PTR})

@@ -221,12 +221,8 @@ class Interp:
             raise _Return(self.term(s.value, state, frame)
                           if s.value is not None else None)
         elif isinstance(s, AssertStmt):
-            state.snapshot("Here", frame)
-            try:
-                ok = self.logic_pred(s.pred, state, frame)
-            finally:
-                state.snapshots.pop("Here", None)
-            if not ok:
+            # `Here` is the live state: `_label_value` reads it directly.
+            if not self.logic_pred(s.pred, state, frame):
                 raise AssertViolated(s.label or "assert", state)
         else:
             raise TypeError(f"unknown statement {s!r}")

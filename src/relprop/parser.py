@@ -697,11 +697,12 @@ class _Parser:
         return self.parse_imp(logic)
 
     def parse_imp(self, logic: bool) -> Pred:
+        start = self.peek()
         left = self.parse_or(logic)
         if self.at("PUNCT", "==>"):
             self.next()
             right = self.parse_imp(logic)  # right-associative
-            return PImp(left, right)
+            return PImp(left, right, span=self.span_from(start))
         return left
 
     def parse_or(self, logic: bool) -> Pred:

@@ -198,9 +198,6 @@ def make_renamings(clause: RelationalClause, program: Program,
     out: list[Renaming] = []
     for idx, cs in enumerate(clause.calls, 1):
         callee = program.function(cs.callee)
-        if callee is None:
-            raise TransformError([Diagnostic(
-                "error", cs.span, f"{clause.name}: unknown function {cs.callee}")])
         globals_map: dict[str, str] = {}
         pointers_map: dict[str, str] = {}
         for loc in footprint_locs(callee, program):
@@ -343,9 +340,6 @@ class _Inliner:
         if isinstance(t, CallPure):
             args = [self.lower_arg(a, tag, out) for a in t.args]
             callee = self.program.function(t.callee)
-            if callee is None:
-                raise TransformError([Diagnostic(
-                    "error", t.span, f"unknown function {t.callee}")])
             aux = self.names.fresh(f"{t.callee}_{tag}")
             out.append(DeclStmt(aux, None))
             out.extend(self.inline(callee, args, {}, aux, t.depth, aux))
@@ -413,9 +407,6 @@ class _Inliner:
 def _emit_call(spec: CallSpec, renaming: Renaming, inliner: _Inliner) -> list[Stmt]:
     """Emit the inlined block for one callset call under its renaming."""
     callee = inliner.program.function(spec.callee)
-    if callee is None:
-        raise TransformError([Diagnostic(
-            "error", spec.span, f"unknown function {spec.callee}")])
     out: list[Stmt] = []
     tag = str(renaming.index)
     args = [inliner.lower_arg(a, tag, out) for a in spec.args]
@@ -455,33 +446,40 @@ def translate_pred(pred: Pred, renamings: list[Renaming],
     Lemma flavor: per-call state is named by quantified values
     (`g_id_pre`/`g_id_post`) or per-call labels (`pre_id`/`post_id`), and
     results of pure callees become applications over their argument terms.
+
+    In both flavors a global that a call leaves alone keeps its own name.
     """
     by_id = {r.call_id: r for r in renamings}
     calls = {c.call_id: c for c in clause.calls} if clause is not None else {}
 
+    def style(call_id: str) -> Optional[str]:
+        cs = calls.get(call_id)
+        callee = program.function(cs.callee) if cs and program else None
+        return acsl_style(callee, program) if callee is not None else None
+
     def rule(t):
         if isinstance(t, CallResult):
             r = by_id[t.call_id]
-            if flavor == "lemma" and program is not None:
-                cs = calls.get(t.call_id)
-                callee = program.function(cs.callee) if cs else None
-                if callee is not None and acsl_style(callee, program) == STYLE_PURE:
-                    return LogicApp(acsl_symbol(callee.name), map_nodes(cs.args, rule))
+            if flavor == "lemma" and style(t.call_id) == STYLE_PURE:
+                cs = calls[t.call_id]
+                return LogicApp(acsl_symbol(cs.callee), map_nodes(cs.args, rule))
             return Var(r.ret_var or f"ret_{t.call_id}")
         if isinstance(t, At) and (parsed := rel_label(t.label)) is not None:
             kind, cid = parsed
             r = by_id[cid]
-            if isinstance(t.base, Var):
-                dup = r.globals.get(t.base.name, t.base.name)
-                if flavor == "wrapper":
-                    return At(Var(dup), "Pre" if kind == "Pre" else "Here")
-                return Var(f"{t.base.name}_{cid}_{kind.lower()}")
+            name = t.base.name
+            if flavor == "wrapper":
+                dup = (r.globals if isinstance(t.base, Var) else r.pointers).get(
+                    name, name)
+                return At(type(t.base)(dup), "Pre" if kind == "Pre" else "Here")
+            label = f"{kind.lower()}_{cid}"
             if isinstance(t.base, Deref):
-                dup = r.pointers.get(t.base.name, t.base.name)
-                if flavor == "wrapper":
-                    return At(Deref(dup), "Pre" if kind == "Pre" else "Here")
-                return At(Deref(dup), f"{kind.lower()}_{cid}")
-            raise TypeError(f"\\at on {t.base!r}")
+                return At(Deref(r.pointers.get(name, name)), label)
+            if name not in r.globals:
+                return Var(name)
+            if style(cid) == STYLE_LABELS:
+                return At(Var(name), label)
+            return Var(f"{name}_{cid}_{kind.lower()}")
         if isinstance(t, CallPure):
             return LogicApp(acsl_symbol(t.callee), map_nodes(t.args, rule))
         return None
@@ -611,9 +609,6 @@ def build_axiomatic(clause: RelationalClause, program: Program, index: int = 1,
             continue
         declared.add(fname)
         fn = program.function(fname)
-        if fn is None:
-            raise TransformError([Diagnostic(
-                "error", clause.span, f"{clause.name}: unknown function {fname}")])
         # A source axiomatic may already declare the mirror.
         if acsl_symbol(fname) not in program.logic_decls():
             items.append(_acsl_decl(fn, program))

@@ -1,25 +1,51 @@
 """Well-formedness checking and declaration-driven memory footprints.
 
 `validate` is total: it returns diagnostics instead of raising, and an empty
-list means every structural invariant holds. `footprint_of` derives the
+list means every structural invariant holds. The later stages (`selfcomp`,
+`vcgen`) rely on it and do not check again. `footprint_of` derives the
 written/read state of a function from its `assigns ... \\from ...` clauses
 (never inferred from the body), unioning in callee footprints.
+
+One checker, `_check`, applies one rule per construct wherever it appears;
+a scope says what the place may mention. There are four contexts:
+
+- code (conditions, right-hand sides, arguments, returns): integers,
+  arithmetic, comparisons, `&&`, `||`, `!`, the visible formals, locals and
+  int globals, and `*p` for a pointer formal. No logic construct.
+- contract/assert (requires, ensures, behaviors, asserts, loop invariants
+  and variants): code plus `==>`, quantifiers, `\\true`/`\\false`,
+  `\\separated` of pointer names, `\\old`, `\\at` with the labels Pre, Post,
+  Here and Old, `\\result` in the ensures of an int function, declared logic
+  functions and predicates (labels, arity and argument kinds checked), and
+  `\\callpure` of a pure int function without pointer formals. A contract
+  sees only the formals and globals; an assert sees the locals in scope
+  where it stands.
+- relational clause: the clause binders, globals and quantifier binders;
+  `\\callresult(id)` of an int call, `\\at(g, Pre_id|Post_id)` of a global
+  and `\\at(*p, ...)` of a pointer formal of call id's callee; logic
+  applications, predicates without labels, and `\\callpure` as above
+  without `\\at` in its arguments. No bare `*p`, `\\old`, `\\result` or
+  `\\separated`. Call arguments see the binders only, and no call labels.
+- lemma (and predicate `reads`): globals, quantifier binders (predicate
+  parameters for `reads`), `\\at` with the declared labels, and logic
+  applications. No `\\old`, `\\result` or `\\callresult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from .minic import (
     INT, PTR, VOID, BUILTIN_LABELS,
     Program, FunctionDef, AssignsClause,
     RelationalClause, CallSpec,
-    PredicateDecl, LogicFnDecl,
+    PredicateDecl, LogicFnDecl, Lemma,
     Stmt, DeclStmt, AssignStmt, CallStmt, IfStmt, WhileStmt, ReturnStmt,
     AssertStmt,
-    Term, FloatLit, Var, Deref, Bin, CallResult, At, CallPure,
+    FloatLit, Var, Deref, Bin, CallResult, At, CallPure,
     OldTerm, ResultTerm, LogicApp,
-    Pred, PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
+    PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
     Loc, GlobalLoc, DerefLoc, ResultLoc, FormalLoc,
     Diagnostic, rel_label, walk,
@@ -214,21 +240,47 @@ def _loc_str(loc: Loc) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _FnScope:
-    def __init__(self, fn: FunctionDef, program: Program):
-        self.fn = fn
-        self.program = program
-        self.formals = {p.name: p.ty for p in fn.formals}
-        self.locals: dict[str, str] = {}   # currently visible
-        self.declared: set[str] = set()    # ever declared (no shadowing)
-        self.globals = {g.name: g.ty for g in program.globals}
+# Where an expression or annotation appears; see the module docstring.
+CODE, CONTRACT, CLAUSE, LEMMA = "code", "contract", "clause", "lemma"
+
+_BUILTIN = dict.fromkeys(BUILTIN_LABELS)
+
+# What code may not mention; all but `==>` also stop the walk.
+_NOT_CODE = {
+    PImp: "==> is not a program operator",
+    PForall: "quantifiers are not program expressions",
+    PExists: "quantifiers are not program expressions",
+    Separated: "\\separated is not a program expression",
+    PredApp: "predicate application in program expression",
+    PBool: "\\true/\\false are not program expressions",
+    **dict.fromkeys((CallResult, At, CallPure, OldTerm, ResultTerm, LogicApp),
+                    "logic construct in program expression"),
+}
+
+
+@dataclass
+class _Scope:
+    """What an expression may mention where it appears. Built once per
+    annotation, statement sequence or quantifier, never per node."""
+
+    program: Program
+    ctx: str                      # CODE, CONTRACT, CLAUSE or LEMMA
+    names: dict[str, str]         # visible names other than globals -> type
+    globals: dict[str, str]
+    result: bool = False          # \result is visible
+    # The labels that exist; a clause's Pre_<id>/Post_<id> map to <id>.
+    labels: dict[str, Optional[str]] = field(default_factory=dict)
+    # A clause's call ids -> their callees (None if undefined).
+    calls: dict[str, Optional[FunctionDef]] = field(default_factory=dict)
+    where: str = ""               # message prefix: "R: " in clause or lemma R
+    unbound: str = "undefined variable {}"  # how a name not visible is reported
 
     def type_of(self, name: str) -> str | None:
-        if name in self.locals:
-            return self.locals[name]
-        if name in self.formals:
-            return self.formals[name]
-        return self.globals.get(name)
+        ty = self.names.get(name)
+        return ty if ty is not None else self.globals.get(name)
+
+    def err(self, diags: list[Diagnostic], node, msg: str) -> None:
+        diags.append(_err(node.span, self.where + msg))
 
 
 def validate(program: Program) -> list[Diagnostic]:
@@ -255,10 +307,13 @@ def validate(program: Program) -> list[Diagnostic]:
             diags.append(_err(fn.span, f"{fn.name} is both a global and a function"))
 
     for name in sorted(global_names & set(logic_decls)):
-        diags.append(_err(None, f"{name} is both a global and a logic symbol"))
+        diags.append(_err(logic_decls[name].span,
+                          f"{name} is both a global and a logic symbol"))
 
+    base = _Scope(program, CODE, {}, {g.name: g.ty for g in program.globals})
+    fn_index = {f.name: i for i, f in enumerate(program.functions)}
     for fn in program.functions:
-        _validate_function(fn, program, logic_decls, diags)
+        _validate_function(fn, base, fn_index, diags)
 
     # Footprints are derived for every callee and every function a
     # relational clause reaches, so their assigns clauses must cover them.
@@ -269,7 +324,7 @@ def validate(program: Program) -> list[Diagnostic]:
             _check_assigns_coverage(fn, program, diags, fn.name in involved)
 
     for ax in program.axiomatics:
-        _validate_axiomatic(ax, program, diags)
+        _validate_axiomatic(ax, base, diags)
 
     return diags
 
@@ -303,34 +358,36 @@ def _check_assigns_coverage(fn: FunctionDef, program: Program,
                               f"{fn.name}: assigns clauses do not cover {_loc_str(loc)}"))
 
 
-def _validate_function(fn: FunctionDef, program: Program,
-                       logic_decls: dict, diags: list[Diagnostic]) -> None:
-    scope = _FnScope(fn, program)
-    seen_formals: set[str] = set()
+def _validate_function(fn: FunctionDef, base: _Scope, fn_index: dict[str, int],
+                       diags: list[Diagnostic]) -> None:
+    formals: dict[str, str] = {}
     for p in fn.formals:
-        if p.name in seen_formals:
+        if p.name in formals:
             diags.append(_err(p.span, f"duplicate formal {p.name} in {fn.name}"))
-        seen_formals.add(p.name)
-        if p.name in scope.globals:
+        formals[p.name] = p.ty
+        if p.name in base.globals:
             diags.append(_err(p.span, f"formal {p.name} shadows a global"))
 
-    _validate_stmts(fn.body, fn, scope, program, logic_decls, diags, in_loop=False)
+    _validate_stmts(fn.body, fn, replace(base, names=dict(formals)),
+                    set(formals), diags)
 
     if fn.ret == INT and not _must_return(fn.body):
         diags.append(_err(fn.span, f"{fn.name} may fall off the end without returning"))
 
+    # Contracts see the formals and globals, never the body's locals.
+    contract = replace(base, ctx=CONTRACT, names=formals, labels=_BUILTIN)
     for p in fn.contract.requires:
-        _validate_pred(p, scope, diags, ctx="requires")
+        _check(p, contract, diags)
+    ensures = replace(contract, result=fn.ret == INT)
     for p in fn.contract.ensures:
-        _validate_pred(p, scope, diags, ctx="ensures", ret=fn.ret)
+        _check(p, ensures, diags)
     for b in fn.contract.behaviors:
         for p in b.ensures:
-            _validate_pred(p, scope, diags, ctx="ensures", ret=fn.ret)
+            _check(p, ensures, diags)
     for a in fn.contract.assigns:
-        _validate_assigns(a, fn, scope, diags)
-    fn_index = {f.name: i for i, f in enumerate(program.functions)}
+        _validate_assigns(a, fn, base, diags)
     for clause in fn.contract.relational:
-        _validate_clause(clause, fn, program, diags, fn_index)
+        _validate_clause(clause, fn, base, fn_index, diags)
 
 
 def _must_return(stmts: tuple[Stmt, ...]) -> bool:
@@ -343,72 +400,61 @@ def _must_return(stmts: tuple[Stmt, ...]) -> bool:
     return False
 
 
-def _validate_stmts(stmts, fn, scope, program, logic_decls, diags, in_loop) -> None:
+def _validate_stmts(stmts, fn: FunctionDef, scope: _Scope, declared: set[str],
+                    diags: list[Diagnostic]) -> None:
+    """Check a body in its code scope, which each declaration extends;
+    `declared` holds every name declared so far (locals never shadow)."""
     for s in stmts:
         if isinstance(s, DeclStmt):
-            if s.name in scope.declared or s.name in scope.formals:
+            if s.name in declared:
                 diags.append(_err(s.span, f"redeclaration of {s.name}"))
             if s.name in scope.globals:
                 diags.append(_err(s.span, f"local {s.name} shadows a global"))
-            scope.declared.add(s.name)
-            scope.locals[s.name] = INT
+            declared.add(s.name)
+            scope.names[s.name] = INT
             if s.init is not None:
-                _validate_term(s.init, scope, diags, logic=False)
+                _check(s.init, scope, diags)
         elif isinstance(s, AssignStmt):
-            _validate_term(s.value, scope, diags, logic=False)
+            _check(s.value, scope, diags)
             if isinstance(s.target, Var):
                 ty = scope.type_of(s.target.name)
                 if ty is None:
                     diags.append(_err(s.span, f"assignment to undefined {s.target.name}"))
                 elif ty == PTR:
                     diags.append(_err(s.span, f"cannot reassign pointer {s.target.name}"))
-            elif isinstance(s.target, Deref):
-                _check_deref(s.target, scope, diags)
+            else:
+                _check(s.target, scope, diags)
         elif isinstance(s, CallStmt):
-            _validate_call(s, fn, scope, program, logic_decls, diags)
+            _validate_call(s, scope, diags)
         elif isinstance(s, IfStmt):
-            _validate_pred(s.cond, scope, diags, ctx="code")
-            visible = dict(scope.locals)
-            _validate_stmts(s.then, fn, scope, program, logic_decls, diags, in_loop)
-            scope.locals = dict(visible)
-            _validate_stmts(s.orelse, fn, scope, program, logic_decls, diags, in_loop)
-            scope.locals = visible
+            _check(s.cond, scope, diags)
+            for branch in (s.then, s.orelse):
+                _validate_stmts(branch, fn, replace(scope, names=dict(scope.names)),
+                                declared, diags)
         elif isinstance(s, WhileStmt):
-            _validate_pred(s.cond, scope, diags, ctx="code")
-            if s.invariant is not None:
-                _validate_pred(s.invariant, scope, diags, ctx="assert")
-            if s.variant is not None:
-                _validate_term(s.variant, scope, diags, logic=True)
-            visible = dict(scope.locals)
-            _validate_stmts(s.body, fn, scope, program, logic_decls, diags, True)
-            scope.locals = visible
+            _check(s.cond, scope, diags)
+            logic = replace(scope, ctx=CONTRACT, labels=_BUILTIN)
+            for annotation in (s.invariant, s.variant):
+                if annotation is not None:
+                    _check(annotation, logic, diags)
+            _validate_stmts(s.body, fn, replace(scope, names=dict(scope.names)),
+                            declared, diags)
         elif isinstance(s, ReturnStmt):
             if s.value is not None:
                 if fn.ret == VOID:
                     diags.append(_err(s.span, f"{fn.name} returns void"))
-                _validate_term(s.value, scope, diags, logic=False)
+                _check(s.value, scope, diags)
             elif fn.ret == INT:
                 diags.append(_err(s.span, f"{fn.name} must return a value"))
         elif isinstance(s, AssertStmt):
-            _validate_pred(s.pred, scope, diags, ctx="assert")
+            _check(s.pred, replace(scope, ctx=CONTRACT, labels=_BUILTIN), diags)
 
 
-def _check_deref(t: Deref, scope: _FnScope, diags: list[Diagnostic]) -> None:
-    ty = scope.type_of(t.name)
-    if ty is None:
-        diags.append(_err(t.span, f"dereference of undefined {t.name}"))
-    elif ty != PTR:
-        diags.append(_err(t.span, f"dereference of non-pointer {t.name}"))
-    elif t.name in scope.globals and t.name not in scope.formals \
-            and t.name not in scope.locals:
-        diags.append(_err(t.span,
-                          f"pointer globals such as {t.name} cannot be used"))
-
-
-def _validate_call(s: CallStmt, fn, scope, program, logic_decls, diags) -> None:
+def _validate_call(s: CallStmt, scope: _Scope, diags: list[Diagnostic]) -> None:
+    program = scope.program
     callee = program.function(s.callee)
     if callee is None:
-        decl = logic_decls.get(s.callee)
+        decl = program.logic_decls().get(s.callee)
         if isinstance(decl, LogicFnDecl):
             if len(s.args) != len(decl.params):
                 diags.append(_err(s.span,
@@ -428,7 +474,7 @@ def _validate_call(s: CallStmt, fn, scope, program, logic_decls, diags) -> None:
         if s.target is not None and callee.ret == VOID:
             diags.append(_err(s.span, f"{s.callee} returns no value"))
     for a in s.args:
-        _validate_term(a, scope, diags, logic=False)
+        _check(a, scope, diags)
     if s.target is not None:
         ty = scope.type_of(s.target)
         if ty is None:
@@ -437,111 +483,178 @@ def _validate_call(s: CallStmt, fn, scope, program, logic_decls, diags) -> None:
             diags.append(_err(s.span, f"cannot assign call result to pointer {s.target}"))
 
 
-def _validate_term(t: Term, scope: _FnScope, diags: list[Diagnostic],
-                   logic: bool, extra: dict[str, str] | None = None,
-                   ret=None) -> None:
-    env = extra or {}
-    if isinstance(t, FloatLit):
-        diags.append(_err(t.span, "float literals are not supported"))
-    elif isinstance(t, Var):
-        ty = env.get(t.name) or scope.type_of(t.name)
-        if ty is None:
-            diags.append(_err(t.span, f"undefined variable {t.name}"))
-    elif isinstance(t, Deref):
-        if t.name in env:
-            if env[t.name] != PTR:
-                diags.append(_err(t.span, f"dereference of non-pointer {t.name}"))
+def _check(n, scope: _Scope, diags: list[Diagnostic]) -> None:
+    """Check a term or predicate against what `scope` lets it mention: one
+    rule per construct, wherever the construct appears."""
+    if scope.ctx == CODE and type(n) in _NOT_CODE:
+        scope.err(diags, n, _NOT_CODE[type(n)])
+        if not isinstance(n, PImp):
+            return
+    if isinstance(n, Var):
+        if scope.type_of(n.name) is None:
+            scope.err(diags, n, scope.unbound.format(n.name))
+    elif isinstance(n, Bin):
+        for side in (n.left, n.right):
+            if isinstance(side, Var) and scope.type_of(side.name) == PTR:
+                scope.err(diags, side, f"pointer {side.name} used in arithmetic")
+            _check(side, scope, diags)
+    elif isinstance(n, (Cmp, PAnd, POr, PImp)):
+        _check(n.left, scope, diags)
+        _check(n.right, scope, diags)
+    elif isinstance(n, PNot):
+        _check(n.body, scope, diags)
+    elif isinstance(n, (PForall, PExists)):
+        names = dict(scope.names)
+        names.update((b.name, b.ty) for b in n.binders)
+        _check(n.body, replace(scope, names=names), diags)
+    elif isinstance(n, Deref):
+        ty = scope.type_of(n.name)
+        if scope.ctx == CLAUSE:
+            scope.err(diags, n, "bare dereference needs \\at with a call label")
+        elif ty is None:
+            scope.err(diags, n, f"dereference of undefined {n.name}")
+        elif ty != PTR:
+            scope.err(diags, n, f"dereference of non-pointer {n.name}")
+        elif n.name not in scope.names:
+            scope.err(diags, n, f"pointer globals such as {n.name} cannot be used")
+    elif isinstance(n, FloatLit):
+        scope.err(diags, n, "float literals are not supported")
+    elif isinstance(n, At):
+        _at_rule(n, scope, diags)
+    elif isinstance(n, CallResult):
+        if scope.ctx != CLAUSE:
+            scope.err(diags, n,
+                      "\\callresult is only meaningful inside a relational clause")
+        elif n.call_id not in scope.calls:
+            scope.err(diags, n,
+                      f"\\callresult references unknown call id {n.call_id}")
         else:
-            _check_deref(t, scope, diags)
-    elif isinstance(t, Bin):
-        for side in (t.left, t.right):
-            if isinstance(side, Var):
-                ty = env.get(side.name) or scope.type_of(side.name)
-                if ty == PTR:
-                    diags.append(_err(side.span,
-                                      f"pointer {side.name} used in arithmetic"))
-        _validate_term(t.left, scope, diags, logic, extra, ret)
-        _validate_term(t.right, scope, diags, logic, extra, ret)
-    elif isinstance(t, (CallResult, At, CallPure, OldTerm, ResultTerm, LogicApp)):
-        if not logic:
-            diags.append(_err(t.span, "logic construct in program expression"))
+            callee = scope.calls[n.call_id]
+            if callee is None or callee.ret != INT:
+                scope.err(diags, n, f"call {n.call_id} returns no value")
+    elif isinstance(n, CallPure):
+        _callpure_rule(n, scope, diags)
+    elif isinstance(n, (OldTerm, ResultTerm)):
+        if scope.ctx in (CLAUSE, LEMMA):
+            kind = "relational" if scope.ctx == CLAUSE else "lemma"
+            scope.err(diags, n, f"\\old/\\result are not {kind} constructs")
+        elif isinstance(n, OldTerm):
+            _check(n.term, scope, diags)
+        elif not scope.result:
+            scope.err(diags, n, "\\result outside an int function's ensures")
+    elif isinstance(n, LogicApp):
+        decl = scope.program.logic_decls().get(n.name)
+        if not isinstance(decl, LogicFnDecl):
+            scope.err(diags, n, f"unknown logic function {n.name}")
+        elif len(n.args) != len(decl.params):
+            scope.err(diags, n, f"{n.name} expects {len(decl.params)} arguments")
+        for a in n.args:
+            _check(a, scope, diags)
+    elif isinstance(n, PredApp):
+        _predapp_rule(n, scope, diags)
+    elif isinstance(n, Separated):
+        if scope.ctx == CLAUSE:
+            scope.err(diags, n, "\\separated is generated, not written, "
+                                "in relational predicates")
             return
-        if isinstance(t, OldTerm):
-            _validate_term(t.term, scope, diags, logic, extra, ret)
-        elif isinstance(t, ResultTerm):
-            if ret != INT:
-                diags.append(_err(t.span, "\\result outside an int function's ensures"))
-        elif isinstance(t, At):
-            if t.label not in BUILTIN_LABELS:
-                diags.append(_err(t.span,
-                                  f"label {t.label} is only meaningful inside a "
-                                  "relational clause"))
-            if not isinstance(t.base, (Var, Deref)):
-                diags.append(_err(t.span, "\\at expects a variable or dereference"))
-            else:
-                _validate_term(t.base, scope, diags, logic, extra, ret)
-        elif isinstance(t, (CallPure, LogicApp)):
-            for a in t.args:
-                _validate_term(a, scope, diags, logic, extra, ret)
+        for side in (n.left, n.right):
+            if not isinstance(side, Var):
+                scope.err(diags, n, "\\separated expects pointer names")
+            elif scope.type_of(side.name) != PTR:
+                scope.err(diags, side, f"\\separated expects pointers, got {side.name}")
 
 
-def _validate_pred(p: Pred, scope: _FnScope, diags: list[Diagnostic],
-                   ctx: str, extra: dict[str, str] | None = None,
-                   ret=None) -> None:
-    logic = ctx != "code"
-    allow_result = INT if (ctx == "ensures" and ret == INT) else None
-    if isinstance(p, Cmp):
-        _validate_term(p.left, scope, diags, logic, extra, allow_result)
-        _validate_term(p.right, scope, diags, logic, extra, allow_result)
-    elif isinstance(p, (PAnd, POr, PImp)):
-        if isinstance(p, PImp) and ctx == "code":
-            diags.append(_err(p.span, "==> is not a program operator"))
-        _validate_pred(p.left, scope, diags, ctx, extra, ret)
-        _validate_pred(p.right, scope, diags, ctx, extra, ret)
-    elif isinstance(p, PNot):
-        _validate_pred(p.body, scope, diags, ctx, extra, ret)
-    elif isinstance(p, (PForall, PExists)):
-        if ctx == "code":
-            diags.append(_err(p.span, "quantifiers are not program expressions"))
-            return
-        inner = dict(extra or {})
-        for b in p.binders:
-            inner[b.name] = b.ty
-        _validate_pred(p.body, scope, diags, ctx, inner, ret)
-    elif isinstance(p, Separated):
-        if ctx == "code":
-            diags.append(_err(p.span, "\\separated is not a program expression"))
-            return
-        for side in (p.left, p.right):
-            if isinstance(side, Var):
-                ty = (extra or {}).get(side.name) or scope.type_of(side.name)
-                if ty != PTR:
-                    diags.append(_err(side.span,
-                                      f"\\separated expects pointers, got {side.name}"))
-            else:
-                diags.append(_err(p.span, "\\separated expects pointer names"))
-    elif isinstance(p, PredApp):
-        if ctx == "code":
-            diags.append(_err(p.span, "predicate application in program expression"))
-            return
-        decl = scope.program.logic_decls().get(p.name)
-        if not isinstance(decl, PredicateDecl):
-            diags.append(_err(p.span, f"unknown predicate {p.name}"))
+def _unknown_label(scope: _Scope, label: str) -> str:
+    if scope.ctx == CONTRACT:
+        return f"label {label} is only meaningful inside a relational clause"
+    if scope.ctx == CLAUSE:
+        if rel_label(label) is None:
+            return f"label {label} is not Pre_<id> or Post_<id>"
+        return f"label {label} references an unknown call id"
+    return f"unknown label {label}"
+
+
+def _at_rule(t: At, scope: _Scope, diags: list[Diagnostic]) -> None:
+    if t.label not in scope.labels:
+        scope.err(diags, t, _unknown_label(scope, t.label))
+        return
+    base = t.base
+    call_id = scope.labels[t.label]
+    if not isinstance(base, (Var, Deref)):
+        scope.err(diags, t, "\\at expects a variable or dereference")
+    elif call_id is None:
+        _check(base, scope, diags)
+    elif isinstance(base, Var):
+        # A call label names the state of that call: its globals ...
+        if base.name not in scope.globals:
+            scope.err(diags, t, f"\\at expects a global, got {base.name}")
+    else:
+        # ... and the cells behind its callee's pointer formals.
+        callee = scope.calls.get(call_id)
+        if callee is None or all(p.name != base.name or p.ty != PTR
+                                 for p in callee.formals):
+            scope.err(diags, t, f"*{base.name} is not a pointer formal of "
+                                "the call's callee")
+
+
+def _callpure_rule(t: CallPure, scope: _Scope, diags: list[Diagnostic]) -> None:
+    callee = scope.program.function(t.callee)
+    if callee is None:
+        scope.err(diags, t, f"unknown function {t.callee}")
+    else:
+        n_int = sum(p.ty == INT for p in callee.formals)
+        if len(t.args) != n_int:
+            scope.err(diags, t, f"{t.callee} takes {n_int} int arguments, "
+                                f"got {len(t.args)}")
+        if callee.ret != INT:
+            scope.err(diags, t, f"{t.callee} returns no value")
+        elif n_int < len(callee.formals):
+            # Its mirror would be a predicate over labels, not a function.
+            scope.err(diags, t, f"\\callpure callee {t.callee} takes a pointer")
         else:
-            if len(p.labels) != len(decl.labels):
-                diags.append(_err(p.span,
-                                  f"{p.name} expects {len(decl.labels)} labels"))
-            if len(p.args) != len(decl.params):
-                diags.append(_err(p.span,
-                                  f"{p.name} expects {len(decl.params)} arguments"))
-        for a in p.args:
-            _validate_term(a, scope, diags, True, extra, ret)
-    elif isinstance(p, PBool):
-        if ctx == "code":
-            diags.append(_err(p.span, "\\true/\\false are not program expressions"))
+            try:
+                pure = footprint_of(callee, scope.program).is_pure
+            except (MissingAssigns, UnknownCallee):
+                pure = True  # the coverage check reports the fault
+            if not pure:
+                scope.err(diags, t, f"\\callpure callee {t.callee} is not pure")
+    if t.depth < 1:
+        scope.err(diags, t, "inlining option must be >= 1")
+    if scope.ctx == CLAUSE:
+        for n in walk(t.args):
+            if isinstance(n, At):
+                scope.err(diags, n, "\\at is not allowed in \\callpure arguments")
+    for a in t.args:
+        _check(a, scope, diags)
 
 
-def _validate_assigns(a: AssignsClause, fn: FunctionDef, scope: _FnScope,
+def _predapp_rule(p: PredApp, scope: _Scope, diags: list[Diagnostic]) -> None:
+    decl = scope.program.logic_decls().get(p.name)
+    if not isinstance(decl, PredicateDecl):
+        scope.err(diags, p, f"unknown predicate {p.name}")
+    else:
+        if len(p.labels) != len(decl.labels):
+            scope.err(diags, p, f"{p.name} expects {len(decl.labels)} labels")
+        for label in p.labels:
+            if label not in scope.labels:
+                scope.err(diags, p, _unknown_label(scope, label))
+            elif scope.labels[label] is not None:
+                # A call label names one call's copy of the state.
+                scope.err(diags, p, f"{p.name} cannot take the call label {label}")
+        if len(p.args) != len(decl.params):
+            scope.err(diags, p, f"{p.name} expects {len(decl.params)} arguments")
+        else:
+            # A pointer parameter takes a pointer name, an int one a term.
+            for param, a in zip(decl.params, p.args):
+                is_ptr = isinstance(a, Var) and scope.type_of(a.name) == PTR
+                if is_ptr != (param.ty == PTR):
+                    kind = "a pointer name" if param.ty == PTR else "an integer"
+                    scope.err(diags, p, f"{p.name} expects {kind} for {param.name}")
+    for a in p.args:
+        _check(a, scope, diags)
+
+
+def _validate_assigns(a: AssignsClause, fn: FunctionDef, scope: _Scope,
                       diags: list[Diagnostic]) -> None:
     formals = {p.name: p.ty for p in fn.formals}
 
@@ -572,179 +685,67 @@ def _validate_assigns(a: AssignsClause, fn: FunctionDef, scope: _FnScope,
         check(s, False)
 
 
-def _validate_clause(clause: RelationalClause, fn: FunctionDef, program: Program,
-                     diags: list[Diagnostic], fn_index: dict[str, int]) -> None:
-    binder_env: dict[str, str] = {}
+def _validate_clause(clause: RelationalClause, fn: FunctionDef, base: _Scope,
+                     fn_index: dict[str, int], diags: list[Diagnostic]) -> None:
+    """Structure of a clause (binders, call ids, callee order, argument
+    counts), then its call arguments and predicate through `_check`."""
+    where = f"{clause.name}: "
+    binders: dict[str, str] = {}
     for b in clause.binders:
         if b.ty == PTR:
-            diags.append(_err(b.span,
-                              f"{clause.name}: clause binders must have type int"))
-        if b.name in binder_env:
-            diags.append(_err(b.span, f"{clause.name}: duplicate binder {b.name}"))
-        binder_env[b.name] = INT
+            diags.append(_err(b.span, f"{where}clause binders must have type int"))
+        if b.name in binders:
+            diags.append(_err(b.span, f"{where}duplicate binder {b.name}"))
+        binders[b.name] = INT
 
-    ids: set[str] = set()
-    int_returning: set[str] = set()
+    # Arguments are evaluated before any call, from the binders alone.
+    args = replace(base, ctx=CLAUSE, names=binders, globals={}, where=where,
+                   unbound="call argument uses {}, which is not a clause binder")
+    calls: dict[str, Optional[FunctionDef]] = {}
+    labels: dict[str, Optional[str]] = {}
     for cs in clause.calls:
-        if cs.call_id in ids:
-            diags.append(_err(cs.span,
-                              f"{clause.name}: duplicate call id {cs.call_id}"))
-        ids.add(cs.call_id)
+        if cs.call_id in calls:
+            diags.append(_err(cs.span, f"{where}duplicate call id {cs.call_id}"))
         if cs.depth < 1:
-            diags.append(_err(cs.span, f"{clause.name}: inlining option must be >= 1"))
-        callee = program.function(cs.callee)
+            diags.append(_err(cs.span, f"{where}inlining option must be >= 1"))
+        callee = calls[cs.call_id] = base.program.function(cs.callee)
+        labels[f"Pre_{cs.call_id}"] = labels[f"Post_{cs.call_id}"] = cs.call_id
         if callee is None:
-            diags.append(_err(cs.span, f"{clause.name}: unknown function {cs.callee}"))
+            diags.append(_err(cs.span, f"{where}unknown function {cs.callee}"))
             continue
         if fn_index.get(cs.callee, 0) > fn_index.get(fn.name, 0):
             diags.append(_err(cs.span,
-                              f"{clause.name}: {cs.callee} is declared after {fn.name}; "
+                              f"{where}{cs.callee} is declared after {fn.name}; "
                               "a relational clause belongs to the last function involved"))
-        if callee.ret == INT:
-            int_returning.add(cs.call_id)
         int_formals = [p for p in callee.formals if p.ty == INT]
         if len(cs.args) != len(int_formals):
             diags.append(_err(cs.span,
-                              f"{clause.name}: {cs.callee} takes {len(int_formals)} "
+                              f"{where}{cs.callee} takes {len(int_formals)} "
                               f"int arguments, got {len(cs.args)}"))
         for a in cs.args:
-            free = {n.name for n in walk(a) if isinstance(n, Var)}
-            for name in sorted(free - set(binder_env)):
-                diags.append(_err(cs.span,
-                                  f"{clause.name}: call argument uses {name}, "
-                                  "which is not a clause binder"))
-            _check_callpure(a, clause, program, diags)
+            _check(a, args, diags)
 
-    _validate_clause_pred(clause.pred, clause, fn, program, diags,
-                          binder_env, ids, int_returning)
+    _check(clause.pred, replace(base, ctx=CLAUSE, names=binders, labels=labels,
+                                calls=calls, where=where), diags)
 
 
-def _check_callpure(t: Term, clause, program, diags) -> None:
-    if isinstance(t, CallPure):
-        callee = program.function(t.callee)
-        if callee is None:
-            diags.append(_err(t.span,
-                              f"{clause.name}: unknown function {t.callee}"))
-        else:
-            try:
-                fp = footprint_of(callee, program)
-            except (MissingAssigns, UnknownCallee):
-                fp = None
-            if fp is not None and not fp.is_pure:
-                diags.append(_err(t.span,
-                                  f"{clause.name}: \\callpure callee {t.callee} "
-                                  "is not pure"))
-        if t.depth < 1:
-            diags.append(_err(t.span, f"{clause.name}: inlining option must be >= 1"))
-        for a in t.args:
-            _check_callpure(a, clause, program, diags)
-    elif isinstance(t, Bin):
-        _check_callpure(t.left, clause, program, diags)
-        _check_callpure(t.right, clause, program, diags)
-    elif isinstance(t, At):
-        diags.append(_err(t.span,
-                          f"{clause.name}: \\at is not allowed in \\callpure arguments"))
-
-
-def _validate_clause_pred(p: Pred, clause, fn, program, diags,
-                          binder_env, ids, int_returning,
-                          extra: dict[str, str] | None = None) -> None:
-    env = dict(binder_env)
-    if extra:
-        env.update(extra)
-    globals_ = {g.name for g in program.globals}
-
-    def term(t: Term) -> None:
-        if isinstance(t, FloatLit):
-            diags.append(_err(t.span, "float literals are not supported"))
-        elif isinstance(t, Var):
-            if t.name not in env and t.name not in globals_:
-                diags.append(_err(t.span,
-                                  f"{clause.name}: undefined variable {t.name}"))
-        elif isinstance(t, Deref):
-            diags.append(_err(t.span,
-                              f"{clause.name}: bare dereference needs \\at with a "
-                              "call label"))
-        elif isinstance(t, Bin):
-            term(t.left)
-            term(t.right)
-        elif isinstance(t, CallResult):
-            if t.call_id not in ids:
-                diags.append(_err(t.span,
-                                  f"{clause.name}: \\callresult references unknown "
-                                  f"call id {t.call_id}"))
-            elif t.call_id not in int_returning:
-                diags.append(_err(t.span,
-                                  f"{clause.name}: call {t.call_id} returns no value"))
-        elif isinstance(t, At):
-            parsed = rel_label(t.label)
-            if parsed is None:
-                diags.append(_err(t.span,
-                                  f"{clause.name}: label {t.label} is not "
-                                  "Pre_<id> or Post_<id>"))
-            elif parsed[1] not in ids:
-                diags.append(_err(t.span,
-                                  f"{clause.name}: label {t.label} references "
-                                  "an unknown call id"))
-            else:
-                cid = parsed[1]
-                callee = next((program.function(c.callee)
-                               for c in clause.calls if c.call_id == cid), None)
-                if isinstance(t.base, Var):
-                    if t.base.name not in globals_:
-                        diags.append(_err(t.span,
-                                          f"{clause.name}: \\at expects a global, "
-                                          f"got {t.base.name}"))
-                elif isinstance(t.base, Deref):
-                    if callee is None or all(
-                            p.name != t.base.name or p.ty != PTR
-                            for p in callee.formals):
-                        diags.append(_err(t.span,
-                                          f"{clause.name}: *{t.base.name} is not a "
-                                          f"pointer formal of the call's callee"))
-                else:
-                    diags.append(_err(t.span, "\\at expects a variable or dereference"))
-        elif isinstance(t, CallPure):
-            _check_callpure(t, clause, program, diags)
-            for a in t.args:
-                term(a)
-        elif isinstance(t, (OldTerm, ResultTerm)):
-            diags.append(_err(t.span,
-                              f"{clause.name}: \\old/\\result are not relational "
-                              "constructs"))
-        elif isinstance(t, LogicApp):
-            for a in t.args:
-                term(a)
-
-    if isinstance(p, Cmp):
-        term(p.left)
-        term(p.right)
-    elif isinstance(p, (PAnd, POr, PImp)):
-        _validate_clause_pred(p.left, clause, fn, program, diags,
-                              binder_env, ids, int_returning, extra)
-        _validate_clause_pred(p.right, clause, fn, program, diags,
-                              binder_env, ids, int_returning, extra)
-    elif isinstance(p, PNot):
-        _validate_clause_pred(p.body, clause, fn, program, diags,
-                              binder_env, ids, int_returning, extra)
-    elif isinstance(p, (PForall, PExists)):
-        inner = dict(extra or {})
-        for b in p.binders:
-            inner[b.name] = b.ty
-        _validate_clause_pred(p.body, clause, fn, program, diags,
-                              binder_env, ids, int_returning, inner)
-    elif isinstance(p, Separated):
-        diags.append(_err(p.span,
-                          f"{clause.name}: \\separated is generated, not written, "
-                          "in relational predicates"))
-    elif isinstance(p, PredApp):
-        for a in p.args:
-            term(a)
-
-
-def _validate_axiomatic(ax, program: Program, diags: list[Diagnostic]) -> None:
+def _validate_axiomatic(ax, base: _Scope, diags: list[Diagnostic]) -> None:
     seen: set[str] = set()
     for item in ax.items:
         if item.name in seen:
             diags.append(_err(item.span, f"duplicate axiomatic item {item.name}"))
         seen.add(item.name)
+        if isinstance(item, Lemma):
+            lemma = replace(base, ctx=LEMMA, labels=dict.fromkeys(item.labels),
+                            where=f"{item.name}: ")
+            _check(item.body, lemma, diags)
+        elif isinstance(item, PredicateDecl) and item.reads:
+            scope = replace(base, ctx=LEMMA,
+                            names={p.name: p.ty for p in item.params},
+                            labels=dict.fromkeys(item.labels),
+                            where=f"{item.name}: ")
+            for r in item.reads:
+                if isinstance(r, At):
+                    _check(r, scope, diags)
+                else:
+                    scope.err(diags, item, "reads expects \\at(location, label)")

@@ -44,7 +44,7 @@ from typing import Optional
 from .minic import (
     INT, VOID,
     Program, FunctionDef,
-    PredicateDecl, Lemma,
+    Lemma,
     Stmt, DeclStmt, AssignStmt, CallStmt, IfStmt, WhileStmt, ReturnStmt,
     AssertStmt,
     Term, IntLit, Var, Deref, Bin, At, CallPure,
@@ -110,10 +110,6 @@ def _target(t: Term) -> str:
 StateEnv = dict[str, TermF]  # logic-variable name -> term
 
 
-class CompileError(Exception):
-    pass
-
-
 def compile_term(t: Term, bound: frozenset[str] = frozenset()) -> TermF:
     """Compile a contract-level term over canonical names: `x` and `p$cell`
     for the current state, `x$pre` for `\\old` and `\\at(·, Pre|Old)`,
@@ -142,8 +138,6 @@ def _compile_term(t: Term, suffix: str, bound: frozenset[str]) -> TermF:
             return _compile_term(t.base, suffix, bound)
         if t.label in ("Pre", "Old"):
             return _compile_term(t.base, "$pre", bound)
-        if not isinstance(t.base, (Var, Deref)):
-            raise CompileError("\\at expects a variable or dereference")
         if isinstance(t.base, Var) and t.base.name in bound:
             return IVar(t.base.name)
         return IVar(f"{t.base.name}${t.label}")
@@ -155,7 +149,7 @@ def _compile_term(t: Term, suffix: str, bound: frozenset[str]) -> TermF:
     if isinstance(t, CallPure):
         return IApp(acsl_symbol(t.callee),
                     tuple(_compile_term(a, suffix, bound) for a in t.args))
-    raise CompileError(f"cannot compile term {t!r}")
+    raise TypeError(f"cannot compile term {t!r}")
 
 
 def scalarize_predapp(p: PredApp, program: Program,
@@ -166,9 +160,7 @@ def scalarize_predapp(p: PredApp, program: Program,
     every location of the `reads` footprint contributes its value at each
     instance label, in declaration order with the earlier label first.
     """
-    decl = program.logic_decls().get(p.name)
-    if not isinstance(decl, PredicateDecl):
-        raise CompileError(f"unknown predicate {p.name}")
+    decl = program.logic_decls()[p.name]
     if not decl.labels:
         return FApp(p.name, tuple(compile_term(a, bound) for a in p.args))
     label_map = dict(zip(decl.labels, p.labels))
@@ -179,20 +171,13 @@ def scalarize_predapp(p: PredApp, program: Program,
         if param.ty == INT:
             args.append(compile_term(arg, bound))
     bases: list[Term] = []
-    for r in decl.reads:
-        assert isinstance(r, At)
+    for r in decl.reads:  # each an \at, as validated
         if r.base not in bases:
             bases.append(r.base)
     for base in bases:
-        if isinstance(base, Deref):
-            inst = by_param.get(base.name)
-            if not isinstance(inst, Var):
-                raise CompileError(
-                    f"{p.name}: pointer parameter {base.name} must be "
-                    "instantiated with a pointer name")
-            resolved: Term = Deref(inst.name)
-        else:
-            resolved = base
+        # A pointer parameter is instantiated with a pointer name.
+        resolved = Deref(by_param[base.name].name) \
+            if isinstance(base, Deref) else base
         for decl_label in decl.labels:
             args.append(compile_term(At(resolved, label_map[decl_label])))
     return FApp(p.name, tuple(args))
@@ -231,7 +216,7 @@ def compile_pred(p: Pred, program: Program,
         return TRUE
     if isinstance(p, PredApp):
         return scalarize_predapp(p, program, bound)
-    raise CompileError(f"cannot compile predicate {p!r}")
+    raise TypeError(f"cannot compile predicate {p!r}")
 
 
 def compile_lemma(lemma: Lemma, program: Program) -> Form:
@@ -567,10 +552,10 @@ def vcs_for(transformed: TransformedProgram,
     clauses. A wrapper assertion never sees the lemma of its own clause.
     """
     program = transformed.program
-    lemma_forms: dict[str, Form] = {}
-    for ax in program.axiomatics:
-        for lem in ax.lemmas():
-            lemma_forms[lem.name] = compile_lemma(lem, program)
+    # Only the generated lemmas can be admitted; source lemmas are not
+    # compiled.
+    lemma_forms = {lem.name: compile_lemma(lem, program)
+                   for e in transformed.entries for lem in e.axiomatic.lemmas()}
     admitted_set = set(admitted) & set(lemma_forms)
 
     wrapper_names = {e.wrapper.fn.name: e for e in transformed.entries}

@@ -1,6 +1,9 @@
 """The command-line driver: exit codes and artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ from relprop.parser import parse_program
 from relprop.minic import Program
 
 from conftest import corpus_path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args) -> int:
@@ -60,6 +65,28 @@ def test_prove_fig2_exits_0_and_emits_smt(tmp_path, capsys):
     index = json.loads((tmp_path / "vc_index.json").read_text())
     wrapper = index["vcs"]["relational_wrapper_1__Rpp"]
     assert wrapper["status"] == "valid"
+
+
+def test_prove_writes_no_script_for_a_lemma(tmp_path):
+    # A lemma VC takes its wrapper's status; its entry stays in the index.
+    assert run(["prove", corpus_path("fig2.mc"), "-o", tmp_path]) == 0
+    index = json.loads((tmp_path / "vc_index.json").read_text())
+    assert index["vcs"]["lemma__Relational_lemma_1"]["status"] == "valid"
+    assert sorted(p.name for p in (tmp_path / "smt").iterdir()) == [
+        "relational_wrapper_1__Rpp.smt2"]
+
+
+def test_prove_rejects_callresult_in_a_contract_without_a_traceback(tmp_path):
+    src = tmp_path / "t.mc"
+    src.write_text("/*@ ensures \\result == \\callresult(id1); */\n"
+                   "int f(int x) { return x; }\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "relprop.cli", "prove", str(src),
+                           "-o", str(tmp_path / "out"), "--bound", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"{src}:1:24: error: \\callresult is only meaningful "
+                           "inside a relational clause\n")
 
 
 def test_prove_counterexample_exits_1(tmp_path, capsys):

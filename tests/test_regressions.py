@@ -1,7 +1,8 @@
 """Regression tests for defects of the hand-written walkers, the recursive
 footprint, the unbounded interpreter recursion, int64 wraparound in the
 vectorized bounded check, variable capture when a callee's contract is
-bound to a call, `\\old` of a logic binder and a mirror declared twice."""
+bound to a call, `\\old` of a logic binder, a mirror declared twice and
+lemma names for globals."""
 
 import importlib
 
@@ -17,6 +18,7 @@ from relprop.logic import FCmp, ICon, IOp, IVar
 from relprop.interp import AssertViolated, interpret
 from relprop.minic import GlobalLoc, Program
 from relprop.parser import parse_program
+from relprop.pretty import pred_str
 from relprop.prove import prove_program
 from relprop.selfcomp import transform
 from relprop.validate import MissingAssigns, footprint_of, validate
@@ -427,3 +429,63 @@ def test_source_declared_mirror_is_not_declared_again(tmp_path):
     assert run_cli(tmp_path, "transform", src) == 0
     text = (tmp_path / "out" / "t.transformed.mc").read_text(encoding="utf-8")
     assert text.count("h_acsl(integer") == 1
+
+
+# -- a global that a call leaves alone keeps its name in the lemma ---------------
+
+
+UNTOUCHED_GLOBAL = """
+int y;
+int z;
+
+/*@ assigns y \\from y;
+    relational R: \\callset(\\call(h, id1), \\call(h, id2))
+      ==> \\at(z, Pre_id1) == \\at(z, Post_id2);
+*/
+void h() {
+  y = y + 1;
+  return;
+}
+"""
+
+# k has a pointer formal, so its mirror is label-parameterized and reads g
+# at its labels.
+LABELLED_GLOBAL = """
+int g;
+
+/*@ assigns *p \\from *p, g;
+    assigns g \\from g;
+    relational R: \\callset(\\call(k, id1), \\call(k, id2))
+      ==> \\at(g, Pre_id1) == \\at(g, Pre_id2)
+      ==> \\at(g, Post_id1) == \\at(g, Post_id2);
+*/
+void k(int *p) {
+  *p = *p + g;
+  g = g + 1;
+  return;
+}
+"""
+
+
+def _lemma_text(src: str) -> str:
+    t = transform(parse(src))
+    (lemma,) = t.entries[0].axiomatic.lemmas()
+    return pred_str(lemma.body)
+
+
+def test_lemma_keeps_the_name_of_an_untouched_global():
+    # No call of the clause touches z, so no binder names its per-call
+    # values: `z_id1_pre == z_id2_post` would be quantified on its own and
+    # make any two integers equal.
+    text = _lemma_text(UNTOUCHED_GLOBAL)
+    assert text.endswith("h_acsl(y_id1_pre, y_id1_post) ==> z == z")
+    assert "z_id" not in text
+
+
+def test_lemma_reads_a_labelled_callee_global_at_the_call_labels():
+    # The mirror k_acsl{pre, post} reads \at(g, pre) and \at(g, post), so
+    # the lemma must name g's values at the same labels.
+    text = _lemma_text(LABELLED_GLOBAL)
+    assert text.endswith("\\at(g, pre_id1) == \\at(g, pre_id2) ==> "
+                         "\\at(g, post_id1) == \\at(g, post_id2)")
+    assert "g_id" not in text
