@@ -8,13 +8,22 @@ All nodes are immutable; substitution is capture-avoiding. Formulas are
 dags: a subterm may be shared by many parents, rewrites return the nodes
 they leave unchanged as they are, and every traversal visits each distinct
 node once.
+
+Each node keeps its derived analyses: its free variables, uninterpreted
+symbols and whether it contains a quantifier (`free_vars`, `symbols`,
+`has_quantifier`, all read from one children-first pass that stops at
+nodes already analysed), and its `simplify` result. This is safe because a
+node never changes, so an answer computed once stays right, and because
+the cache is not a dataclass field, so it never enters eq, hash or repr.
+A node shared by many VCs, or asked about by several layers, is analysed
+once.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 # -- terms -------------------------------------------------------------------
@@ -184,40 +193,86 @@ def dag_walk(root: Union[TermF, Form]):
                      if id(c) not in seen)
 
 
-_NO_VARS: frozenset[str] = frozenset()
+# Derived analyses live on the node they describe, in its `__dict__` but
+# not among its fields: a node is immutable, so what is computed from it
+# once stays true, and the cache never takes part in eq, hash or repr.
+# `_FACTS` holds the facts pass's result. `_SIMPLIFIED` holds `simplify`'s,
+# or `True` when that is the node itself: a reference to itself would keep
+# the node alive until the cycle collector runs.
+_FACTS = "_facts"
+_SIMPLIFIED = "_simplified"
 
 
-def free_vars(root: Union[TermF, Form]) -> set[str]:
+class _Facts(NamedTuple):
+    free: frozenset[str]                 # free variables
+    symbols: dict[str, tuple[int, str]]  # name -> (arity, "int" | "bool")
+    quantified: bool                     # contains a quantifier
+
+
+_NO_FACTS = _Facts(frozenset(), {}, False)
+
+
+def _node_facts(n, kids: list[_Facts]) -> _Facts:
+    """One node's facts from its children's. A child's set or dict that
+    already holds the others is reused, not copied."""
+    if isinstance(n, IVar):
+        return _Facts(frozenset((n.name,)), {}, False)
+    if not kids:
+        return _NO_FACTS
+    free, syms, quantified = kids[0]
+    for k in kids[1:]:
+        if not k.free <= free:
+            free = k.free if free <= k.free else free | k.free
+        if not k.symbols.items() <= syms.items():
+            syms = k.symbols if syms.items() <= k.symbols.items() \
+                else {**syms, **k.symbols}
+        quantified = quantified or k.quantified
+    if isinstance(n, FQuant):
+        return _Facts(free - set(n.vars), syms, True)
+    if isinstance(n, (IApp, FApp)):
+        name = n.fn if isinstance(n, IApp) else n.pred
+        sig = (len(n.args), "int" if isinstance(n, IApp) else "bool")
+        if syms.get(name) != sig:
+            syms = {**syms, name: sig}
+    if len(kids) == 1 and syms is kids[0].symbols:
+        return kids[0]
+    return _Facts(free, syms, quantified)
+
+
+def _facts(root: Union[TermF, Form]) -> _Facts:
+    """The facts of `root`, computed once per node: one iterative pass,
+    children first, that stops at nodes already analysed."""
+    done = root.__dict__.get(_FACTS)
+    if done is not None:
+        return done
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if _FACTS in node.__dict__:
+            continue
+        kids = children(node)
+        if expanded:
+            node.__dict__[_FACTS] = _node_facts(
+                node, [c.__dict__[_FACTS] for c in kids])
+            continue
+        stack.append((node, True))
+        stack.extend((c, False) for c in reversed(kids)
+                     if _FACTS not in c.__dict__)
+    return root.__dict__[_FACTS]
+
+
+def free_vars(root: Union[TermF, Form]) -> frozenset[str]:
     """Free variables of a term or formula."""
-    fv: dict[int, frozenset[str]] = {}
-    for n in dag_walk(root):
-        if isinstance(n, IVar):
-            out = frozenset((n.name,))
-        else:
-            out = _NO_VARS
-            for c in children(n):
-                kid = fv[id(c)]
-                if kid is not out and not kid <= out:
-                    out = kid if out <= kid else out | kid
-            if isinstance(n, FQuant):
-                out = out - set(n.vars)
-        fv[id(n)] = out
-    return set(fv[id(root)])
+    return _facts(root).free
 
 
 def symbols(f: Form) -> dict[str, tuple[int, str]]:
     """Uninterpreted symbols of a formula: name -> (arity, "int" | "bool")."""
-    out: dict[str, tuple[int, str]] = {}
-    for n in dag_walk(f):
-        if isinstance(n, IApp):
-            out[n.fn] = (len(n.args), "int")
-        elif isinstance(n, FApp):
-            out[n.pred] = (len(n.args), "bool")
-    return out
+    return dict(_facts(f).symbols)
 
 
 def has_quantifier(f: Form) -> bool:
-    return any(isinstance(n, FQuant) for n in dag_walk(f))
+    return _facts(f).quantified
 
 
 # Each compound node type rebuilt over new children.
@@ -296,25 +351,29 @@ def rename(f: Form, mapping: dict[str, str]) -> Form:
 # -- simplification ----------------------------------------------------------------
 
 
-def simplify_term(t: TermF, _memo: Optional[dict] = None) -> TermF:
-    memo = _memo if _memo is not None else {}
-    key = id(t)
-    hit = memo.get(key)
+def _remember(n, out):
+    """Keep `out` on `n` as its simplified form."""
+    n.__dict__[_SIMPLIFIED] = True if out is n else out
+    return out
+
+
+def simplify_term(t: TermF) -> TermF:
+    hit = t.__dict__.get(_SIMPLIFIED)
     if hit is not None:
-        return hit[1]
+        return t if hit is True else hit
     if isinstance(t, (IVar, ICon)):
-        out: TermF = t
-    elif isinstance(t, IOp):
-        left = simplify_term(t.left, memo)
-        right = simplify_term(t.right, memo)
+        return t
+    if isinstance(t, IOp):
+        left = simplify_term(t.left)
+        right = simplify_term(t.right)
         if isinstance(left, ICon) and isinstance(right, ICon):
-            out = ICon(ARITH[t.op](left.value, right.value))
+            out: TermF = ICon(ARITH[t.op](left.value, right.value))
         else:
             out = _rebuild(t, (left, right))
     elif isinstance(t, IIte):
-        cond = simplify(t.cond, memo)
-        then = simplify_term(t.then, memo)
-        other = simplify_term(t.other, memo)
+        cond = simplify(t.cond)
+        then = simplify_term(t.then)
+        other = simplify_term(t.other)
         if isinstance(cond, FBool):
             out = then if cond.value else other
         elif then == other:
@@ -322,11 +381,10 @@ def simplify_term(t: TermF, _memo: Optional[dict] = None) -> TermF:
         else:
             out = _rebuild(t, (cond, then, other))
     elif isinstance(t, IApp):
-        out = _rebuild(t, [simplify_term(a, memo) for a in t.args])
+        out = _rebuild(t, [simplify_term(a) for a in t.args])
     else:
         raise TypeError(f"unknown term {t!r}")
-    memo[key] = (t, out)
-    return out
+    return _remember(t, out)
 
 
 def _cmp_over_ite(op: str, left: TermF, right: TermF) -> Optional[Form]:
@@ -344,35 +402,32 @@ def _cmp_over_ite(op: str, left: TermF, right: TermF) -> Optional[Form]:
     return None
 
 
-def simplify(f: Form, _memo: Optional[dict] = None) -> Form:
+def simplify(f: Form) -> Form:
     """Light normalization: constant folding, true/false absorption,
     flag-test collapsing, and the one-point rule (forall v, v == t ==> phi
     ~~> phi[t/v]), which keeps bounded checking of call-heavy code from
-    enumerating forced values. Memoized over shared subterms."""
-    memo = _memo if _memo is not None else {}
-    key = id(f)
-    hit = memo.get(key)
+    enumerating forced values. The result is kept on `f` (and on every
+    subterm), so each node is simplified once."""
+    hit = f.__dict__.get(_SIMPLIFIED)
     if hit is not None:
-        return hit[1]
-    out = _simplify_node(f, memo)
-    memo[key] = (f, out)
-    return out
+        return f if hit is True else hit
+    return _remember(f, _simplify_node(f))
 
 
-def _simplify_node(f: Form, memo: dict) -> Form:
+def _simplify_node(f: Form) -> Form:
     if isinstance(f, FCmp):
-        left = simplify_term(f.left, memo)
-        right = simplify_term(f.right, memo)
+        left = simplify_term(f.left)
+        right = simplify_term(f.right)
         if isinstance(left, ICon) and isinstance(right, ICon):
             return FBool(CMP[f.op](left.value, right.value))
         if left == right:
             return FBool(f.op in ("==", "<=", ">="))
         pushed = _cmp_over_ite(f.op, left, right)
         if pushed is not None:
-            return simplify(pushed, memo)
+            return simplify(pushed)
         return _rebuild(f, (left, right))
     if isinstance(f, FNot):
-        body = simplify(f.body, memo)
+        body = simplify(f.body)
         if isinstance(body, FBool):
             return FBool(not body.value)
         if isinstance(body, FNot):
@@ -381,7 +436,7 @@ def _simplify_node(f: Form, memo: dict) -> Form:
     if isinstance(f, FAnd):
         items = []
         for i in f.items:
-            s = simplify(i, memo)
+            s = simplify(i)
             if s == FALSE:
                 return FALSE
             if s != TRUE:
@@ -390,7 +445,7 @@ def _simplify_node(f: Form, memo: dict) -> Form:
     if isinstance(f, FOr):
         items = []
         for i in f.items:
-            s = simplify(i, memo)
+            s = simplify(i)
             if s == TRUE:
                 return TRUE
             if s != FALSE:
@@ -401,15 +456,15 @@ def _simplify_node(f: Form, memo: dict) -> Form:
             return items[0]
         return _rebuild(f, items)
     if isinstance(f, FImp):
-        hyp = simplify(f.hyp, memo)
-        concl = simplify(f.concl, memo)
+        hyp = simplify(f.hyp)
+        concl = simplify(f.concl)
         if hyp == FALSE or concl == TRUE or hyp == concl:
             return TRUE
         if hyp == TRUE:
             return concl
         return _rebuild(f, (hyp, concl))
     if isinstance(f, FQuant):
-        body = simplify(f.body, memo)
+        body = simplify(f.body)
         if f.kind == "forall":
             body = _one_point(tuple(f.vars), body)
             remaining = tuple(v for v in f.vars if v in free_vars(body))
@@ -421,7 +476,7 @@ def _simplify_node(f: Form, memo: dict) -> Form:
             return body
         return _rebuild(f, (body,))
     if isinstance(f, FApp):
-        return _rebuild(f, [simplify_term(a, memo) for a in f.args])
+        return _rebuild(f, [simplify_term(a) for a in f.args])
     return f
 
 

@@ -6,17 +6,17 @@ answer means the VC is valid. Output is deterministic byte-for-byte.
 
 VC formulas are dags: the forward VC pass shares each variable's current
 value among every later use. Each assert prints a shared node once, under a
-`let`, so the text grows with the dag, not with the tree it unfolds to,
-except under quantifiers: a node that mentions a quantifier-bound name is
-printed inline, so a chain of shared values over a call's fresh names that
-the one-point rule did not remove is still printed as a tree.
+`let`, so the text grows with the dag, not with the tree it unfolds to. A
+node that mentions quantifier-bound names, such as a chain of shared values
+over a call's fresh names that the one-point rule did not remove, is bound
+inside the innermost quantifier that binds them.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import count
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .logic import (
     Form, IVar, ICon, IOp, IIte, IApp,
@@ -27,6 +27,7 @@ from .vcgen import VerificationCondition
 
 _OPS = {"+": "+", "-": "-", "*": "*", "/": "div"}
 _CMPS = {"==": "=", "<=": "<=", ">=": ">=", "<": "<", ">": ">"}
+_NOWHERE = -1  # no one quantifier binds this name
 
 
 def _sym(name: str) -> str:
@@ -70,30 +71,55 @@ def _node_text(n, kids: list[str]) -> str:
 def form_sexpr(f: Form, names: Iterator[int]) -> str:
     """A formula's s-expression. Every compound node reached more than once
     is printed once, bound by `let` to `$sN` (N drawn from `names`, in
-    children-first order), unless it mentions a quantifier-bound name;
-    bindings that use no other binding share the outermost `let`."""
+    children-first order). A node that mentions no quantifier-bound name is
+    bound in front of the formula; one that does is bound just inside the
+    innermost quantifier that binds its names, which every occurrence of
+    the node lies under. A node that mentions a name bound by two
+    quantifiers, or bound and also free, has no such place and is printed
+    inline. The bindings of one place that use no other binding share a
+    `let`."""
     order = list(dag_walk(f))
     refs: Counter[int] = Counter(id(c) for n in order for c in children(n))
-    quantified = {v for n in order if isinstance(n, FQuant) for v in n.vars}
+    # bound name -> position in `order` of the one quantifier binding it;
+    # children come first, so an inner quantifier has the lower position
+    binder: dict[str, int] = {}
+    for i, n in enumerate(order):
+        if isinstance(n, FQuant):
+            for v in n.vars:
+                binder[v] = _NOWHERE if v in binder else i
+    for v in free_vars(f) & binder.keys():
+        binder[v] = _NOWHERE
     text: dict[int, str] = {}
-    level: dict[int, int] = {}   # deepest `let` a node's text refers to
-    bound: dict[int, bool] = {}  # mentions a quantifier-bound name
-    lets: dict[int, list[str]] = defaultdict(list)  # level -> bindings
-    for n in order:
+    level: dict[int, int] = {}  # deepest `let` a node's text refers to
+    # place (None in front of the formula, else a quantifier's position) ->
+    # level -> bindings
+    lets: dict[Optional[int], dict[int, list[str]]] = \
+        defaultdict(lambda: defaultdict(list))
+
+    def under_lets(place: Optional[int], body: str) -> str:
+        bindings = lets.pop(place, {})
+        for depth in sorted(bindings, reverse=True):
+            body = f"(let ({' '.join(bindings[depth])}) {body})"
+        return body
+
+    for i, n in enumerate(order):
         kids = children(n)
-        bound[id(n)] = (isinstance(n, IVar) and n.name in quantified) \
-            or any(bound[id(c)] for c in kids)
         level[id(n)] = max((level[id(c)] for c in kids), default=0)
-        text[id(n)] = _node_text(n, [text[id(c)] for c in kids])
-        if kids and refs[id(n)] > 1 and not bound[id(n)]:
-            name = f"$s{next(names)}"
-            level[id(n)] += 1
-            lets[level[id(n)]].append(f"({name} {text[id(n)]})")
-            text[id(n)] = name
-    out = text[id(f)]
-    for depth in sorted(lets, reverse=True):
-        out = f"(let ({' '.join(lets[depth])}) {out})"
-    return out
+        kid_texts = [text[id(c)] for c in kids]
+        if isinstance(n, FQuant):
+            kid_texts = [under_lets(i, kid_texts[0])]
+        text[id(n)] = _node_text(n, kid_texts)
+        if not kids or refs[id(n)] < 2:
+            continue
+        places = {binder[v] for v in free_vars(n) & binder.keys()}
+        if _NOWHERE in places:
+            continue
+        name = f"$s{next(names)}"
+        level[id(n)] += 1
+        lets[min(places, default=None)][level[id(n)]].append(
+            f"({name} {text[id(n)]})")
+        text[id(n)] = name
+    return under_lets(None, text[id(f)])
 
 
 def emit_smtlib(vc: VerificationCondition) -> str:

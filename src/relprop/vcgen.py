@@ -19,8 +19,7 @@ at a frame with fresh names, so the one-point rule removes the names that
 ensures pin down. Loops use the invariant rule: the modified variables get
 fresh names that stay free, the body runs under `inv && cond`, and the code
 after the loop under `inv && !cond`. Terms are shared, not copied, so a
-VC's dag grows linearly with the body (its SMT text does too, except for
-shared terms under a quantifier that mention its names; see `smtlib`).
+VC's dag, and its SMT text, grow linearly with the body.
 Pointer dereferences are scalarized (each `*p` is the integer variable
 `p$cell`, sound under the generated separation hypotheses and the
 no-aliasing restriction).

@@ -11,6 +11,10 @@ sound footprint.
 
 from hypothesis import strategies as st
 
+from relprop.logic import (
+    IVar, ICon, IOp, IIte, IApp, FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant,
+    FApp,
+)
 from relprop.minic import (
     INT, VOID, Program, GlobalDecl, FunctionDef, Param, Contract,
     AssignsClause, GlobalLoc, FormalLoc, ResultLoc, RelationalClause,
@@ -203,3 +207,49 @@ def program_strategy(draw) -> Program:
         if fn.ret == INT and n_formals == 1:
             callees = (fn.name,)
     return Program(tuple(items))
+
+
+@st.composite
+def formula_dag_strategy(draw, max_steps: int = 12) -> list:
+    """A pool of logic formulas built bottom-up: each new node takes its
+    children from the terms and formulas built before it, so subterms are
+    shared within a formula and between formulas. `a` and `b` are free; `v`
+    and `w` are bound by quantifiers, and so is `a` at times (free in one
+    place, bound in another); `g` and `p` are uninterpreted."""
+    terms: list = [IVar(n) for n in "abvw"] + [ICon(draw(st.integers(-2, 2)))]
+    forms: list = [FCmp("==", terms[2], terms[0])]
+
+    def term():
+        return draw(st.sampled_from(terms))
+
+    def form():
+        return draw(st.sampled_from(forms))
+
+    for _ in range(draw(st.integers(1, max_steps))):
+        kind = draw(st.sampled_from(
+            ["op", "ite", "app", "cmp", "not", "and", "or", "imp", "forall",
+             "exists", "pred", "bool"]))
+        if kind == "op":
+            terms.append(IOp(draw(st.sampled_from("+-*/")), term(), term()))
+        elif kind == "ite":
+            terms.append(IIte(form(), term(), term()))
+        elif kind == "app":
+            terms.append(IApp("g", (term(),)))
+        elif kind == "cmp":
+            forms.append(FCmp(draw(st.sampled_from(CMP_OPS)), term(), term()))
+        elif kind == "not":
+            forms.append(FNot(form()))
+        elif kind in ("and", "or"):
+            items = tuple(form() for _ in range(draw(st.integers(2, 3))))
+            forms.append(FAnd(items) if kind == "and" else FOr(items))
+        elif kind == "imp":
+            forms.append(FImp(form(), form()))
+        elif kind in ("forall", "exists"):
+            names = draw(st.lists(st.sampled_from("vwa"), min_size=1,
+                                  max_size=2, unique=True))
+            forms.append(FQuant(kind, tuple(names), form()))
+        elif kind == "pred":
+            forms.append(FApp("p", (term(), term())))
+        else:
+            forms.append(FBool(draw(st.booleans())))
+    return forms

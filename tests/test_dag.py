@@ -1,23 +1,35 @@
 """VCs are shared dags, and everything that reads them is linear in the dag:
 the forward VC pass, the `logic` walkers, the bounded checker's node count
-and the SMT printer."""
+and the SMT printer, which binds a shared node by `let` in front of the
+formula or, when it mentions quantifier-bound names, just inside their
+quantifier. Each node keeps its analyses (free variables, symbols, the
+quantifier flag and its simplified form), so a proof run analyses each
+node once; generated formulas check that the kept answers agree with
+computing them afresh."""
 
+import dataclasses
 import re
+from itertools import count
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from relprop import logic
 from relprop.bounded import _node_count, check_bounded
 from relprop.logic import (
     IVar, ICon, IOp, IIte, IApp, FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant,
-    FApp, dag_walk, free_vars, symbols, has_quantifier,
+    FApp, children, dag_walk, free_vars, symbols, has_quantifier, simplify,
+    simplify_term,
 )
 from relprop.minic import Program
 from relprop.parser import parse_program
+from relprop.prove import prove_program
 from relprop.selfcomp import transform
-from relprop.smtlib import emit_smtlib
+from relprop.smtlib import emit_smtlib, form_sexpr
 from relprop.vcgen import VerificationCondition, function_vcs, vcs_for
 
 from conftest import CORPUS
+from strategies import formula_dag_strategy
 
 
 def parse(src: str) -> Program:
@@ -126,14 +138,31 @@ def _parse_sexpr(tokens: list[str]):
     return item()
 
 
-def _expand_lets(e, env: dict):
+def _free_names(e) -> set[str]:
+    """The atoms of an expression without lets, less quantified names."""
     if isinstance(e, str):
-        return env.get(e, e)
+        return {e}
+    if e and e[0] in ("forall", "exists"):
+        return _free_names(e[2]) - {v for v, _sort in e[1]}
+    return set().union(*map(_free_names, e))
+
+
+def _expand_lets(e, env: dict):
+    """`e` with each let-bound name replaced by its value. Under a
+    quantifier, a binding whose value mentions a name the quantifier binds
+    would mean something else, so its uses there stay unexpanded."""
+    if isinstance(e, str):
+        return env[e][0] if e in env else e
     if e and e[0] == "let":
         inner = dict(env)
         for name, value in e[1]:
-            inner[name] = _expand_lets(value, env)
+            value = _expand_lets(value, env)
+            inner[name] = (value, _free_names(value))
         return _expand_lets(e[2], inner)
+    if e and e[0] in ("forall", "exists"):
+        bound = {v for v, _sort in e[1]}
+        inner = {k: v for k, v in env.items() if not v[1] & bound}
+        return [e[0], e[1], _expand_lets(e[2], inner)]
     return [_expand_lets(x, env) for x in e]
 
 
@@ -176,6 +205,18 @@ def _tree(n) -> str:
     raise TypeError(n)
 
 
+def _expanded(text: str) -> str:
+    return _show(_expand_lets(_parse_sexpr(_sexpr_tokens(text)), {}))
+
+
+def assert_script_is_tree(vc: VerificationCondition) -> None:
+    asserts = [l for l in emit_smtlib(vc).splitlines()
+               if l.startswith("(assert ")]
+    want = [f"(assert {_tree(h)})" for _, h in vc.hypotheses]
+    want.append(f"(assert (not {_tree(vc.goal)}))")
+    assert [_expanded(l) for l in asserts] == want, vc.name
+
+
 CORPUS_FILES = sorted(p.relative_to(CORPUS).as_posix()
                       for p in CORPUS.rglob("*.mc"))
 
@@ -185,13 +226,7 @@ def test_let_expanded_script_equals_tree_printer(name):
     t = transform(parse_program((CORPUS / name).read_text(encoding="utf-8"),
                                 name))
     for vc in vcs_for(t, t.lemma_names):
-        asserts = [l for l in emit_smtlib(vc).splitlines()
-                   if l.startswith("(assert ")]
-        expanded = [_show(_expand_lets(_parse_sexpr(_sexpr_tokens(l)), {}))
-                    for l in asserts]
-        want = [f"(assert {_tree(h)})" for _, h in vc.hypotheses]
-        want.append(f"(assert (not {_tree(vc.goal)}))")
-        assert expanded == want, vc.name
+        assert_script_is_tree(vc)
 
 
 def test_shared_node_is_bound_once():
@@ -201,12 +236,166 @@ def test_shared_node_is_bound_once():
     assert "(assert (not (let (($s1 (- x y))) (= (* $s1 $s1) 0))))" in script
 
 
-def test_node_under_its_binder_stays_inline():
+def test_node_under_its_binder_is_bound_inside_it():
     d = IOp("+", IVar("v"), ICon(1))
-    goal = FQuant("forall", ("v",), FCmp(">", IOp("*", d, d), IVar("w")))
+    shared = IOp("*", IVar("u"), IVar("u"))
+    goal = FQuant("forall", ("v",), FCmp(">", IOp("*", d, d),
+                                         IOp("+", shared, shared)))
+    script = emit_smtlib(VerificationCondition("t", "t", "g", "assert", goal, ()))
+    assert "(assert (not (let (($s2 (* u u))) (forall ((v Int)) " \
+           "(let (($s1 (+ v 1))) (> (* $s1 $s1) (+ $s2 $s2)))))))" in script
+    # a node over the names of two nested quantifiers goes inside the inner
+    d = IOp("+", IVar("v"), IVar("w"))
+    inner = FQuant("exists", ("w",), FCmp(">", IOp("*", d, d), IVar("v")))
+    script = emit_smtlib(VerificationCondition(
+        "t", "t", "g", "assert", FQuant("forall", ("v",), inner), ()))
+    assert "(forall ((v Int)) (exists ((w Int)) (let (($s1 (+ v w))) " \
+           "(> (* $s1 $s1) v))))" in script
+
+
+def test_node_over_a_name_bound_and_free_stays_inline():
+    # v is bound in one conjunct and free in the other: no one `let` can
+    # serve both occurrences of v + 1.
+    d = IOp("+", IVar("v"), ICon(1))
+    goal = FAnd((FQuant("forall", ("v",), FCmp(">", IOp("*", d, d), ICon(0))),
+                 FCmp(">", d, ICon(0))))
     script = emit_smtlib(VerificationCondition("t", "t", "g", "assert", goal, ()))
     assert "let" not in script
     assert "(* (+ v 1) (+ v 1))" in script
+
+
+def call_seq_ifs(k: int) -> str:
+    """seq-ifs after `y = h(a)`, whose ensures does not pin `y`: each
+    branch adds `y`, so every value of `x` mentions the call's fresh name,
+    which the `forall` of the call binds."""
+    body = "".join(f"  if (a > {c}) {{\n    x = x + y;\n"
+                   f"    /*@ assert x > 0; */\n  }}\n" for c in range(k))
+    return ("/*@ assigns \\result \\from a;\n    ensures \\result >= a; */\n"
+            "int h(int a) {\n  return a;\n}\n\n"
+            "/*@ assigns \\result \\from a; */\nint f(int a) {\n"
+            f"  int x = 0;\n  int y = 0;\n  y = h(a);\n{body}  return x;\n}}\n")
+
+
+def test_shared_values_under_a_quantifier_grow_linearly():
+    largest = []
+    for k in (4, 8, 16):
+        t = transform(parse(call_seq_ifs(k)))
+        vcs = vcs_for(t, t.lemma_names)
+        assert sum(has_quantifier(v.goal) for v in vcs) == k
+        largest.append(max(len(emit_smtlib(v)) for v in vcs))
+        if k == 4:  # the tree the check unfolds grows as 2^k
+            for vc in vcs:
+                assert_script_is_tree(vc)
+    # Tree printing grew these about 10x per +4 in k.
+    assert largest[1] <= 2.25 * largest[0] and largest[2] <= 2.25 * largest[1]
+
+
+# -- each node is analysed once, and its kept analyses are right -----------------
+
+
+def test_prove_analyses_each_node_once(monkeypatch):
+    entered: dict[str, list] = {"_simplify_node": [], "_node_facts": []}
+    for fn, nodes in entered.items():
+        def spy(n, *rest, _orig=getattr(logic, fn), _nodes=nodes):
+            _nodes.append(n)  # kept alive, so no id is reused
+            return _orig(n, *rest)
+        monkeypatch.setattr(logic, fn, spy)
+    cmp_pair_ok = (CORPUS / "comparators" / "cmp_pair_ok.mc").read_text(
+        encoding="utf-8")
+    for text in (seq_ifs(50), cmp_pair_ok):
+        prove_program(transform(parse(text)), 2)
+    for fn, nodes in entered.items():
+        assert nodes, fn
+        assert len({id(n) for n in nodes}) == len(nodes), fn
+
+
+def _fresh_copy(n, memo: dict):
+    """`n` rebuilt from new objects, with its sharing and no kept analyses."""
+    hit = memo.get(id(n))
+    if hit is None:
+        def copy(v):
+            if isinstance(v, tuple):
+                return tuple(copy(x) for x in v)
+            return _fresh_copy(v, memo) if dataclasses.is_dataclass(v) else v
+        hit = memo[id(n)] = type(n)(*(copy(getattr(n, f.name))
+                                       for f in dataclasses.fields(n)))
+    return hit
+
+
+def _free_ref(n, memo: dict) -> frozenset:
+    if id(n) not in memo:
+        out = frozenset((n.name,)) if isinstance(n, IVar) else frozenset(
+        ).union(*(_free_ref(c, memo) for c in children(n)))
+        memo[id(n)] = out - set(n.vars) if isinstance(n, FQuant) else out
+    return memo[id(n)]
+
+
+def _symbols_ref(n) -> dict:
+    out = {}
+    for m in dag_walk(n):
+        if isinstance(m, IApp):
+            out[m.fn] = (len(m.args), "int")
+        elif isinstance(m, FApp):
+            out[m.pred] = (len(m.args), "bool")
+    return out
+
+
+def _alpha(n) -> str:
+    """`n` as a tree, with the names capture-avoiding substitution makes
+    (`v$7`) numbered by first appearance, so two runs of `simplify` that
+    drew different fresh names print alike."""
+    text = _tree(n)
+    fresh: dict[str, str] = {}
+    return re.sub(r"[A-Za-z_]\w*\$\d+",
+                  lambda m: fresh.setdefault(m.group(), f"#{len(fresh)}"), text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(formula_dag_strategy(), st.data())
+def test_kept_analyses_agree_with_fresh_ones(forms, data):
+    nodes = list({id(n): n for f in forms for n in dag_walk(f)}.values())
+    # The uncached references run on copies taken before any query.
+    cold = {id(n): _fresh_copy(n, {}) for n in nodes}
+    order = data.draw(st.sampled_from(["children first", "parents first",
+                                       "shuffled"]))
+    if order == "parents first":
+        nodes.reverse()
+    elif order == "shuffled":
+        nodes = data.draw(st.permutations(nodes))
+    for n in nodes:
+        query = data.draw(st.sampled_from(
+            [free_vars, symbols, has_quantifier, "simplify"]))
+        if query != "simplify":
+            query(n)
+        elif isinstance(n, (IVar, ICon, IOp, IIte, IApp)):
+            simplify_term(n)
+        else:
+            simplify(n)
+    for n in nodes:
+        ref = cold[id(n)]
+        assert free_vars(n) == _free_ref(ref, {})
+        assert symbols(n) == _symbols_ref(ref)
+        assert has_quantifier(n) == any(isinstance(m, FQuant)
+                                        for m in dag_walk(ref))
+        simp = simplify_term if isinstance(n, (IVar, ICon, IOp, IIte, IApp)) \
+            else simplify
+        assert _alpha(simp(n)) == _alpha(simp(ref))
+        assert simp(n) is simp(n)
+    some = nodes[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(some, dataclasses.fields(some)[0].name, None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(formula_dag_strategy())
+def test_let_expanded_generated_formula_equals_tree_printer(forms):
+    names = count(1)
+    for f in forms:
+        assert _expanded(form_sexpr(f, names)) == _tree(f)
 
 
 # -- the forward pass -------------------------------------------------------------
