@@ -174,6 +174,40 @@ def children(n: Union[TermF, Form]) -> tuple:
     return _CHILDREN[type(n)](n)
 
 
+# The fields of each node type that are not children.
+_LABELS = {
+    IVar: lambda n: n.name, ICon: lambda n: n.value, FBool: lambda n: n.value,
+    IOp: lambda n: n.op, IIte: lambda n: None, IApp: lambda n: n.fn,
+    FApp: lambda n: n.pred, FCmp: lambda n: n.op, FNot: lambda n: None,
+    FQuant: lambda n: (n.kind, n.vars), FAnd: lambda n: None,
+    FOr: lambda n: None, FImp: lambda n: None,
+}
+
+
+def same(a: Union[TermF, Form], b: Union[TermF, Form]) -> bool:
+    """Structural equality, what `a == b` decides, in time proportional to
+    the two dags rather than to their trees: iterative, and each pair of
+    nodes is compared once."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if type(x) is not type(y) or _LABELS[type(x)](x) != _LABELS[type(y)](y):
+            return False
+        kx, ky = children(x), children(y)
+        if len(kx) != len(ky):
+            return False
+        stack.extend(zip(kx, ky))
+    return True
+
+
 def dag_walk(root: Union[TermF, Form]):
     """Each distinct node under `root` once, by identity, children before
     their parents. Iterative, so deep chains need no recursion, and shared
@@ -376,7 +410,7 @@ def simplify_term(t: TermF) -> TermF:
         other = simplify_term(t.other)
         if isinstance(cond, FBool):
             out = then if cond.value else other
-        elif then == other:
+        elif same(then, other):
             out = then
         else:
             out = _rebuild(t, (cond, then, other))
@@ -420,7 +454,7 @@ def _simplify_node(f: Form) -> Form:
         right = simplify_term(f.right)
         if isinstance(left, ICon) and isinstance(right, ICon):
             return FBool(CMP[f.op](left.value, right.value))
-        if left == right:
+        if same(left, right):
             return FBool(f.op in ("==", "<=", ">="))
         pushed = _cmp_over_ite(f.op, left, right)
         if pushed is not None:
@@ -458,7 +492,7 @@ def _simplify_node(f: Form) -> Form:
     if isinstance(f, FImp):
         hyp = simplify(f.hyp)
         concl = simplify(f.concl)
-        if hyp == FALSE or concl == TRUE or hyp == concl:
+        if hyp == FALSE or concl == TRUE or same(hyp, concl):
             return TRUE
         if hyp == TRUE:
             return concl
@@ -510,7 +544,7 @@ def match_term(pattern: TermF, target: TermF, vars_: frozenset[str],
                binding: dict[str, TermF]) -> bool:
     if isinstance(pattern, IVar) and pattern.name in vars_:
         if pattern.name in binding:
-            return binding[pattern.name] == target
+            return same(binding[pattern.name], target)
         binding[pattern.name] = target
         return True
     if type(pattern) is not type(target):
@@ -562,4 +596,4 @@ def instance_of(hypothesis: Form, goal: Form) -> bool:
     if isinstance(hypothesis, FQuant) and hypothesis.kind == "forall":
         return match_form(hypothesis.body, goal,
                           frozenset(hypothesis.vars), {})
-    return hypothesis == goal
+    return same(hypothesis, goal)

@@ -502,17 +502,71 @@ def _child_fields(cls: type) -> tuple[str, ...]:
     return names
 
 
+# Field annotations that cannot hold a node.
+_SCALARS = {"str", "int", "bool", "Optional[str]", "Optional[int]",
+            "Optional[bool]", "tuple[str, ...]"}
+# Per node class, the fields that can hold nodes, last field first.
+_NODE_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _node_fields(cls: type) -> tuple[str, ...]:
+    names = _NODE_FIELDS.get(cls)
+    if names is None:
+        names = _NODE_FIELDS[cls] = tuple(
+            f.name for f in reversed(fields(cls))
+            if f.name != "span" and f.type not in _SCALARS)
+    return names
+
+
 def walk(node) -> Iterator[Node]:
     """Pre-order iteration over `node` (a Node or a tuple of them) and every
     Node below it, fields in declaration order; spans are not visited."""
     stack = [node]
+    pop, push = stack.pop, stack.append
     while stack:
-        n = stack.pop()
+        n = pop()
+        names = _NODE_FIELDS.get(type(n))
+        if names is None:
+            if isinstance(n, tuple):
+                stack.extend(reversed(n))
+                continue
+            if not isinstance(n, Node):
+                continue
+            names = _node_fields(type(n))
+        yield n
+        for name in names:
+            push(getattr(n, name))
+
+
+def statements(stmts) -> Iterator[Stmt]:
+    """Pre-order iteration over the statements of `stmts` (a sequence) and of
+    the branches and loop bodies nested in them: the `Stmt`s `walk` yields,
+    without visiting a term, predicate or annotation."""
+    stack = list(reversed(stmts))
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, IfStmt):
+            stack.extend(reversed(s.orelse))
+            stack.extend(reversed(s.then))
+        elif isinstance(s, WhileStmt):
+            stack.extend(reversed(s.body))
+
+
+def height(node) -> int:
+    """Nodes on the longest downward path from `node` (a Node or a tuple of
+    them); computed without recursion, so any depth is measured."""
+    best = 0
+    stack = [(node, 0)]
+    while stack:
+        n, d = stack.pop()
         if isinstance(n, tuple):
-            stack.extend(reversed(n))
+            stack.extend((c, d) for c in n)
         elif isinstance(n, Node):
-            yield n
-            stack.extend(reversed([getattr(n, f) for f in _child_fields(type(n))]))
+            d += 1
+            best = max(best, d)
+            stack.extend((getattr(n, f), d) for f in _node_fields(type(n)))
+    return best
 
 
 def map_nodes(node, fn: Callable[[Node], Optional[Node]]):

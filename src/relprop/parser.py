@@ -6,14 +6,23 @@ their `while`, assert annotations stand as statements, and `axiomatic`
 blocks are top-level items. Unknown annotation keywords are parse errors,
 never skipped.
 
+The lexer matches one compiled pattern per state (code, `/*@ ... */`,
+`//@ ...`) and dispatches on the group that matched; a token's line and
+column come from the offset of the last newline. Token classes are ASCII:
+any other character outside a comment is an error. The parser looks ahead
+by indexing a token list that ends in EOF.
+
 `parse_program` returns either a `Program` or a non-empty list of
-`Diagnostic`s; it never raises on bad input.
+`Diagnostic`s; it never raises on bad input. Integer literals longer than
+`MAX_LITERAL_DIGITS` and nesting deeper than `MAX_NESTING` (blocks, unary
+operators, parentheses, operator chains) are diagnostics, so neither the
+parser nor any recursive layer after it can overflow the stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+import re
+from typing import NamedTuple, Optional, Union
 
 from .minic import (
     INT, PTR, VOID,
@@ -26,7 +35,7 @@ from .minic import (
     OldTerm, ResultTerm, LogicApp,
     Pred, PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
-    Loc, GlobalLoc, DerefLoc, ResultLoc, NothingLoc, FormalLoc,
+    Loc, GlobalLoc, DerefLoc, ResultLoc, NothingLoc, FormalLoc, height,
 )
 
 CODE_KEYWORDS = {"int", "void", "if", "else", "while", "return"}
@@ -44,8 +53,7 @@ PUNCT = ["==>", "==", "!=", "<=", ">=", "&&", "||", "{", "}", "(", ")",
          ",", ";", ":", "<", ">", "!", "=", "+", "-", "*", "/"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # IDENT INT FLOAT BSKW PUNCT ANNOT_OPEN ANNOT_CLOSE EOF
     value: str
     line: int
@@ -72,118 +80,84 @@ def _fail(file: str, tok: Optional[Token], message: str) -> ParseFailure:
 # Lexer
 # ---------------------------------------------------------------------------
 
+# The token classes every lexer state shares; any other character outside a
+# comment is an error.
+_TOKENS = (r"(?P<FLOAT>[0-9]+\.[0-9]+)|(?P<INT>[0-9]+)"
+           r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<BSKW>\\[A-Za-z0-9_]*)"
+           r"|(?P<PUNCT>" + "|".join(map(re.escape, PUNCT)) + ")|(?P<BAD>.)")
+# One pattern per lexer state: code, inside `/*@ ... */`, inside `//@ ...`.
+_CODE = re.compile(r"(?P<WS>[ \t\r\n]+)|(?P<OPEN>/\*@|//@)"
+                   r"|(?P<COMMENT>/\*.*?\*/|//[^\n]*)|(?P<UNTERMINATED>/\*)|"
+                   + _TOKENS, re.DOTALL)
+_BLOCK = re.compile(r"(?P<WS>[ \t\r\n@]+)|(?P<CLOSE>\*/)|" + _TOKENS, re.DOTALL)
+_LINE = re.compile(r"(?P<WS>[ \t\r@]+)|(?P<CLOSE>\n)|" + _TOKENS, re.DOTALL)
+# Groups whose text is the token's value.
+_VERBATIM = {"IDENT", "PUNCT", "INT", "FLOAT"}
+
+# Longer literals are refused rather than handed to `int`.
+MAX_LITERAL_DIGITS = 1000
+# Deeper nesting is refused, so no recursive layer after the parser can
+# overflow; the parser itself spends at most four frames on a level.
+MAX_NESTING = 100
+
 
 def lex(text: str, file: str = "<input>") -> list[Token]:
+    """Tokens of `text`, ending in EOF. Keywords lex as IDENT, `\\word`
+    as BSKW without its backslash; comments, whitespace and the decorative
+    `@` inside annotations are skipped. Raises ParseFailure."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    in_annot = False     # inside /*@ ... */
-    in_line_annot = False  # inside //@ ... (ends at newline)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def emit(kind: str, value: str, sl: int, sc: int) -> None:
-        toks.append(Token(kind, value, sl, sc, line, col))
-
-    while i < n:
-        c = text[i]
-        if in_line_annot and c == "\n":
-            emit("ANNOT_CLOSE", "", line, col)
-            in_line_annot = False
-            advance()
-            continue
-        if c in " \t\r\n":
-            advance()
-            continue
-        sl, sc = line, col
-        if not (in_annot or in_line_annot):
-            if text.startswith("/*@", i):
-                advance(3)
-                emit("ANNOT_OPEN", "/*@", sl, sc)
-                in_annot = True
-                continue
-            if text.startswith("//@", i):
-                advance(3)
-                emit("ANNOT_OPEN", "//@", sl, sc)
-                in_line_annot = True
-                continue
-            if text.startswith("/*", i):
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    raise _fail(file, Token("PUNCT", "/*", sl, sc, sl, sc + 2),
-                                "unterminated comment")
-                advance(j + 2 - i)
-                continue
-            if text.startswith("//", i):
-                j = text.find("\n", i)
-                advance((j if j >= 0 else n) - i)
-                continue
-        else:
-            if in_annot and text.startswith("*/", i):
-                advance(2)
-                emit("ANNOT_CLOSE", "*/", sl, sc)
-                in_annot = False
-                continue
-            if c == "@":  # decorative @ inside annotations
-                advance()
-                continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit()
-            if is_float:
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                value = text[i:j]
-                advance(j - i)
-                emit("FLOAT", value, sl, sc)
-            else:
-                value = text[i:j]
-                advance(j - i)
-                emit("INT", value, sl, sc)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            value = text[i:j]
-            advance(j - i)
-            emit("IDENT", value, sl, sc)
-            continue
-        if c == "\\":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i + 1:j]
+    emit = toks.append
+    new = tuple.__new__  # builds a Token without NamedTuple's Python __new__
+    line, bol = 1, 0  # current line and the offset where it begins
+    pattern = _CODE
+    pos, n = 0, len(text)
+    while pos < n:
+        m = pattern.match(text, pos)
+        kind = m.lastgroup
+        end = m.end()
+        col = pos - bol + 1
+        if kind == "WS" or kind == "COMMENT":
+            nl = text.count("\n", pos, end)
+            if nl:
+                line += nl
+                bol = text.rindex("\n", pos, end) + 1
+        elif kind in _VERBATIM:
+            if kind == "INT" and end - pos > MAX_LITERAL_DIGITS:
+                raise _fail(file, Token(kind, "", line, col, line, end - bol + 1),
+                            f"integer literal longer than {MAX_LITERAL_DIGITS} digits")
+            emit(new(Token, (kind, m.group(), line, col, line, end - bol + 1)))
+        elif kind == "BSKW":
+            word = text[pos + 1:end]
             if word not in BACKSLASH_KEYWORDS:
-                raise _fail(file, Token("BSKW", word, sl, sc, sl, sc + len(word) + 1),
+                raise _fail(file, Token(kind, word, line, col, line, end - bol + 1),
                             f"unknown annotation construct \\{word}")
-            advance(j - i)
-            emit("BSKW", word, sl, sc)
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                advance(len(p))
-                emit("PUNCT", p, sl, sc)
-                break
+            emit(new(Token, (kind, word, line, col, line, end - bol + 1)))
+        elif kind == "OPEN":
+            value = m.group()
+            emit(Token("ANNOT_OPEN", value, line, col, line, col + 3))
+            pattern = _BLOCK if value == "/*@" else _LINE
+        elif kind == "CLOSE":
+            if pattern is _LINE:  # the newline ends the annotation
+                emit(Token("ANNOT_CLOSE", "", line, col, line, col))
+                line += 1
+                bol = end
+            else:
+                emit(Token("ANNOT_CLOSE", "*/", line, col, line, col + 2))
+            pattern = _CODE
+        elif kind == "UNTERMINATED":
+            raise _fail(file, Token("PUNCT", "/*", line, col, line, col + 2),
+                        "unterminated comment")
         else:
-            raise _fail(file, Token("PUNCT", c, sl, sc, sl, sc + 1),
+            c = m.group()
+            raise _fail(file, Token("PUNCT", c, line, col, line, col + 1),
                         f"unexpected character {c!r}")
-    if in_annot:
-        raise _fail(file, toks[-1] if toks else None, "unterminated annotation")
-    if in_line_annot:
-        emit("ANNOT_CLOSE", "", line, col)
-    toks.append(Token("EOF", "", line, col, line, col))
+        pos = end
+    col = n - bol + 1
+    if pattern is _BLOCK:
+        raise _fail(file, toks[-1], "unterminated annotation")
+    if pattern is _LINE:
+        emit(Token("ANNOT_CLOSE", "", line, col, line, col))
+    emit(Token("EOF", "", line, col, line, col))
     return toks
 
 
@@ -194,17 +168,20 @@ def lex(text: str, file: str = "<input>") -> list[Token]:
 
 class _Parser:
     def __init__(self, toks: list[Token], file: str):
-        self.toks = toks
+        # A second EOF keeps one token of lookahead in range: `next` never
+        # moves past the first.
+        self.toks = toks + toks[-1:]
         self.pos = 0
         self.file = file
+        self.depth = 0  # open blocks, unary operands, predicate atoms, ==>
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]
 
     def at(self, kind: str, value: Optional[str] = None, k: int = 0) -> bool:
-        t = self.peek(k)
+        t = self.toks[self.pos + k]
         return t.kind == kind and (value is None or t.value == value)
 
     def next(self) -> Token:
@@ -229,6 +206,24 @@ class _Parser:
     def span_from(self, start: Token) -> Span:
         prev = self.toks[max(self.pos - 1, 0)]
         return Span(self.file, start.line, start.col, prev.end_line, prev.end_col)
+
+    def enter(self) -> None:
+        """Open one nesting level; every recursive rule passes through here,
+        so the parser's own recursion stays bounded."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _fail(self.file, self.peek(),
+                        f"nesting deeper than {MAX_NESTING} levels")
+
+    def bounded(self, node, start: int):
+        """`node`, parsed from token `start` on, if its nesting fits what the
+        enclosing levels leave; a node spans at least as many tokens as it
+        is high, so only long ones are measured."""
+        room = MAX_NESTING - self.depth
+        if self.pos - start > room and height(node) > room:
+            raise _fail(self.file, self.toks[start],
+                        f"nesting deeper than {MAX_NESTING} levels")
+        return node
 
     # -- top level -----------------------------------------------------------
 
@@ -327,10 +322,12 @@ class _Parser:
 
     def parse_block(self) -> tuple[Stmt, ...]:
         self.punct("{")
+        self.enter()
         out: list[Stmt] = []
         while not self.at("PUNCT", "}"):
             out.extend(self.parse_stmt())
         self.punct("}")
+        self.depth -= 1
         return tuple(out)
 
     def parse_stmt(self) -> list[Stmt]:
@@ -407,6 +404,7 @@ class _Parser:
         return tuple(args)
 
     def parse_stmt_annotation(self) -> list[Stmt]:
+        first = self.pos
         start = self.expect("ANNOT_OPEN")
         out: list[Stmt] = []
         invariant: Optional[Pred] = None
@@ -442,6 +440,8 @@ class _Parser:
             raise _fail(self.file, tok,
                         f"unexpected annotation {tok.value!r} in function body")
         self.expect("ANNOT_CLOSE")
+        if invariant is not None:  # clauses merge into one conjunction chain
+            invariant = self.bounded(invariant, first)
         if saw_loop:
             if out:
                 raise _fail(self.file, start,
@@ -694,15 +694,18 @@ class _Parser:
     # -- predicates ------------------------------------------------------------
 
     def parse_pred(self, logic: bool) -> Pred:
-        return self.parse_imp(logic)
+        start = self.pos
+        return self.bounded(self.parse_imp(logic), start)
 
     def parse_imp(self, logic: bool) -> Pred:
         start = self.peek()
+        self.enter()
         left = self.parse_or(logic)
         if self.at("PUNCT", "==>"):
             self.next()
-            right = self.parse_imp(logic)  # right-associative
-            return PImp(left, right, span=self.span_from(start))
+            left = PImp(left, self.parse_imp(logic),  # right-associative
+                        span=self.span_from(start))
+        self.depth -= 1
         return left
 
     def parse_or(self, logic: bool) -> Pred:
@@ -720,6 +723,12 @@ class _Parser:
         return left
 
     def parse_pred_atom(self, logic: bool) -> Pred:
+        self.enter()
+        atom = self.pred_atom(logic)
+        self.depth -= 1
+        return atom
+
+    def pred_atom(self, logic: bool) -> Pred:
         tok = self.peek()
         if self.at("PUNCT", "!"):
             self.next()
@@ -754,7 +763,7 @@ class _Parser:
         if self.at("PUNCT", "("):
             # Either a parenthesized predicate or a parenthesized term that
             # starts a comparison; try the predicate reading first.
-            save = self.pos
+            save, depth = self.pos, self.depth
             try:
                 self.next()
                 inner = self.parse_imp(logic)
@@ -763,7 +772,7 @@ class _Parser:
                     raise _fail(self.file, self.peek(), "term context")
                 return inner
             except ParseFailure:
-                self.pos = save
+                self.pos, self.depth = save, depth
         left = self.parse_term(logic)
         if self.at_cmp():
             op = self.next().value
@@ -801,7 +810,8 @@ class _Parser:
     # -- terms -------------------------------------------------------------------
 
     def parse_term(self, logic: bool) -> Term:
-        return self.parse_add(logic)
+        start = self.pos
+        return self.bounded(self.parse_add(logic), start)
 
     def parse_add(self, logic: bool) -> Term:
         left = self.parse_mul(logic)
@@ -821,17 +831,22 @@ class _Parser:
 
     def parse_unary(self, logic: bool) -> Term:
         tok = self.peek()
+        self.enter()
         if self.at("PUNCT", "-"):
             self.next()
             inner = self.parse_unary(logic)
             if isinstance(inner, IntLit):
-                return IntLit(-inner.value, span=tok.span(self.file))
-            return Bin("-", IntLit(0), inner)
-        if self.at("PUNCT", "*"):
+                out = IntLit(-inner.value, span=tok.span(self.file))
+            else:
+                out = Bin("-", IntLit(0), inner)
+        elif self.at("PUNCT", "*"):
             self.next()
             name = self.ident()
-            return Deref(name.value, span=self.span_from(tok))
-        return self.parse_term_atom(logic)
+            out = Deref(name.value, span=self.span_from(tok))
+        else:
+            out = self.parse_term_atom(logic)
+        self.depth -= 1
+        return out
 
     def parse_term_atom(self, logic: bool) -> Term:
         tok = self.peek()

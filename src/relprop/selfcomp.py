@@ -28,7 +28,8 @@ from .minic import (
     ResultTerm, LogicApp,
     Pred, Cmp, PAnd, POr, PImp, PForall, PExists, Separated,
     PredApp,
-    GlobalLoc, DerefLoc, Loc, Diagnostic, rel_label, walk, map_nodes,
+    GlobalLoc, DerefLoc, Loc, Diagnostic, rel_label, statements, walk,
+    map_nodes,
 )
 from .validate import validate, footprint_of
 
@@ -151,7 +152,7 @@ class _Names:
 def _frame_names(fn: FunctionDef) -> list[str]:
     """What an inlined copy of `fn` renames: int formals, then locals."""
     return [p.name for p in fn.formals if p.ty == INT] + \
-        sorted({s.name for s in walk(fn.body) if isinstance(s, DeclStmt)})
+        sorted({s.name for s in statements(fn.body) if isinstance(s, DeclStmt)})
 
 
 def footprint_locs(fn: FunctionDef, program: Program) -> list[Loc]:
@@ -237,7 +238,7 @@ def _rename(node, env: dict[str, str]):
 
 
 def _contains_return(stmts) -> bool:
-    return any(isinstance(s, ReturnStmt) for s in walk(stmts))
+    return any(isinstance(s, ReturnStmt) for s in statements(stmts))
 
 
 def tail_convert(stmts: list[Stmt],

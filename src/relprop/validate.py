@@ -48,7 +48,7 @@ from .minic import (
     PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
     Loc, GlobalLoc, DerefLoc, ResultLoc, FormalLoc,
-    Diagnostic, rel_label, walk,
+    Diagnostic, rel_label, statements, walk,
 )
 
 
@@ -137,8 +137,8 @@ def _uncovered(fn: FunctionDef, program: Program) -> tuple[Loc, ...]:
     return hit[1]
 
 
-def _callees(node) -> list[str]:
-    return [s.callee for s in walk(node) if isinstance(s, CallStmt)]
+def _callees(body: tuple[Stmt, ...]) -> list[str]:
+    return [s.callee for s in statements(body) if isinstance(s, CallStmt)]
 
 
 def footprint_of(fn: FunctionDef, program: Program) -> MemFootprint:
@@ -318,7 +318,7 @@ def validate(program: Program) -> list[Diagnostic]:
     # Footprints are derived for every callee and every function a
     # relational clause reaches, so their assigns clauses must cover them.
     involved = _relationally_involved(program)
-    called = set(_callees(program.functions))
+    called = {name for fn in program.functions for name in _callees(fn.body)}
     for fn in program.functions:
         if fn.name in involved or fn.name in called:
             _check_assigns_coverage(fn, program, diags, fn.name in involved)

@@ -50,13 +50,13 @@ from .minic import (
     OldTerm, ResultTerm, LogicApp,
     Pred, PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
-    GlobalLoc, Span, walk,
+    GlobalLoc, Span, statements,
 )
 from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FOr, FImp, FQuant, FApp,
     TRUE, conj, imp, subst, rename, simplify,
-    simplify_term, free_vars, point,
+    simplify_term, free_vars, point, same,
 )
 from .selfcomp import (
     TransformedProgram, ASSERT_LABEL, BEHAVIOR_PREFIX,
@@ -317,7 +317,7 @@ class _Forward:
     def modified(self, stmts: tuple[Stmt, ...]) -> set[str]:
         """Logic names a statement sequence may write."""
         out: set[str] = set()
-        for s in walk(stmts):
+        for s in statements(stmts):
             if isinstance(s, DeclStmt):
                 out.add(s.name)
             elif isinstance(s, AssignStmt):
@@ -391,7 +391,7 @@ class _Forward:
             b = else_state.get(name, base)
             if a is not base or b is not base:
                 a, b = subst(a, then_pins), subst(b, else_pins)
-                state[name] = a if a is b or a == b else \
+                state[name] = a if same(a, b) else \
                     simplify_term(IIte(c, a, b))
         frames = then_frames + else_frames
         if frames:

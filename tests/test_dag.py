@@ -18,8 +18,8 @@ from relprop import logic
 from relprop.bounded import _node_count, check_bounded
 from relprop.logic import (
     IVar, ICon, IOp, IIte, IApp, FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant,
-    FApp, children, dag_walk, free_vars, symbols, has_quantifier, simplify,
-    simplify_term,
+    FApp, children, dag_walk, free_vars, symbols, has_quantifier, same,
+    simplify, simplify_term,
 )
 from relprop.minic import Program
 from relprop.parser import parse_program
@@ -386,6 +386,31 @@ def test_kept_analyses_agree_with_fresh_ones(forms, data):
     some = nodes[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(some, dataclasses.fields(some)[0].name, None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(formula_dag_strategy(), st.data())
+def test_same_decides_structural_equality(forms, data):
+    nodes = list({id(n): n for f in forms for n in dag_walk(f)}.values())
+    copies: dict = {}
+    for _ in range(20):
+        a = data.draw(st.sampled_from(nodes))
+        b = data.draw(st.sampled_from(nodes))
+        for x, y in ((a, b), (a, _fresh_copy(b, copies)),
+                     (_fresh_copy(a, copies), a)):
+            assert same(x, y) == (x == y)
+
+
+def test_same_compares_each_node_pair_once():
+    # Two separately built chains t_k = t_(k-1) + t_(k-1): as trees they
+    # have 2^60 leaves, as dags 61 nodes each.
+    a, b = IVar("x"), IVar("x")
+    for _ in range(60):
+        a, b = IOp("+", a, a), IOp("+", b, b)
+    assert same(a, b)
+    assert not same(a, IOp("+", b.left, IOp("-", b.left.left, b.left.left)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,

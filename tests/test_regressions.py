@@ -2,9 +2,14 @@
 footprint, the unbounded interpreter recursion, int64 wraparound in the
 vectorized bounded check, variable capture when a callee's contract is
 bound to a call, `\\old` of a logic binder, a mirror declared twice and
-lemma names for globals."""
+lemma names for globals, and structural equality that cost as much as the
+trees it compares."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -489,3 +494,36 @@ def test_lemma_reads_a_labelled_callee_global_at_the_call_labels():
     assert text.endswith("\\at(g, pre_id1) == \\at(g, pre_id2) ==> "
                          "\\at(g, post_id1) == \\at(g, post_id2)")
     assert "g_id" not in text
+
+
+EQUAL_BRANCHES = """
+/*@ assigns \\result \\from a, c;
+    relational R: \\forall int a, c;
+      \\callset(\\call(f, a, c, id1), \\call(f, a, c, id2))
+      ==> \\callresult(id1) == \\callresult(id2);
+*/
+int f(int a, int c) {
+  int x = a;
+  if (c > 0) { BODY } else { BODY }
+  return x;
+}
+"""
+
+
+def test_equal_branch_values_merge_in_time_of_the_dag():
+    # Both branches double x forty times: equal values whose trees have
+    # 2^40 leaves. Comparing them (and simplifying their ite) node pair by
+    # node pair costs the dag; comparing them as trees never finishes.
+    src = EQUAL_BRANCHES.replace("BODY", "x = x + x; " * 40)
+    code = ("import sys\n"
+            "from relprop.parser import parse_program\n"
+            "from relprop.selfcomp import transform\n"
+            "from relprop.vcgen import vcs_for\n"
+            "t = transform(parse_program(sys.stdin.read()))\n"
+            "print(len(vcs_for(t, admitted=t.lemma_names)))\n")
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-c", code], input=src,
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
