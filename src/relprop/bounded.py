@@ -88,25 +88,25 @@ _INT64_MAX = 2 ** 63 - 1
 def _fits_int64(forms: list[Form], bound: int) -> bool:
     """True when no term can leave int64 with every variable in
     [-bound, bound]: a worst-case magnitude per term node, over the dag."""
-    mag: dict[int, int] = {}
+    mag: dict[TermF, int] = {}
     for f in forms:
         for n in dag_walk(f):
-            if id(n) in mag:
+            if n in mag:
                 continue
             if isinstance(n, IVar):
                 m = bound
             elif isinstance(n, ICon):
                 m = abs(n.value)
             elif isinstance(n, IOp):
-                a, b = mag[id(n.left)], mag[id(n.right)]
+                a, b = mag[n.left], mag[n.right]
                 m = a if n.op == "/" else a * b if n.op == "*" else a + b
             elif isinstance(n, IIte):
-                m = max(mag[id(n.then)], mag[id(n.other)])
+                m = max(mag[n.then], mag[n.other])
             else:
                 continue
             if m > _INT64_MAX:
                 return False
-            mag[id(n)] = m
+            mag[n] = m
     return True
 
 
@@ -193,10 +193,9 @@ def _np_ediv(a, b):
 
 
 def _np_term(t: TermF, env, memo) -> np.ndarray:
-    key = id(t)
-    hit = memo.get(key)
+    hit = memo.get(t)
     if hit is not None:
-        return hit[1]
+        return hit
     if isinstance(t, IVar):
         out = env[t.name]
     elif isinstance(t, ICon):
@@ -209,16 +208,15 @@ def _np_term(t: TermF, env, memo) -> np.ndarray:
                        _np_term(t.other, env, memo))
     else:
         raise TypeError(f"vectorized path cannot evaluate {t!r}")
-    memo[key] = (t, out)
+    memo[t] = out
     return out
 
 
 def _np_form(f: Form, env, memo=None) -> np.ndarray:
     memo = memo if memo is not None else {}
-    key = id(f)
-    hit = memo.get(key)
+    hit = memo.get(f)
     if hit is not None:
-        return hit[1]
+        return hit
     if isinstance(f, FBool):
         out = np.bool_(f.value)
     elif isinstance(f, FCmp):
@@ -237,7 +235,7 @@ def _np_form(f: Form, env, memo=None) -> np.ndarray:
         out = ~_np_form(f.hyp, env, memo) | _np_form(f.concl, env, memo)
     else:
         raise TypeError(f"vectorized path cannot evaluate {f!r}")
-    memo[key] = (f, out)
+    memo[f] = out
     return out
 
 

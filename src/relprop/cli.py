@@ -7,6 +7,7 @@ confirmed), 2 input or usage error, 3 proofs incomplete under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -268,7 +269,9 @@ def _common(sub: argparse.ArgumentParser) -> None:
                      help="emit machine-readable JSON on stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="relprop",
         description="Relational property verification for MiniC via "

@@ -4,57 +4,80 @@ This is the language verification conditions live in: integer variables,
 arithmetic with Euclidean division, if-then-else terms, comparisons, the
 boolean connectives, quantifiers, and applications of uninterpreted
 functions (`IApp`, integer-valued) and predicates (`FApp`, boolean-valued).
-All nodes are immutable; substitution is capture-avoiding. Formulas are
-dags: a subterm may be shared by many parents, rewrites return the nodes
-they leave unchanged as they are, and every traversal visits each distinct
-node once.
+All nodes are immutable; substitution is capture-avoiding.
+
+Nodes are hash-consed: every node is built through one intern table, so
+two structurally equal nodes are one object, and `==` and `hash` are
+identity. Formulas are dags: a subterm built twice, by one VC or by two,
+is one node shared by all its parents; rewrites that leave a node's
+children alone return that node; every traversal visits each distinct
+node once, and the SMT printer binds every repeated subterm by `let`.
 
 Each node keeps its derived analyses: its free variables, uninterpreted
 symbols and whether it contains a quantifier (`free_vars`, `symbols`,
 `has_quantifier`, all read from one children-first pass that stops at
 nodes already analysed), and its `simplify` result. This is safe because a
 node never changes, so an answer computed once stays right, and because
-the cache is not a dataclass field, so it never enters eq, hash or repr.
-A node shared by many VCs, or asked about by several layers, is analysed
-once.
+the cache is not a dataclass field, so it never enters repr. Since equal
+nodes are one node, each structurally distinct node is analysed once,
+however many VCs and layers build or ask about it.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
+
+
+class _Interned(type):
+    """Calling a node class with the arguments of a live node returns that
+    node. The key is the class and the arguments: strings and numbers
+    compare by value, child nodes (and tuples of them) by identity, so
+    building bottom-up makes structurally equal nodes identical. The table
+    holds its nodes weakly, so a node nothing uses is freed."""
+
+    def __call__(cls, *args):
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            node = _TABLE[key] = super().__call__(*args)
+        return node
+
+
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # -- terms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IVar:
+@dataclass(frozen=True, eq=False)
+class IVar(metaclass=_Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class ICon:
+@dataclass(frozen=True, eq=False)
+class ICon(metaclass=_Interned):
     value: int
 
 
-@dataclass(frozen=True)
-class IOp:
+@dataclass(frozen=True, eq=False)
+class IOp(metaclass=_Interned):
     op: str  # + - * /
     left: "TermF"
     right: "TermF"
 
 
-@dataclass(frozen=True)
-class IIte:
+@dataclass(frozen=True, eq=False)
+class IIte(metaclass=_Interned):
     cond: "Form"
     then: "TermF"
     other: "TermF"
 
 
-@dataclass(frozen=True)
-class IApp:
+@dataclass(frozen=True, eq=False)
+class IApp(metaclass=_Interned):
     fn: str
     args: tuple["TermF", ...]
 
@@ -65,48 +88,48 @@ TermF = Union[IVar, ICon, IOp, IIte, IApp]
 # -- formulas ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FBool:
+@dataclass(frozen=True, eq=False)
+class FBool(metaclass=_Interned):
     value: bool
 
 
-@dataclass(frozen=True)
-class FCmp:
+@dataclass(frozen=True, eq=False)
+class FCmp(metaclass=_Interned):
     op: str  # == != <= >= < >
     left: TermF
     right: TermF
 
 
-@dataclass(frozen=True)
-class FNot:
+@dataclass(frozen=True, eq=False)
+class FNot(metaclass=_Interned):
     body: "Form"
 
 
-@dataclass(frozen=True)
-class FAnd:
+@dataclass(frozen=True, eq=False)
+class FAnd(metaclass=_Interned):
     items: tuple["Form", ...]
 
 
-@dataclass(frozen=True)
-class FOr:
+@dataclass(frozen=True, eq=False)
+class FOr(metaclass=_Interned):
     items: tuple["Form", ...]
 
 
-@dataclass(frozen=True)
-class FImp:
+@dataclass(frozen=True, eq=False)
+class FImp(metaclass=_Interned):
     hyp: "Form"
     concl: "Form"
 
 
-@dataclass(frozen=True)
-class FQuant:
+@dataclass(frozen=True, eq=False)
+class FQuant(metaclass=_Interned):
     kind: str  # "forall" | "exists"
     vars: tuple[str, ...]
     body: "Form"
 
 
-@dataclass(frozen=True)
-class FApp:
+@dataclass(frozen=True, eq=False)
+class FApp(metaclass=_Interned):
     pred: str
     args: tuple[TermF, ...]
 
@@ -118,7 +141,7 @@ FALSE = FBool(False)
 
 
 def conj(items: list[Form]) -> Form:
-    items = [i for i in items if i != TRUE]
+    items = [i for i in items if i is not TRUE]
     if not items:
         return TRUE
     if len(items) == 1:
@@ -127,9 +150,9 @@ def conj(items: list[Form]) -> Form:
 
 
 def imp(hyp: Form, concl: Form) -> Form:
-    if hyp == TRUE:
+    if hyp is TRUE:
         return concl
-    if concl == TRUE:
+    if concl is TRUE:
         return TRUE
     return FImp(hyp, concl)
 
@@ -147,12 +170,6 @@ def ediv(a: int, b: int) -> int:
 CMP = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
        ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ediv}
-
-
-def emod(a: int, b: int) -> int:
-    if b == 0:
-        return a
-    return a - b * ediv(a, b)
 
 
 # -- traversals -----------------------------------------------------------------
@@ -174,57 +191,23 @@ def children(n: Union[TermF, Form]) -> tuple:
     return _CHILDREN[type(n)](n)
 
 
-# The fields of each node type that are not children.
-_LABELS = {
-    IVar: lambda n: n.name, ICon: lambda n: n.value, FBool: lambda n: n.value,
-    IOp: lambda n: n.op, IIte: lambda n: None, IApp: lambda n: n.fn,
-    FApp: lambda n: n.pred, FCmp: lambda n: n.op, FNot: lambda n: None,
-    FQuant: lambda n: (n.kind, n.vars), FAnd: lambda n: None,
-    FOr: lambda n: None, FImp: lambda n: None,
-}
-
-
-def same(a: Union[TermF, Form], b: Union[TermF, Form]) -> bool:
-    """Structural equality, what `a == b` decides, in time proportional to
-    the two dags rather than to their trees: iterative, and each pair of
-    nodes is compared once."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    seen: set[tuple[int, int]] = set()
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y or (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
-        if type(x) is not type(y) or _LABELS[type(x)](x) != _LABELS[type(y)](y):
-            return False
-        kx, ky = children(x), children(y)
-        if len(kx) != len(ky):
-            return False
-        stack.extend(zip(kx, ky))
-    return True
-
-
 def dag_walk(root: Union[TermF, Form]):
     """Each distinct node under `root` once, by identity, children before
     their parents. Iterative, so deep chains need no recursion, and shared
     subterms cost one visit however many paths reach them."""
-    seen: set[int] = set()
+    seen = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             yield node
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         stack.extend((c, False) for c in reversed(children(node))
-                     if id(c) not in seen)
+                     if c not in seen)
 
 
 # Derived analyses live on the node they describe, in its `__dict__` but
@@ -309,8 +292,9 @@ def has_quantifier(f: Form) -> bool:
     return _facts(f).quantified
 
 
-# Each compound node type rebuilt over new children.
+# Each node type rebuilt over new children.
 _REBUILD = {
+    IVar: lambda n, k: n, ICon: lambda n, k: n, FBool: lambda n, k: n,
     IOp: lambda n, k: IOp(n.op, *k), IIte: lambda n, k: IIte(*k),
     IApp: lambda n, k: IApp(n.fn, tuple(k)),
     FApp: lambda n, k: FApp(n.pred, tuple(k)),
@@ -320,14 +304,9 @@ _REBUILD = {
 }
 
 
-def _same(new, old) -> bool:
-    return len(new) == len(old) and all(a is b for a, b in zip(new, old))
-
-
 def _rebuild(n, kids):
-    """`n` over the children `kids`: `n` itself when every child is the
-    same object, so rewrites keep the sharing of what they leave alone."""
-    return n if _same(kids, children(n)) else _REBUILD[type(n)](n, kids)
+    """`n` over the children `kids`: `n` itself when they are its own."""
+    return _REBUILD[type(n)](n, kids)
 
 
 # -- substitution ----------------------------------------------------------------
@@ -343,11 +322,11 @@ def _fresh(base: str) -> str:
 
 
 def _subst(n, env: dict[str, TermF], memo: dict):
-    # Substituted dags share structure heavily; the id-keyed memo keeps the
-    # output sharing (and the work) proportional to the dag, not the tree.
-    hit = memo.get(id(n))
+    # Substituted dags share structure heavily; the memo keeps the work
+    # proportional to the dag, not the tree.
+    hit = memo.get(n)
     if hit is not None:
-        return hit[1]
+        return hit
     if isinstance(n, IVar):
         out = env.get(n.name, n)
     elif isinstance(n, FQuant):
@@ -368,7 +347,7 @@ def _subst(n, env: dict[str, TermF], memo: dict):
             out = FQuant(n.kind, tuple(vars_), subst(body, inner))
     else:
         out = _rebuild(n, [_subst(c, env, memo) for c in children(n)])
-    memo[id(n)] = (n, out)
+    memo[n] = out
     return out
 
 
@@ -410,7 +389,7 @@ def simplify_term(t: TermF) -> TermF:
         other = simplify_term(t.other)
         if isinstance(cond, FBool):
             out = then if cond.value else other
-        elif same(then, other):
+        elif then is other:
             out = then
         else:
             out = _rebuild(t, (cond, then, other))
@@ -454,7 +433,7 @@ def _simplify_node(f: Form) -> Form:
         right = simplify_term(f.right)
         if isinstance(left, ICon) and isinstance(right, ICon):
             return FBool(CMP[f.op](left.value, right.value))
-        if same(left, right):
+        if left is right:
             return FBool(f.op in ("==", "<=", ">="))
         pushed = _cmp_over_ite(f.op, left, right)
         if pushed is not None:
@@ -471,18 +450,17 @@ def _simplify_node(f: Form) -> Form:
         items = []
         for i in f.items:
             s = simplify(i)
-            if s == FALSE:
+            if s is FALSE:
                 return FALSE
-            if s != TRUE:
-                items.append(s)
-        return f if len(items) > 1 and _same(items, f.items) else conj(items)
+            items.append(s)
+        return conj(items)
     if isinstance(f, FOr):
         items = []
         for i in f.items:
             s = simplify(i)
-            if s == TRUE:
+            if s is TRUE:
                 return TRUE
-            if s != FALSE:
+            if s is not FALSE:
                 items.append(s)
         if not items:
             return FALSE
@@ -492,9 +470,9 @@ def _simplify_node(f: Form) -> Form:
     if isinstance(f, FImp):
         hyp = simplify(f.hyp)
         concl = simplify(f.concl)
-        if hyp == FALSE or concl == TRUE or same(hyp, concl):
+        if hyp is FALSE or concl is TRUE or hyp is concl:
             return TRUE
-        if hyp == TRUE:
+        if hyp is TRUE:
             return concl
         return _rebuild(f, (hyp, concl))
     if isinstance(f, FQuant):
@@ -544,7 +522,7 @@ def match_term(pattern: TermF, target: TermF, vars_: frozenset[str],
                binding: dict[str, TermF]) -> bool:
     if isinstance(pattern, IVar) and pattern.name in vars_:
         if pattern.name in binding:
-            return same(binding[pattern.name], target)
+            return binding[pattern.name] is target
         binding[pattern.name] = target
         return True
     if type(pattern) is not type(target):
@@ -596,4 +574,4 @@ def instance_of(hypothesis: Form, goal: Form) -> bool:
     if isinstance(hypothesis, FQuant) and hypothesis.kind == "forall":
         return match_form(hypothesis.body, goal,
                           frozenset(hypothesis.vars), {})
-    return same(hypothesis, goal)
+    return hypothesis is goal

@@ -79,7 +79,7 @@ def form_sexpr(f: Form, names: Iterator[int]) -> str:
     inline. The bindings of one place that use no other binding share a
     `let`."""
     order = list(dag_walk(f))
-    refs: Counter[int] = Counter(id(c) for n in order for c in children(n))
+    refs: Counter = Counter(c for n in order for c in children(n))
     # bound name -> position in `order` of the one quantifier binding it;
     # children come first, so an inner quantifier has the lower position
     binder: dict[str, int] = {}
@@ -89,8 +89,8 @@ def form_sexpr(f: Form, names: Iterator[int]) -> str:
                 binder[v] = _NOWHERE if v in binder else i
     for v in free_vars(f) & binder.keys():
         binder[v] = _NOWHERE
-    text: dict[int, str] = {}
-    level: dict[int, int] = {}  # deepest `let` a node's text refers to
+    text: dict = {}
+    level: dict = {}  # deepest `let` a node's text refers to
     # place (None in front of the formula, else a quantifier's position) ->
     # level -> bindings
     lets: dict[Optional[int], dict[int, list[str]]] = \
@@ -104,22 +104,22 @@ def form_sexpr(f: Form, names: Iterator[int]) -> str:
 
     for i, n in enumerate(order):
         kids = children(n)
-        level[id(n)] = max((level[id(c)] for c in kids), default=0)
-        kid_texts = [text[id(c)] for c in kids]
+        level[n] = max((level[c] for c in kids), default=0)
+        kid_texts = [text[c] for c in kids]
         if isinstance(n, FQuant):
             kid_texts = [under_lets(i, kid_texts[0])]
-        text[id(n)] = _node_text(n, kid_texts)
-        if not kids or refs[id(n)] < 2:
+        text[n] = _node_text(n, kid_texts)
+        if not kids or refs[n] < 2:
             continue
         places = {binder[v] for v in free_vars(n) & binder.keys()}
         if _NOWHERE in places:
             continue
         name = f"$s{next(names)}"
-        level[id(n)] += 1
-        lets[min(places, default=None)][level[id(n)]].append(
-            f"({name} {text[id(n)]})")
-        text[id(n)] = name
-    return under_lets(None, text[id(f)])
+        level[n] += 1
+        lets[min(places, default=None)][level[n]].append(
+            f"({name} {text[n]})")
+        text[n] = name
+    return under_lets(None, text[f])
 
 
 def emit_smtlib(vc: VerificationCondition) -> str:

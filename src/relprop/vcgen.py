@@ -56,7 +56,7 @@ from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FOr, FImp, FQuant, FApp,
     TRUE, conj, imp, subst, rename, simplify,
-    simplify_term, free_vars, point, same,
+    simplify_term, free_vars, point,
 )
 from .selfcomp import (
     TransformedProgram, ASSERT_LABEL, BEHAVIOR_PREFIX,
@@ -391,7 +391,7 @@ class _Forward:
             b = else_state.get(name, base)
             if a is not base or b is not base:
                 a, b = subst(a, then_pins), subst(b, else_pins)
-                state[name] = a if same(a, b) else \
+                state[name] = a if a is b else \
                     simplify_term(IIte(c, a, b))
         frames = then_frames + else_frames
         if frames:

@@ -1,5 +1,6 @@
 """The command-line driver: exit codes and artifacts."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from relprop import cli
 from relprop.cli import main
 from relprop.parser import parse_program
 from relprop.minic import Program
@@ -128,6 +130,28 @@ def test_prove_json_output(tmp_path, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["vcs"]["relational_wrapper_1__Rpp"]["status"] == "valid"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        code = run(["prove", corpus_path("comparators/cmp_diff_bad.mc"),
+                    "-o", tmp_path, "--json"])
+        files = {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+                 for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        outputs.append((code, capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1 and outputs[0][2]
+    assert built.count("relprop") == 1
 
 
 def test_assume_lemmas_adds_hypothesis(tmp_path, capsys):

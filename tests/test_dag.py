@@ -5,10 +5,13 @@ formula or, when it mentions quantifier-bound names, just inside their
 quantifier. Each node keeps its analyses (free variables, symbols, the
 quantifier flag and its simplified form), so a proof run analyses each
 node once; generated formulas check that the kept answers agree with
-computing them afresh."""
+computing them afresh. Nodes are interned, so structurally equal nodes are
+one object, and an interned node nothing uses is freed."""
 
 import dataclasses
+import gc
 import re
+import weakref
 from itertools import count
 
 import pytest
@@ -18,8 +21,8 @@ from relprop import logic
 from relprop.bounded import _node_count, check_bounded
 from relprop.logic import (
     IVar, ICon, IOp, IIte, IApp, FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant,
-    FApp, children, dag_walk, free_vars, symbols, has_quantifier, same,
-    simplify, simplify_term,
+    FApp, children, dag_walk, free_vars, symbols, has_quantifier,
+    simplify, simplify_term, subst,
 )
 from relprop.minic import Program
 from relprop.parser import parse_program
@@ -98,7 +101,8 @@ def test_dag_walk_yields_children_first_once():
     shared = IOp("+", IVar("x"), ICon(1))
     f = FAnd((FCmp("<", shared, IVar("y")), FCmp(">", shared, ICon(1))))
     order = list(dag_walk(f))
-    assert len(order) == len({id(n) for n in order}) == 8
+    # the two ICon(1) are one node
+    assert len(order) == len({id(n) for n in order}) == 7
     pos = {id(n): i for i, n in enumerate(order)}
     for n in order:
         for c in (getattr(n, a) for a in ("left", "right") if hasattr(n, a)):
@@ -234,6 +238,11 @@ def test_shared_node_is_bound_once():
     goal = FCmp("==", IOp("*", d, d), ICon(0))
     script = emit_smtlib(VerificationCondition("t", "t", "g", "assert", goal, ()))
     assert "(assert (not (let (($s1 (- x y))) (= (* $s1 $s1) 0))))" in script
+    # built twice, it is still one node
+    twice = FCmp("==", IOp("*", IOp("-", IVar("x"), IVar("y")),
+                           IOp("-", IVar("x"), IVar("y"))), ICon(0))
+    assert emit_smtlib(VerificationCondition(
+        "t", "t", "g", "assert", twice, ())) == script
 
 
 def test_node_under_its_binder_is_bound_inside_it():
@@ -310,7 +319,8 @@ def test_prove_analyses_each_node_once(monkeypatch):
 
 
 def _fresh_copy(n, memo: dict):
-    """`n` rebuilt from new objects, with its sharing and no kept analyses."""
+    """`n` rebuilt bottom-up, each node from its fields. Nodes are interned,
+    so this is `n` itself."""
     hit = memo.get(id(n))
     if hit is None:
         def copy(v):
@@ -350,14 +360,24 @@ def _alpha(n) -> str:
                   lambda m: fresh.setdefault(m.group(), f"#{len(fresh)}"), text)
 
 
+def _simplifier(n):
+    return simplify_term if isinstance(n, (IVar, ICon, IOp, IIte, IApp)) \
+        else simplify
+
+
+def _forget_analyses() -> None:
+    """Drop the kept analyses of every live node."""
+    for n in list(logic._TABLE.values()):
+        n.__dict__.pop(logic._FACTS, None)
+        n.__dict__.pop(logic._SIMPLIFIED, None)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(formula_dag_strategy(), st.data())
 def test_kept_analyses_agree_with_fresh_ones(forms, data):
     nodes = list({id(n): n for f in forms for n in dag_walk(f)}.values())
-    # The uncached references run on copies taken before any query.
-    cold = {id(n): _fresh_copy(n, {}) for n in nodes}
     order = data.draw(st.sampled_from(["children first", "parents first",
                                        "shuffled"]))
     if order == "parents first":
@@ -369,20 +389,24 @@ def test_kept_analyses_agree_with_fresh_ones(forms, data):
             [free_vars, symbols, has_quantifier, "simplify"]))
         if query != "simplify":
             query(n)
-        elif isinstance(n, (IVar, ICon, IOp, IIte, IApp)):
-            simplify_term(n)
         else:
-            simplify(n)
+            _simplifier(n)(n)
+    kept = {id(n): _simplifier(n)(n) for n in nodes}
     for n in nodes:
-        ref = cold[id(n)]
-        assert free_vars(n) == _free_ref(ref, {})
-        assert symbols(n) == _symbols_ref(ref)
+        assert free_vars(n) == _free_ref(n, {})
+        assert symbols(n) == _symbols_ref(n)
         assert has_quantifier(n) == any(isinstance(m, FQuant)
-                                        for m in dag_walk(ref))
-        simp = simplify_term if isinstance(n, (IVar, ICon, IOp, IIte, IApp)) \
-            else simplify
-        assert _alpha(simp(n)) == _alpha(simp(ref))
-        assert simp(n) is simp(n)
+                                        for m in dag_walk(n))
+        assert _simplifier(n)(n) is kept[id(n)]
+    # Simplified again from cold, each node gives the node it kept, up to
+    # the fresh names capture-avoiding substitution draws.
+    _forget_analyses()
+    for n in nodes:
+        warm, cold = kept[id(n)], _simplifier(n)(n)
+        if _alpha(warm) == _tree(warm):  # no fresh names
+            assert cold is warm
+        else:
+            assert _alpha(cold) == _alpha(warm)
     some = nodes[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(some, dataclasses.fields(some)[0].name, None)
@@ -392,25 +416,40 @@ def test_kept_analyses_agree_with_fresh_ones(forms, data):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(formula_dag_strategy(), st.data())
-def test_same_decides_structural_equality(forms, data):
+def test_structurally_equal_nodes_are_identical(forms, data):
     nodes = list({id(n): n for f in forms for n in dag_walk(f)}.values())
-    copies: dict = {}
-    for _ in range(20):
-        a = data.draw(st.sampled_from(nodes))
-        b = data.draw(st.sampled_from(nodes))
-        for x, y in ((a, b), (a, _fresh_copy(b, copies)),
-                     (_fresh_copy(a, copies), a)):
-            assert same(x, y) == (x == y)
+    terms = [n for n in nodes if isinstance(n, (IVar, ICon, IOp, IIte, IApp))]
+    env = {v: data.draw(st.sampled_from(terms)) for v in "abvw"
+           if data.draw(st.booleans())}
+    made = list(nodes)
+    for n in nodes:
+        assert _fresh_copy(n, {}) is n
+        made += [subst(n, env), _simplifier(n)(n)]
+    # A dataclass repr prints the whole tree, so equal reprs mean equal
+    # structure.
+    by_repr: dict[str, object] = {}
+    for n in made:
+        assert by_repr.setdefault(repr(n), n) is n
+        assert _fresh_copy(n, {}) is n
 
 
-def test_same_compares_each_node_pair_once():
-    # Two separately built chains t_k = t_(k-1) + t_(k-1): as trees they
-    # have 2^60 leaves, as dags 61 nodes each.
-    a, b = IVar("x"), IVar("x")
-    for _ in range(60):
-        a, b = IOp("+", a, a), IOp("+", b, b)
-    assert same(a, b)
-    assert not same(a, IOp("+", b.left, IOp("-", b.left.left, b.left.left)))
+def test_unreferenced_node_leaves_the_intern_table():
+    def key_count(text: str) -> int:
+        return sum(repr(n) == text for n in list(logic._TABLE.values()))
+
+    n = FQuant("forall", ("v",), FCmp("<", IOp("+", IVar("v"), ICon(913)),
+                                      IApp("g", (IVar("v"),))))
+    text = repr(n)
+    # kept analyses do not keep it alive
+    simplify(n)
+    free_vars(n)
+    assert key_count(text) == 1
+    gone = weakref.ref(n)
+    del n
+    gc.collect()
+    assert gone() is None
+    assert key_count(text) == 0
+    assert key_count("ICon(value=913)") == 0  # nor its children
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
