@@ -20,7 +20,19 @@ Outcomes:
 Quantifier-free, table-free problems whose terms provably stay within
 int64 take a vectorized numpy path that evaluates each node over its own
 variables' axes; the exact scalar evaluator (unbounded integers) handles
-quantifiers, tables and everything that could overflow int64.
+quantifiers, tables and everything that could overflow int64. The int64
+bound is a worst-case magnitude that each node keeps, per bound.
+
+A VC with shared frames (see `vcgen.ObligationSet`) whose box fits one
+block is checked without building its closed goal `F1 ==> (... local)`:
+the rows each frame's path admits are computed once per frame, over a box
+kept for the set's next VC, and the VC's falsifying rows are those rows
+less the rows where its local goal holds. The box spans every variable of
+the set when that fits one block (each node is still evaluated over its
+own variables' axes), so a VC over fewer variables reduces the rows over
+the axes it does not mention. The result, the budget's node count
+included, is the one the closed goal would give; any VC this cannot show
+for falls back to its closed goal.
 
 The vectorized path counts before it walks. The negated VC is a
 conjunction of facts that each mention few variables (a self-composed
@@ -39,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,9 +61,9 @@ from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant, FApp,
     TRUE, ARITH, CMP, simplify, free_vars, symbols, has_quantifier,
-    instance_of, rename, dag_walk,
+    instance_of, rename, dag_walk, children,
 )
-from .vcgen import VerificationCondition
+from .vcgen import Obligation, ObligationSet, VerificationCondition
 
 DEFAULT_BUDGET = 10_000_000_000  # elementary evaluation steps
 
@@ -68,10 +81,6 @@ class BoundedResult:
     rows: int = 0                # variable assignments examined
     reason: Optional[str] = None  # for unknown: "tables" | "havoc"
 
-    @property
-    def is_valid(self) -> bool:
-        return self.status == "valid"
-
 
 def _dirty(name: str) -> bool:
     return "$h" in name or "$sk" in name
@@ -84,30 +93,49 @@ def _node_count(f: Form) -> int:
 
 _INT64_MAX = 2 ** 63 - 1
 
+# Each node keeps, beside the analyses `logic` keeps, `(bound, m)`: with
+# every variable in [-bound, bound], a term node's value has magnitude at
+# most m, and m is -1 when some term node under it may leave int64.
+_MAG = "_mag"
+
+
+def _magnitude(n, bound: int) -> int:
+    """The kept worst-case magnitude of `n` at `bound`, computed once per
+    node by one iterative pass, children first, that stops at nodes
+    already measured at this bound."""
+    stack = [(n, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kept = node.__dict__.get(_MAG)
+        if kept is not None and kept[0] == bound:
+            continue
+        kids = children(node)
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((c, False) for c in kids)
+            continue
+        mags = [c.__dict__[_MAG][1] for c in kids]
+        if -1 in mags or isinstance(node, (IApp, FApp, FQuant)):
+            m = -1  # tables and quantifiers never reach the vectorized path
+        elif isinstance(node, IVar):
+            m = bound
+        elif isinstance(node, ICon):
+            m = abs(node.value)
+        elif isinstance(node, IOp):
+            a, b = mags
+            m = a if node.op == "/" else a * b if node.op == "*" else a + b
+        elif isinstance(node, IIte):
+            m = max(mags[1], mags[2])
+        else:
+            m = 0  # a formula: its terms fit
+        node.__dict__[_MAG] = (bound, m if m <= _INT64_MAX else -1)
+    return n.__dict__[_MAG][1]
+
 
 def _fits_int64(forms: list[Form], bound: int) -> bool:
     """True when no term can leave int64 with every variable in
-    [-bound, bound]: a worst-case magnitude per term node, over the dag."""
-    mag: dict[TermF, int] = {}
-    for f in forms:
-        for n in dag_walk(f):
-            if n in mag:
-                continue
-            if isinstance(n, IVar):
-                m = bound
-            elif isinstance(n, ICon):
-                m = abs(n.value)
-            elif isinstance(n, IOp):
-                a, b = mag[n.left], mag[n.right]
-                m = a if n.op == "/" else a * b if n.op == "*" else a + b
-            elif isinstance(n, IIte):
-                m = max(mag[n.then], mag[n.other])
-            else:
-                continue
-            if m > _INT64_MAX:
-                return False
-            mag[n] = m
-    return True
+    [-bound, bound]: a worst-case magnitude per term node, kept on it."""
+    return all(_magnitude(f, bound) >= 0 for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +176,22 @@ def _negate_goal(goal: Form, taken: set[str],
 
 
 def _prepare(goal: Form, hyps: list[Form]) -> tuple[list[Form], set[str]]:
-    """Hypotheses plus negated goal (both already simplified), Skolemized.
+    """Hypotheses plus negated goal (both already simplified), Skolemized."""
+    taken: set[str] = set(free_vars(goal))
+    for h in hyps:
+        taken |= free_vars(h)
+    counter = [0]
+    neg_goal, _ = _negate_goal(goal, taken, counter)
+    forms = _prepare_hyps(hyps, taken, counter) + [simplify(neg_goal)]
+    free: set[str] = set()
+    for f in forms:
+        free |= free_vars(f)
+    return forms, free
+
+
+def _prepare_hyps(hyps: list[Form], taken: set[str],
+                  counter: list[int]) -> list[Form]:
+    """The hypotheses the search assumes, Skolemized.
 
     Quantified hypotheses over uninterpreted symbols (admitted lemmas) are
     excluded from the search: instantiating their tables at every quantified
@@ -158,11 +201,6 @@ def _prepare(goal: Form, hyps: list[Form]) -> tuple[list[Form], set[str]]:
     is reported as unknown rather than as a counterexample, so soundness is
     unaffected.
     """
-    taken: set[str] = set(free_vars(goal))
-    for h in hyps:
-        taken |= free_vars(h)
-    counter = [0]
-    neg_goal, _ = _negate_goal(goal, taken, counter)
     forms: list[Form] = []
     for h in hyps:
         h = simplify(_skolemize_exists(h, taken, counter))
@@ -171,11 +209,7 @@ def _prepare(goal: Form, hyps: list[Form]) -> tuple[list[Form], set[str]]:
         if symbols(h) and has_quantifier(h):
             continue
         forms.append(h)
-    forms.append(simplify(neg_goal))
-    free: set[str] = set()
-    for f in forms:
-        free |= free_vars(f)
-    return forms, free
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +542,12 @@ def check_bounded(vc: VerificationCondition, bound: int,
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if vc.obligation.frame is not None:
+        shared = _shared_search(vc.obligation,
+                                [simplify(h) for _name, h in vc.hypotheses],
+                                bound, budget)
+        if shared is not None:
+            return _verdict(bound, "vectorized", *shared)
     goal = simplify(vc.goal)
     if goal == TRUE:
         return BoundedResult("valid", bound, method="instantiation", rows=0)
@@ -521,21 +561,157 @@ def check_bounded(vc: VerificationCondition, bound: int,
     any_quant = any(has_quantifier(f) for f in forms)
 
     if not any_tables and not any_quant and _fits_int64(forms, bound):
-        rows, assignment = _vectorized_search(forms, order, bound, budget)
-        if assignment is None:
-            return BoundedResult("valid", bound, method="vectorized", rows=rows)
-        if any(_dirty(v) for v in assignment):
-            return BoundedResult("unknown", bound, assignment,
-                                 method="vectorized", rows=rows, reason="havoc")
-        return BoundedResult("counterexample", bound, assignment,
-                             method="vectorized", rows=rows)
-
+        return _verdict(bound, "vectorized",
+                        *_vectorized_search(forms, order, bound, budget))
     rows, assignment, used_tables = _scalar_search(forms, order, bound, budget)
+    return _verdict(bound, "enumeration", rows, assignment, used_tables)
+
+
+def _verdict(bound: int, method: str, rows: int,
+             assignment: Optional[dict[str, int]],
+             used_tables: bool = False) -> BoundedResult:
     if assignment is None:
-        return BoundedResult("valid", bound, method="enumeration", rows=rows)
+        return BoundedResult("valid", bound, method=method, rows=rows)
     if used_tables or any(_dirty(v) for v in assignment):
         reason = "tables" if used_tables else "havoc"
         return BoundedResult("unknown", bound, assignment,
-                             method="enumeration", rows=rows, reason=reason)
+                             method=method, rows=rows, reason=reason)
     return BoundedResult("counterexample", bound, assignment,
-                         method="enumeration", rows=rows)
+                         method=method, rows=rows)
+
+
+# ---------------------------------------------------------------------------
+# The obligations of one function, checked together
+# ---------------------------------------------------------------------------
+
+class _Box:
+    """The frames of one obligation set evaluated over one box of values,
+    each variable on its own axis, as `_walk_blocks` evaluates one block:
+    every node once, each over its own variables' axes, and the rows each
+    path of frames admits once per frame."""
+
+    def __init__(self, bound: int, order: list[str]):
+        self.order = order
+        values = np.arange(-bound, bound + 1, dtype=np.int64)
+        self.env = dict(zip(order, np.ix_(*[values] * len(order))))
+        self.memo: dict = {}
+        self.admitted: dict = {}  # frame -> rows its whole path admits
+
+    def value(self, f: Form):
+        return _np_form(f, self.env, self.memo)
+
+    def path(self, frame):
+        todo = []
+        while frame is not None and frame not in self.admitted:
+            todo.append(frame)
+            frame = frame.outer
+        mask = self.admitted[frame] if frame is not None else np.bool_(True)
+        for f in reversed(todo):
+            mask = self.admitted[f] = mask & self.value(f.form)
+        return mask
+
+
+class _SetCheck:
+    """What checking one obligation set at one bound keeps between its
+    VCs: the variables of its shared obligations, whether each frame's
+    path fits int64, and one box. The box spans every variable of the set
+    when that fits one block, so each frame is evaluated once for all its
+    VCs; otherwise it spans the last VC's variables and is kept for the
+    VCs over the same ones."""
+
+    def __init__(self, oset: ObligationSet, bound: int):
+        self.oset = weakref.ref(oset, _forget)
+        self.bound = bound
+        free: frozenset[str] = frozenset()
+        for ob in oset.obligations:
+            if ob.frame is not None:
+                free |= ob.free_vars()
+        self.free = free
+        self.fits: dict = {}
+        for f in oset.frames:
+            self.fits[f] = (f.outer is None or self.fits[f.outer]) \
+                and _magnitude(f.form, bound) >= 0
+        self.box: Optional[_Box] = None
+
+    def box_for(self, order: list[str]) -> _Box:
+        wide = sorted(self.free.union(order))
+        if (2 * self.bound + 1) ** len(wide) <= _CHUNK:
+            order = wide
+        if self.box is None or self.box.order != order:
+            self.box = _Box(self.bound, order)
+        return self.box
+
+
+# One set is checked at a time, so only the last set's check is kept; it
+# goes when its set does.
+_kept: Optional[_SetCheck] = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _kept
+    if _kept is not None and _kept.oset is ref:
+        _kept = None
+
+
+def _set_check(oset: ObligationSet, bound: int) -> _SetCheck:
+    global _kept
+    if _kept is None or _kept.oset() is not oset or _kept.bound != bound:
+        _kept = _SetCheck(oset, bound)
+    return _kept
+
+
+def _shared_search(ob: Obligation, hyps: list[Form], bound: int, budget: int
+                   ) -> Optional[tuple[int, Optional[dict[str, int]]]]:
+    """`_vectorized_search` of the closed goal of `ob` under `hyps`, with
+    the goal left unbuilt; None when only the closed goal can decide.
+
+    The goal is `F1 ==> (... (Fn ==> local))`, not `true` (see
+    `Obligation`), so the search assumes each frame and refutes `local`,
+    and the problem's node count is the count of the path's distinct nodes
+    plus the local goal's new ones, the n implications and the negation.
+    The closed goal decides when a hypothesis is an implication, which
+    `instance_of` could match against it; when the problem needs the
+    scalar search; when the box spans more than one block; and when the
+    local goal lies inside a frame, so that an implication of the chain
+    may too."""
+    if any(isinstance(h, FImp) or isinstance(h, FQuant) and h.kind == "forall"
+           and isinstance(h.body, FImp) for h in hyps):
+        return None
+    frame, local, oset = ob.frame, ob.local, ob.owner
+    forms = _prepare_hyps(hyps, set(), [0])
+    if frame.quantified or frame.symbols or has_quantifier(local) \
+            or symbols(local) \
+            or any(symbols(f) or has_quantifier(f) for f in forms):
+        return None
+    check = _set_check(oset, bound)
+    if not (check.fits[frame] and _fits_int64(forms + [local], bound)):
+        return None
+    free = set(ob.free_vars())
+    for f in forms:
+        free |= free_vars(f)
+    order = sorted(free)
+    size = 2 * bound + 1
+    total = size ** len(order)
+    new = oset.new_nodes(ob)
+    if total > _CHUNK or not new:
+        return None
+    nodes = oset.path_size(frame) + len(new) + frame.depth + 1 \
+        + sum(_node_count(f) for f in forms)
+    if total * nodes > budget:
+        raise BudgetExceeded(
+            f"{total} assignments x {nodes} nodes exceeds the budget")
+
+    box = check.box_for(order)
+    mask = box.path(frame) & ~box.value(local)
+    for f in forms:
+        mask = mask & box.value(f)
+    mask = np.asarray(mask)
+    if mask.ndim:  # the axes this VC does not mention
+        mask = np.any(mask, axis=tuple(i for i, v in enumerate(box.order)
+                                       if v not in free))
+    mask = np.broadcast_to(mask, (size,) * len(order))
+    if not mask.any():
+        return total, None
+    at = int(np.argmax(mask))
+    idx = np.unravel_index(at, mask.shape)
+    return at + 1, {v: int(i) - bound for v, i in zip(order, idx)}

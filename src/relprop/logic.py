@@ -36,17 +36,27 @@ class _Interned(type):
     node. The key is the class and the arguments: strings and numbers
     compare by value, child nodes (and tuples of them) by identity, so
     building bottom-up makes structurally equal nodes identical. The table
-    holds its nodes weakly, so a node nothing uses is freed."""
+    holds each node by a weak reference, so a node nothing uses is freed,
+    and its entry goes with it."""
 
     def __call__(cls, *args):
         key = (cls, *args)
-        node = _TABLE.get(key)
+        ref = _TABLE.get(key)
+        node = ref() if ref is not None else None
         if node is None:
-            node = _TABLE[key] = super().__call__(*args)
+            node = super().__call__(*args)
+
+            def gone(dead, key=key):
+                # A node built again under this key after the old one died
+                # owns the entry now.
+                if _TABLE.get(key) is dead:
+                    del _TABLE[key]
+
+            _TABLE[key] = weakref.ref(node, gone)
         return node
 
 
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TABLE: dict[tuple, weakref.ref] = {}
 
 
 # -- terms -------------------------------------------------------------------
@@ -191,11 +201,13 @@ def children(n: Union[TermF, Form]) -> tuple:
     return _CHILDREN[type(n)](n)
 
 
-def dag_walk(root: Union[TermF, Form]):
+def dag_walk(root: Union[TermF, Form], seen: Optional[set] = None):
     """Each distinct node under `root` once, by identity, children before
     their parents. Iterative, so deep chains need no recursion, and shared
-    subterms cost one visit however many paths reach them."""
-    seen = set()
+    subterms cost one visit however many paths reach them. Nodes already
+    in `seen` are skipped with everything under them, and every node
+    yielded is added to it."""
+    seen = set() if seen is None else seen
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()

@@ -418,17 +418,6 @@ def _emit_call(spec: CallSpec, renaming: Renaming, inliner: _Inliner) -> list[St
     return out
 
 
-def inline_call(spec: CallSpec, renaming: Renaming,
-                program: Program) -> list[Stmt]:
-    """Standalone inlining of one callset call (fresh allocator)."""
-    names = _Names(program)
-    for m in (renaming.globals, renaming.pointers, renaming.locals):
-        names.used.update(m.values())
-    if renaming.ret_var:
-        names.used.add(renaming.ret_var)
-    return _emit_call(spec, renaming, _Inliner(program, names))
-
-
 # ---------------------------------------------------------------------------
 # Predicate translation
 # ---------------------------------------------------------------------------

@@ -12,14 +12,24 @@ clauses, including the generated `_acsl` link behaviors (this is how
 relational lemmas become usable in client proofs). The frames a branch adds
 become one frame after the `if`, `(c ==> A_then) && (!c ==> A_else)` over
 both branches' fresh names, except that a fresh name a branch fixes as
-`v == t` is replaced by `t`. Each obligation met on the way (an assertion, a
-callee's requires, a loop's initiation and preservation) is closed over the
-frames on its path: `A ==> goal`, and `forall fresh. A ==> goal` simplified
-at a frame with fresh names, so the one-point rule removes the names that
-ensures pin down. Loops use the invariant rule: the modified variables get
-fresh names that stay free, the body runs under `inv && cond`, and the code
-after the loop under `inv && !cond`. Terms are shared, not copied, so a
-VC's dag, and its SMT text, grow linearly with the body.
+`v == t` is replaced by `t`. Loops use the invariant rule: the modified
+variables get fresh names that stay free, the body runs under
+`inv && cond`, and the code after the loop under `inv && !cond`. Terms are
+shared, not copied, so a VC's dag, and its SMT text, grow linearly with
+the body.
+
+Each obligation met on the way (an assertion, a callee's requires, a
+loop's initiation and preservation) holds under the frames on its path:
+`A ==> goal`, and `forall fresh. A ==> goal` simplified at a frame with
+fresh names, so the one-point rule removes the names that ensures pin
+down. The obligations of one function are one `ObligationSet`: the frames
+once, each simplified into a `SharedFrame`, and each obligation as its
+innermost frame plus its local goal, so a body with k asserts costs work
+linear in k, not k closed goals of O(k) nodes. A frame with fresh names is
+a closure boundary: an obligation under it is closed over it, and over the
+frames inside it, as above. A `VerificationCondition` is a view of one
+obligation, and its closed `goal` (the chain `F1 ==> (... (Fn ==> local))`
+that closing and simplifying would give) is built only when asked for.
 Pointer dereferences are scalarized (each `*p` is the integer variable
 `p$cell`, sound under the generated separation hypotheses and the
 no-aliasing restriction).
@@ -55,8 +65,8 @@ from .minic import (
 from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FOr, FImp, FQuant, FApp,
-    TRUE, conj, imp, subst, rename, simplify,
-    simplify_term, free_vars, point,
+    TRUE, FALSE, conj, imp, subst, rename, simplify,
+    simplify_term, free_vars, symbols, has_quantifier, point, dag_walk,
 )
 from .selfcomp import (
     TransformedProgram, ASSERT_LABEL, BEHAVIOR_PREFIX,
@@ -78,12 +88,22 @@ class VerificationCondition:
     assertion: str            # assert label, ensures id, or loop role
     kind: str                 # assert | wrapper-assert | ensures | lemma |
                               # loop-init | loop-preserve | call-requires
-    goal: Form
+    obligation: "Obligation"  # a bare goal formula is an obligation alone
     hypotheses: tuple[tuple[str, Form], ...]
     links: tuple[str, ...] = ()   # callees whose link ensures were assumed
     clause: Optional[str] = None  # owning relational clause, if any
     replayable: bool = False      # counterexample maps onto wrapper inputs
     span: Optional[Span] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.obligation, Obligation):
+            object.__setattr__(self, "obligation",
+                               Obligation(None, self.obligation))
+
+    @property
+    def goal(self) -> Form:
+        """The closed goal, built on first use."""
+        return self.obligation.goal
 
     def hypothesis_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.hypotheses)
@@ -245,28 +265,42 @@ class _Item:
     kind: str
     label: str
     span: Optional[Span]
-    form: Form
-    links: set[str]
+    form: Form                # the goal where it is met
+    path: Optional["_Frame"]  # the frames assumed there
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Frame:
     """One assumption on the path to a program point, innermost first:
     `assume` holds for every value of the `fresh` names it introduces, and
-    `links` names the callees whose link ensures it contains."""
+    `links` names the callees whose link ensures it contains. `path_links`
+    holds the links of every frame on the path, and `binder` is its
+    outermost frame with fresh names, if any."""
     assume: Form
     fresh: tuple[str, ...] = ()
     links: frozenset[str] = frozenset()
     outer: Optional["_Frame"] = None
+    path_links: frozenset[str] = field(init=False, repr=False)
+    binder: Optional["_Frame"] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        outer = self.outer
+        inherited = outer.path_links if outer is not None else frozenset()
+        object.__setattr__(self, "path_links", inherited
+                           if self.links <= inherited
+                           else inherited | self.links)
+        binder = outer.binder if outer is not None else None
+        object.__setattr__(self, "binder",
+                           binder or (self if self.fresh else None))
 
 
-def _close(path: Optional[_Frame], form: Form, links: set[str]) -> Form:
-    """`form` under every frame of `path`; collects the frames' links."""
-    while path is not None:
+def _close(path: Optional[_Frame], form: Form,
+           stop: Optional[_Frame] = None) -> Form:
+    """`form` under every frame of `path` out to `stop`, exclusive."""
+    while path is not stop:
         form = imp(path.assume, form)
         if path.fresh:
             form = simplify(FQuant("forall", path.fresh, form))
-        links |= path.links
         path = path.outer
     return form
 
@@ -334,8 +368,7 @@ class _Forward:
 
     def obligation(self, kind: str, label: str, span: Optional[Span],
                    form: Form, path: Optional[_Frame]) -> _Item:
-        links: set[str] = set()
-        return _Item(kind, label, span, _close(path, form, links), links)
+        return _Item(kind, label, span, form, path)
 
     def run(self, stmts: tuple[Stmt, ...], state: StateEnv,
             path: Optional[_Frame]) -> tuple[Optional[_Frame], list[_Item]]:
@@ -498,8 +531,8 @@ def wp(stmt, post: Form, fn: Optional[FunctionDef] = None,
     stmts = tuple(stmt) if isinstance(stmt, (list, tuple)) else (stmt,)
     state: StateEnv = {}
     path, items = _Forward(fn, program).run(stmts, state, None)
-    return conj([_close(path, subst(post, state), set())]
-                + [it.form for it in items])
+    return conj([_close(path, subst(post, state))]
+                + [_close(it.path, it.form) for it in items])
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +547,192 @@ def _function_items(fn: FunctionDef, program: Program) -> list[_Item]:
     items: list[_Item] = []
     for i, p in enumerate(fn.contract.ensures, 1):
         items.append(_Item("ensures", f"ensures_{i}", p.span,
-                           compile_pred(p, program), set()))
+                           compile_pred(p, program), None))
     for b in fn.contract.behaviors:
         if b.name.startswith(BEHAVIOR_PREFIX):
             continue
         for i, p in enumerate(b.ensures, 1):
             items.append(_Item("ensures", f"{b.name}_ensures_{i}", p.span,
-                               compile_pred(p, program), set()))
+                               compile_pred(p, program), None))
     return items
 
 
-def function_vcs(fn: FunctionDef, program: Program) -> list[_Item]:
+class SharedFrame:
+    """A frame as the obligations under it assume it: simplified, `$pre`
+    names stripped, never `true`. `outer` is the next such frame out, and
+    `depth` counts the frames on the path, this one included. The path's
+    free variables, symbols and quantifier flag are kept, so asking about
+    a path costs one frame, not its length."""
+
+    __slots__ = ("form", "outer", "depth", "free", "symbols", "quantified",
+                 "regular")
+
+    def __init__(self, form: Form, outer: Optional["SharedFrame"]):
+        self.form, self.outer = form, outer
+        free, syms = free_vars(form), symbols(form)
+        self.quantified = has_quantifier(form)
+        self.depth = 1
+        # The closed goal is the chain `F1 ==> (F2 ==> ... local)` exactly
+        # when no frame is `false`, each is already simplified, and none
+        # is `G ==> ...` with G the next frame in, which `simplify` would
+        # fold to `true`.
+        self.regular = form is not FALSE and simplify(form) is form
+        if outer is not None:
+            self.depth += outer.depth
+            free = outer.free if free <= outer.free else outer.free | free
+            if not syms.items() <= outer.symbols.items():
+                syms = {**outer.symbols, **syms}
+            else:
+                syms = outer.symbols
+            self.quantified = self.quantified or outer.quantified
+            self.regular = self.regular and outer.regular and not (
+                isinstance(outer.form, FImp) and outer.form.hyp is form)
+        self.free, self.symbols = free, syms
+
+    def path(self) -> list["SharedFrame"]:
+        """The frames on the path, outermost first."""
+        out, f = [], self
+        while f is not None:
+            out.append(f)
+            f = f.outer
+        return out[::-1]
+
+
+class Obligation:
+    """One proof obligation: `local` under every frame on the path that
+    ends at `frame`. Its goal is `F1 ==> (F2 ==> ... (Fn ==> local))`, the
+    formula that closing `local` over the path and simplifying would give;
+    it is built on first use. An obligation with `frame` None has nothing
+    to share: `local` is its whole goal."""
+
+    def __init__(self, frame: Optional[SharedFrame], local: Form,
+                 kind: str = "assert", label: str = "assert",
+                 span: Optional[Span] = None,
+                 links: frozenset[str] = frozenset(),
+                 owner: Optional["ObligationSet"] = None):
+        self.frame, self.local = frame, local
+        self.kind, self.label, self.span, self.links = kind, label, span, links
+        self.owner = owner
+        self._goal: Optional[Form] = None if frame is not None else local
+
+    @property
+    def goal(self) -> Form:
+        if self._goal is None:
+            self._goal = _fold(self.frame, self.local)
+        return self._goal
+
+    def free_vars(self) -> frozenset[str]:
+        free = free_vars(self.local)
+        return free if self.frame is None else self.frame.free | free
+
+
+def _fold(frame: Optional[SharedFrame], local: Form) -> Form:
+    """`local` under each frame out from `frame`, as `simplify` rewrites
+    `F ==> G` when F and G are simplified."""
+    goal = local
+    while frame is not None:
+        hyp = frame.form
+        goal = TRUE if hyp is FALSE or goal is TRUE or hyp is goal \
+            else FImp(hyp, goal)
+        frame = frame.outer
+    return goal
+
+
+class ObligationSet:
+    """The proof obligations of one function over its shared frames.
+
+    The forward pass meets each obligation with the chain of frames
+    assumed on its path, and the obligations of one body share the frames
+    on their common path. Each frame is simplified once into a
+    `SharedFrame`, and each obligation keeps its frame and its local goal,
+    so the layers after `vcgen` can do their work once per frame instead
+    of once per obligation. A frame with fresh names stays a closure
+    boundary: an obligation under it is closed over it, and over every
+    frame inside it, exactly as a lone goal would be."""
+
+    def __init__(self, function: str, items: list[_Item]):
+        self.function = function
+        self.frames: list[SharedFrame] = []  # each after its outer frame
+        self._walked: Optional[tuple[dict, dict]] = None
+        shared: dict[_Frame, Optional[SharedFrame]] = {}
+        self.obligations = [self._obligation(it, shared) for it in items]
+
+    def _obligation(self, it: _Item, shared: dict) -> Obligation:
+        path, local = it.path, it.form
+        links = path.path_links if path is not None else frozenset()
+        if path is not None and path.binder is not None:
+            local = _close(path, local, path.binder.outer)
+            path = path.binder.outer
+        local = simplify(_strip_pre_suffix(local))
+        frame = self._share(path, shared)
+        if frame is not None and not (
+                frame.regular and local is not TRUE and local is not frame.form
+                and simplify(local) is local):
+            frame, local = None, _fold(frame, local)
+        return Obligation(frame, local, it.kind, it.label, it.span, links, self)
+
+    def _share(self, path: Optional[_Frame], shared: dict
+               ) -> Optional[SharedFrame]:
+        """The innermost shared frame of `path`; frames that simplify to
+        `true` are left out."""
+        todo = []
+        while path is not None and path not in shared:
+            todo.append(path)
+            path = path.outer
+        out = shared[path] if path is not None else None
+        for raw in reversed(todo):
+            form = simplify(_strip_pre_suffix(raw.assume))
+            if form is not TRUE:
+                out = SharedFrame(form, out)
+                self.frames.append(out)
+            shared[raw] = out
+        return out
+
+    def new_nodes(self, at) -> list:
+        """The nodes of a frame's or an obligation's formula that no frame
+        further out on its path holds, children first."""
+        return self._walk()[0][at]
+
+    def path_size(self, frame: SharedFrame) -> int:
+        """The number of distinct nodes in the formulas of the frames on
+        the path that ends at `frame`."""
+        return self._walk()[1][frame]
+
+    def _walk(self) -> tuple[dict, dict]:
+        """`new_nodes` and `path_size` of everything in the set, from one
+        walk over the tree of frames that keeps the nodes on the current
+        path in one set."""
+        if self._walked is not None:
+            return self._walked
+        inner: dict = {}
+        for f in self.frames:
+            inner.setdefault(f.outer, []).append(f)
+        for ob in self.obligations:
+            inner.setdefault(ob.frame, []).append(ob)
+        new: dict = {}
+        sizes: dict = {None: 0}
+        on_path: set = set()
+        stack: list = [(x, False) for x in reversed(inner.get(None, ()))]
+        while stack:
+            at, leaving = stack.pop()
+            if leaving:
+                on_path.difference_update(new[at])
+                continue
+            if isinstance(at, SharedFrame):
+                new[at] = list(dag_walk(at.form, on_path))
+                sizes[at] = sizes[at.outer] + len(new[at])
+            else:
+                new[at] = list(dag_walk(at.local, on_path))
+            stack.append((at, True))
+            stack.extend((x, False) for x in reversed(inner.get(at, ())))
+        self._walked = new, sizes
+        return self._walked
+
+
+def function_vcs(fn: FunctionDef, program: Program) -> list[Obligation]:
     """All proof obligations of one function, expressed at entry (before
     requires hypotheses are attached): exit goals first, then the body's
-    obligations."""
+    obligations, as one `ObligationSet`."""
     body = tail_convert(list(fn.body), RESULT_VAR)
     if body is None:
         body = flag_convert(list(fn.body), RESULT_VAR, "$done")
@@ -535,11 +740,8 @@ def function_vcs(fn: FunctionDef, program: Program) -> list[_Item]:
     path, items = _Forward(fn, program).run(tuple(body), state, None)
     goals = _function_items(fn, program)
     for it in goals:
-        it.form = _close(path, subst(it.form, state), it.links)
-    out = goals + items
-    for it in out:
-        it.form = simplify(_strip_pre_suffix(it.form))
-    return out
+        it.form, it.path = subst(it.form, state), path
+    return ObligationSet(fn.name, goals + items).obligations
 
 
 def vcs_for(transformed: TransformedProgram,
@@ -578,21 +780,21 @@ def vcs_for(transformed: TransformedProgram,
         entry = wrapper_names.get(fn.name)
         clause = entry.clause.name if entry is not None else None
         own_lemma = entry.lemma_name if entry is not None else None
-        for item in function_vcs(fn, program):
+        for ob in function_vcs(fn, program):
             # a lemma cannot justify its own wrapper
             hyps = requires + [(n, lemma_forms[n]) for n in sorted(admitted_set)
-                               if item.kind != "wrapper-assert" or n != own_lemma]
+                               if ob.kind != "wrapper-assert" or n != own_lemma]
             replayable = False
-            if item.kind == "wrapper-assert" and entry is not None:
+            if ob.kind == "wrapper-assert" and entry is not None:
                 slots = set(entry.wrapper.binder_params)
                 slots |= set(entry.wrapper.dup_globals)
                 slots |= {cell(p) for p in entry.wrapper.pointer_params}
-                replayable = free_vars(item.form) <= slots
+                replayable = ob.free_vars() <= slots
             out.append(VerificationCondition(
-                name=unique(f"{fn.name}__{item.label}"), function=fn.name,
-                assertion=item.label, kind=item.kind, goal=item.form,
-                hypotheses=tuple(hyps), links=tuple(sorted(item.links)),
-                clause=clause, replayable=replayable, span=item.span))
+                name=unique(f"{fn.name}__{ob.label}"), function=fn.name,
+                assertion=ob.label, kind=ob.kind, obligation=ob,
+                hypotheses=tuple(hyps), links=tuple(sorted(ob.links)),
+                clause=clause, replayable=replayable, span=ob.span))
 
     # Lemma VCs: the goal restates the property over the `_acsl` mirrors.
     # Their proof reduces to the wrapper assertion plus the link behaviors,
@@ -600,7 +802,8 @@ def vcs_for(transformed: TransformedProgram,
     for e in transformed.entries:
         out.append(VerificationCondition(
             name=unique(f"lemma__{e.lemma_name}"), function=e.wrapper.fn.name,
-            assertion=e.lemma_name, kind="lemma", goal=lemma_forms[e.lemma_name],
+            assertion=e.lemma_name, kind="lemma",
+            obligation=lemma_forms[e.lemma_name],
             hypotheses=(), links=tuple(sorted(transformed.acsl_symbols)),
             clause=e.clause.name))
     return out

@@ -215,7 +215,10 @@ def formula_dag_strategy(draw, max_steps: int = 12) -> list:
     children from the terms and formulas built before it, so subterms are
     shared within a formula and between formulas. `a` and `b` are free; `v`
     and `w` are bound by quantifiers, and so is `a` at times (free in one
-    place, bound in another); `g` and `p` are uninterpreted."""
+    place, bound in another); `g` and `p` are uninterpreted. A capture
+    step builds `forall v. v == t ==> Q u. phi`, where `t` mentions `u` and
+    `phi` mentions `v`: the one-point rule then substitutes `t` under the
+    binder of `u`, which capture-avoiding substitution must rename."""
     terms: list = [IVar(n) for n in "abvw"] + [ICon(draw(st.integers(-2, 2)))]
     forms: list = [FCmp("==", terms[2], terms[0])]
 
@@ -228,7 +231,7 @@ def formula_dag_strategy(draw, max_steps: int = 12) -> list:
     for _ in range(draw(st.integers(1, max_steps))):
         kind = draw(st.sampled_from(
             ["op", "ite", "app", "cmp", "not", "and", "or", "imp", "forall",
-             "exists", "pred", "bool"]))
+             "exists", "pred", "bool", "capture"]))
         if kind == "op":
             terms.append(IOp(draw(st.sampled_from("+-*/")), term(), term()))
         elif kind == "ite":
@@ -248,6 +251,14 @@ def formula_dag_strategy(draw, max_steps: int = 12) -> list:
             names = draw(st.lists(st.sampled_from("vwa"), min_size=1,
                                   max_size=2, unique=True))
             forms.append(FQuant(kind, tuple(names), form()))
+        elif kind == "capture":
+            u = draw(st.sampled_from("wa"))
+            inner = FQuant(draw(st.sampled_from(["forall", "exists"])), (u,),
+                           FAnd((form(), FCmp(draw(st.sampled_from(CMP_OPS)),
+                                              IVar("v"), IVar(u)))))
+            t = IOp(draw(st.sampled_from("+-*")), IVar(u), term())
+            forms.append(FQuant("forall", ("v",),
+                                FImp(FCmp("==", IVar("v"), t), inner)))
         elif kind == "pred":
             forms.append(FApp("p", (term(), term())))
         else:

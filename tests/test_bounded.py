@@ -29,7 +29,7 @@ def vc_of(goal, hyps=(), name="t__g", kind="assert"):
 def test_x_less_than_x_plus_one_valid():
     goal = FCmp("<", IVar("x"), IOp("+", IVar("x"), ICon(1)))
     r = check_bounded(vc_of(goal), 8)
-    assert r.is_valid
+    assert r.status == "valid"
     assert r.bound == 8
 
 
@@ -48,7 +48,7 @@ def test_fig2_goal_valid_at_289_rows(fig2):
     vc = [v for v in vcs_for(t, admitted=frozenset())
           if v.kind == "wrapper-assert"][0]
     r = check_bounded(vc, 8)
-    assert r.is_valid
+    assert r.status == "valid"
     assert r.rows == 17 ** 2
 
 
@@ -65,7 +65,7 @@ def test_hypothesis_instance_shortcut():
     goal = FCmp("==", IApp("d", (IApp("e", (IVar("msg"), IVar("key"))),
                                  IVar("key"))), IVar("msg"))
     r = check_bounded(vc_of(goal, [("lemma", lemma)]), 8)
-    assert r.is_valid
+    assert r.status == "valid"
     assert r.method == "instantiation"
 
 
@@ -92,14 +92,14 @@ def test_quantified_goal_valid():
                            IOp("*", IVar("x"), IVar("x")))))
     # x^2 <= x^4 fails at... x^2 <= x^4 holds for |x| >= 1 and x == 0
     r = check_bounded(vc_of(goal), 3)
-    assert r.is_valid
+    assert r.status == "valid"
 
 
 def test_exists_hypothesis_skolemized():
     hyp = FQuant("exists", ("w",), FCmp("==", IVar("w"), IVar("x")))
     goal = FCmp("==", IVar("x"), IVar("x"))
     r = check_bounded(vc_of(goal, [("h", hyp)]), 3)
-    assert r.is_valid
+    assert r.status == "valid"
 
 
 def test_euclidean_division_convention():
@@ -109,7 +109,7 @@ def test_euclidean_division_convention():
     assert ediv(-7, -2) == 4
     assert ediv(5, 0) == 0  # totalized
     goal = FCmp("==", IOp("/", ICon(-7), ICon(2)), ICon(-4))
-    assert check_bounded(vc_of(goal), 2).is_valid
+    assert check_bounded(vc_of(goal), 2).status == "valid"
 
 
 def test_vectorized_and_scalar_agree_on_small_formulas():
@@ -205,7 +205,7 @@ def test_six_variable_check_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert r.is_valid and r.method == "vectorized"
+    assert r.status == "valid" and r.method == "vectorized"
     assert r.rows == 17 ** 6
     assert peak < 64 * 2 ** 20
 
@@ -242,7 +242,7 @@ def test_six_variable_valid_vcs_are_counted_without_a_walk(name):
     with mock.patch.object(bounded, "_walk_blocks",
                            side_effect=AssertionError("walked a block")):
         r = check_bounded(vc, 8)
-    assert r.is_valid and r.method == "vectorized"
+    assert r.status == "valid" and r.method == "vectorized"
     assert r.rows == 17 ** 6
 
 

@@ -11,14 +11,18 @@ one object, and an interned node nothing uses is freed."""
 import dataclasses
 import gc
 import re
+import time
 import weakref
+from collections import Counter
 from itertools import count
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relprop import logic
-from relprop.bounded import _node_count, check_bounded
+from relprop import bounded, cli, logic, smtlib, vcgen
+from relprop.bounded import (
+    BudgetExceeded, DEFAULT_BUDGET, _node_count, check_bounded,
+)
 from relprop.logic import (
     IVar, ICon, IOp, IIte, IApp, FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant,
     FApp, children, dag_walk, free_vars, symbols, has_quantifier,
@@ -46,6 +50,17 @@ def seq_ifs(k: int) -> str:
     body = "".join(f"  if (a > {c}) {{\n    x = x + a;\n"
                    f"    /*@ assert x > 0; */\n  }}\n" for c in range(k))
     return ("/*@ assigns \\result \\from a; */\nint f(int a) {\n"
+            f"  int x = 0;\n{body}  return x;\n}}\n")
+
+
+def seq_ifs3(k: int) -> str:
+    """seq_ifs over three inputs: k `if (a > c) { x = x + b; assert x + c
+    < N; }`, with guards that repeat every 8 ifs."""
+    body = "".join(f"  if (a > {i % 8}) {{\n    x = x + b;\n"
+                   f"    /*@ assert x + c < {9 * k + 9}; */\n  }}\n"
+                   for i in range(k))
+    return ("/*@ assigns \\result \\from a, b, c; */\n"
+            "int f(int a, int b, int c) {\n"
             f"  int x = 0;\n{body}  return x;\n}}\n")
 
 
@@ -365,9 +380,15 @@ def _simplifier(n):
         else simplify
 
 
+def _live_nodes() -> list:
+    """Every node the intern table holds that is still alive."""
+    return [n for n in (r() for r in list(logic._TABLE.values()))
+            if n is not None]
+
+
 def _forget_analyses() -> None:
     """Drop the kept analyses of every live node."""
-    for n in list(logic._TABLE.values()):
+    for n in _live_nodes():
         n.__dict__.pop(logic._FACTS, None)
         n.__dict__.pop(logic._SIMPLIFIED, None)
 
@@ -435,7 +456,7 @@ def test_structurally_equal_nodes_are_identical(forms, data):
 
 def test_unreferenced_node_leaves_the_intern_table():
     def key_count(text: str) -> int:
-        return sum(repr(n) == text for n in list(logic._TABLE.values()))
+        return sum(repr(n) == text for n in _live_nodes())
 
     n = FQuant("forall", ("v",), FCmp("<", IOp("+", IVar("v"), ICon(913)),
                                       IApp("g", (IVar("v"),))))
@@ -515,8 +536,8 @@ def test_call_in_a_branch_is_pinned_by_its_ensures():
     # left and the VCs stay on the vectorized path.
     p = parse(MIXED)
     items = function_vcs(p.function("f"), p)
-    assert not any(has_quantifier(it.form) for it in items)
-    assert all("$h1" not in v for it in items for v in free_vars(it.form))
+    assert not any(has_quantifier(it.goal) for it in items)
+    assert all("$h1" not in v for it in items for v in free_vars(it.goal))
     t = transform(p)
     for vc in vcs_for(t, t.lemma_names):
         r = check_bounded(vc, 4)
@@ -558,8 +579,140 @@ def test_one_point_rule_looks_inside_conjunctions():
     p = parse(PINNED_IN_A_CONJUNCTION)
     items = function_vcs(p.function("f"), p)
     assert [it.label for it in items] == ["after", "top"]
-    assert not any(has_quantifier(it.form) for it in items)
-    assert all(free_vars(it.form) == {"a", "g"} for it in items)
+    assert not any(has_quantifier(it.goal) for it in items)
+    assert all(free_vars(it.goal) == {"a", "g"} for it in items)
     t = transform(p)
     assert {check_bounded(v, 4).status for v in vcs_for(t, t.lemma_names)} \
         == {"valid"}
+
+
+# -- obligation sets: each shared frame is built, checked and printed once ---------
+
+
+H_CALLEE = """
+/*@ assigns \\result \\from a;
+    ensures {ensures};
+*/
+int h(int a) {{
+  return a + 1;
+}}
+"""
+
+
+@st.composite
+def seq_ifs_like(draw) -> str:
+    """`int f(int a, int b)`: a few sequential ifs on `a` or `b`, each
+    adding to `x` and asserting a drawn comparison of `x` (some false);
+    asserts between the ifs; at times a requires clause, and calls of `h`,
+    whose ensures pins its result or only bounds it, before the ifs or in
+    a branch. The VCs of one body mention `a`, `b` or both."""
+    pinned = draw(st.booleans())
+    lines = ["  int x = 0;", "  int y = 0;"]
+    sometimes = st.integers(0, 3).map(lambda n: n == 0)
+    if draw(sometimes):
+        lines.append("  y = h(a);")
+    cmp = st.sampled_from([">", ">=", "<", "!="])
+    for _ in range(draw(st.integers(1, 5))):
+        call = "    y = h(x);\n" if draw(sometimes) else ""
+        lines.append(
+            f"  if ({draw(st.sampled_from('ab'))} {draw(cmp)} "
+            f"{draw(st.integers(-3, 3))}) {{\n{call}"
+            f"    x = x + {draw(st.sampled_from(['a', 'b', 'y', '1']))};\n"
+            f"    /*@ assert x {draw(cmp)} {draw(st.integers(-4, 4))}; */\n  }}")
+        if draw(st.booleans()):
+            lines.append(f"  /*@ assert x {draw(cmp)} "
+                         f"{draw(st.integers(-4, 4))}; */")
+    requires = "    requires a > -6;\n" if draw(st.booleans()) else ""
+    return (H_CALLEE.format(ensures="\\result == a + 1" if pinned
+                            else "\\result >= a")
+            + f"\n/*@{requires}    assigns \\result \\from a, b;\n*/\n"
+            + "int f(int a, int b) {\n" + "\n".join(lines)
+            + "\n  return x;\n}\n")
+
+
+def _outcome(vc: VerificationCondition, bound: int, budget: int):
+    try:
+        return check_bounded(vc, bound, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seq_ifs_like(), st.integers(1, 3),
+       st.sampled_from([DEFAULT_BUDGET, 60, 400]))
+def test_shared_check_and_script_agree_with_the_closed_goal(text, bound,
+                                                           budget):
+    t = transform(parse(text))
+    for vc in vcs_for(t, t.lemma_names):
+        closed = VerificationCondition(vc.name, vc.function, vc.assertion,
+                                       vc.kind, vc.goal, vc.hypotheses)
+        assert closed.obligation.frame is None
+        assert _outcome(vc, bound, budget) == _outcome(closed, bound, budget)
+        assert emit_smtlib(vc) == emit_smtlib(closed)
+        assert_script_is_tree(vc)
+
+
+def test_seq_ifs_obligations_share_frames_and_never_close():
+    t = transform(parse(seq_ifs(20)))
+    run = prove_program(t, 8)
+    for vc in run.vcs:
+        emit_smtlib(vc)
+    sets = {vc.obligation.owner for vc in run.vcs}
+    assert len(sets) == 1
+    (oset,) = sets
+    # a guard and a merged frame per if, the last if's merged frame unused
+    assert len(oset.frames) == 2 * 20 - 1
+    assert all(vc.obligation.frame is not None for vc in run.vcs)
+    assert all(ob._goal is None for ob in oset.obligations)
+    assert {r["status"] for r in run.results.values()} == {"valid"}
+
+
+def _linear_work(text: str, counts: Counter, phase: list) -> dict:
+    counts.clear()
+    t = transform(parse(text))
+    phase[0] = "check"
+    run = prove_program(t, 8)
+    phase[0] = "print"
+    for vc in run.vcs:
+        emit_smtlib(vc)
+    return dict(counts)
+
+
+@pytest.mark.parametrize("shape", [seq_ifs, seq_ifs3])
+def test_obligation_sets_make_total_work_linear(monkeypatch, tmp_path,
+                                                capsys, shape):
+    counts: Counter = Counter()
+    phase = ["check"]
+    walk = logic.dag_walk
+
+    def counted_walk(root, seen=None):
+        for n in walk(root, seen):
+            counts[phase[0]] += 1
+            yield n
+
+    for module in (bounded, vcgen, smtlib):
+        monkeypatch.setattr(module, "dag_walk", counted_walk)
+    for module, name, key in ((bounded, "_np_form", None),
+                              (bounded, "_np_term", None),
+                              (smtlib, "_node_text", None),
+                              (logic, "_simplify_node", "_simplify_node")):
+        def spy(*args, _orig=getattr(module, name), _key=key):
+            counts[_key or phase[0]] += 1
+            return _orig(*args)
+        monkeypatch.setattr(module, name, spy)
+    # k = 200 first, so nodes that outlive it could only make k = 100
+    # cheaper
+    big = _linear_work(shape(200), counts, phase)
+    gc.collect()
+    small = _linear_work(shape(100), counts, phase)
+    for key in ("_simplify_node", "check", "print"):
+        assert big[key] <= 2.25 * small[key], (key, small[key], big[key])
+    monkeypatch.undo()
+    path = tmp_path / "seq_ifs_200.mc"
+    path.write_text(shape(200), encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["prove", str(path), "-o", str(tmp_path / "out"),
+                     "--bound", "8"]) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()

@@ -10,7 +10,7 @@ from relprop.minic import (
 )
 from relprop.parser import parse_program
 from relprop.selfcomp import (
-    transform, make_renamings, inline_call, translate_pred, build_wrapper,
+    transform, make_renamings, translate_pred, build_wrapper,
     build_axiomatic, TransformError, acsl_style, STYLE_PURE, STYLE_VALUES,
     STYLE_LABELS,
 )
@@ -72,9 +72,9 @@ def test_renamed_names_never_collide():
 
 
 def test_inline_call_h(fig5):
+    # the wrapper's block for the first call of the clause
     clause = clause_of(fig5, "h")
-    renamings = make_renamings(clause, fig5)
-    stmts = inline_call(clause.calls[0], renamings[0], fig5)
+    stmts = list(build_wrapper(clause, fig5).fn.body[:2])
     assert stmts == [
         DeclStmt("a_1", IntLit(10)),
         AssignStmt(Var("y_id1"), Bin("+", Var("y_id1"), Var("a_1"))),
@@ -83,17 +83,17 @@ def test_inline_call_h(fig5):
 
 def test_inline_call_k(fig6):
     clause = clause_of(fig6, "k")
-    renamings = make_renamings(clause, fig6)
-    stmts = inline_call(clause.calls[0], renamings[0], fig6)
+    stmts = list(build_wrapper(clause, fig6).fn.body[:1])
     assert stmts == [
         AssignStmt(Deref("y_id1"), Bin("+", Deref("y_id1"), IntLit(1))),
     ]
 
 
 def test_inline_depth_one_leaves_opaque_residual(fact):
+    # the wrapper's block for the second call (depth 1), up to its assertion
     clause = clause_of(fact, "fact")
-    renamings = make_renamings(clause, fact)
-    stmts = inline_call(clause.calls[1], renamings[1], fact)  # depth 1
+    body = build_wrapper(clause, fact).fn.body
+    stmts = body[body.index(DeclStmt("ret_id2", None)):-1]
 
     def find_calls(body):
         out = []

@@ -132,7 +132,7 @@ def test_ensures_vc_uses_old():
     p = parse_program(src)
     items = function_vcs(p.function("inc"), p)
     assert len(items) == 1
-    assert simplify(items[0].form) == TRUE
+    assert simplify(items[0].goal) == TRUE
 
 
 def test_call_rule_assumes_callee_contract():
@@ -159,7 +159,7 @@ def test_call_rule_assumes_callee_contract():
     p = parse_program(src)
     items = function_vcs(p.function("twice"), p)
     assert len(items) == 1
-    assert _bounded_valid(items[0].form)
+    assert _bounded_valid(items[0].goal)
 
 
 def test_wrapper_vc_self_exclusion(fig5):
