@@ -6,29 +6,43 @@ clause into a self-composed wrapper function plus an axiomatic layer
 through weakest-precondition verification conditions (SMT-LIB output and a
 built-in bounded checker) or attack it dynamically (interpretation, random
 and exhaustive counterexample search, runtime re-checking).
+
+The public names resolve on first use (PEP 562), so importing the package
+loads only the layers a caller asks for. `validate` is the exception: it is
+bound at import, because the function shares its name with its module, and
+importing `relprop.validate` sets the package attribute to the module.
 """
 
-from .minic import Program, Diagnostic, Span
-from .parser import parse_program
-from .pretty import pretty_print
-from .validate import validate, footprint_of, MemFootprint
-from .selfcomp import transform, TransformedProgram
-from .vcgen import vcs_for, VerificationCondition
-from .smtlib import emit_smtlib
-from .bounded import check_bounded, BoundedResult
-from .interp import interpret, State
-from .dynamic import run_wrapper, find_counterexample, runtime_check, InputVector
+import importlib
 
-__all__ = [
-    "Program", "Diagnostic", "Span",
-    "parse_program", "pretty_print",
-    "validate", "footprint_of", "MemFootprint",
-    "transform", "TransformedProgram",
-    "vcs_for", "VerificationCondition",
-    "emit_smtlib",
-    "check_bounded", "BoundedResult",
-    "interpret", "State",
-    "run_wrapper", "find_counterexample", "runtime_check", "InputVector",
-]
+from .validate import validate
+
+# Each public name, in `__all__` order, and the module that defines it.
+_HOMES = {
+    "Program": "minic", "Diagnostic": "minic", "Span": "minic",
+    "parse_program": "parser", "pretty_print": "pretty",
+    "validate": "validate", "footprint_of": "validate",
+    "MemFootprint": "validate",
+    "transform": "selfcomp", "TransformedProgram": "selfcomp",
+    "vcs_for": "vcgen", "VerificationCondition": "vcgen",
+    "emit_smtlib": "smtlib",
+    "check_bounded": "bounded", "BoundedResult": "bounded",
+    "interpret": "interp", "State": "interp",
+    "run_wrapper": "dynamic", "find_counterexample": "dynamic",
+    "runtime_check": "dynamic", "InputVector": "dynamic",
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{home}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,15 +16,10 @@ from typing import Optional
 
 from .minic import Diagnostic
 from .parser import parse_program
-from .pretty import pretty_print
 from .selfcomp import transform, TransformedProgram, TransformError
 from .vcgen import MissingLoopInvariant
 from .smtlib import emit_smtlib
 from .prove import prove_program
-from .dynamic import (
-    InputVector, find_counterexample, runtime_check,
-    load_counterexamples, save_counterexample,
-)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -76,6 +71,8 @@ def _table(rows: list[tuple[str, ...]], header: tuple[str, ...]) -> str:
 
 
 def cmd_transform(args) -> int:
+    from .pretty import pretty_print
+
     t = _transform(args.input)
     if t is None:
         return EXIT_INPUT_ERROR
@@ -162,6 +159,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from .dynamic import InputVector, find_counterexample, save_counterexample
+
     t = _transform(args.input)
     if t is None:
         return EXIT_INPUT_ERROR
@@ -169,10 +168,12 @@ def cmd_test(args) -> int:
     stem = Path(args.input).stem
 
     proved: set[str] = set()
-    if args.skip_proved:
-        index_path = out / "vc_index.json"
-        if index_path.exists():
-            index = json.loads(index_path.read_text(encoding="utf-8"))
+    index_path = out / "vc_index.json"
+    if args.skip_proved and index_path.exists():
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+        # Every input shares the default output directory: use only the
+        # proofs of this one.
+        if Path(index.get("input", "")).resolve() == Path(args.input).resolve():
             for r in index.get("vcs", {}).values():
                 if r.get("kind") == "wrapper-assert" \
                         and r.get("status") == "valid" and r.get("clause"):
@@ -229,6 +230,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .dynamic import InputVector, load_counterexamples, runtime_check
+
     t = _transform(args.input)
     if t is None:
         return EXIT_INPUT_ERROR

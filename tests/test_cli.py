@@ -23,6 +23,15 @@ def run(args) -> int:
     return main([str(a) for a in args])
 
 
+def run_cold(args) -> subprocess.CompletedProcess:
+    """`python -m relprop.cli` in a fresh process, which loads only what
+    the command itself imports."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "relprop.cli",
+                           *(str(a) for a in args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_transform_writes_output(tmp_path):
     code = run(["transform", corpus_path("fig2.mc"), "-o", tmp_path])
     assert code == 0
@@ -82,10 +91,7 @@ def test_prove_rejects_callresult_in_a_contract_without_a_traceback(tmp_path):
     src = tmp_path / "t.mc"
     src.write_text("/*@ ensures \\result == \\callresult(id1); */\n"
                    "int f(int x) { return x; }\n", encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-m", "relprop.cli", "prove", str(src),
-                           "-o", str(tmp_path / "out"), "--bound", "3"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_cold(["prove", src, "-o", tmp_path / "out", "--bound", 3])
     assert proc.returncode == 2
     assert proc.stderr == (f"{src}:1:24: error: \\callresult is only meaningful "
                            "inside a relational clause\n")
@@ -196,6 +202,36 @@ def test_skip_proved_after_prove(tmp_path, capsys):
     code = run(["test", fig2, "-o", tmp_path, "--skip-proved", "--budget", 2])
     assert code == 0
     assert "skipped" in capsys.readouterr().out
+
+
+def test_skip_proved_ignores_another_inputs_index(tmp_path, capsys):
+    # One output directory, two inputs: the good comparator's proofs do not
+    # cover the bad one, whose P1 has a counterexample.
+    ok = corpus_path("comparators/cmp_sign_ok.mc")
+    bad = corpus_path("comparators/cmp_sign_bad.mc")
+    assert run(["prove", ok, "-o", tmp_path]) == 0
+    capsys.readouterr()
+    code = run(["test", bad, "-o", tmp_path, "--skip-proved",
+                "--bound", 2, "--budget", 1])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "skipped" not in out and "cmp_sign_bad.P1.cex.json" in out
+
+
+def test_each_command_runs_in_a_cold_process(tmp_path):
+    # transform, test and check each import part of their layers when they
+    # run; a name missing from those imports fails here.
+    bad = corpus_path("comparators/cmp_sign_bad.mc")
+    proc = run_cold(["transform", bad, "-o", tmp_path])
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cmp_sign_bad.transformed.mc").exists()
+    proc = run_cold(["test", bad, "-o", tmp_path, "--bound", 2,
+                     "--budget", 1, "--seed", 42])
+    assert proc.returncode == 1, proc.stderr
+    assert (tmp_path / "cmp_sign_bad.P1.cex.json").exists()
+    proc = run_cold(["check", bad, tmp_path])
+    assert proc.returncode == 1, proc.stderr
+    assert "fail" in proc.stdout
 
 
 def test_check_on_passing_implementation(tmp_path):
