@@ -1,7 +1,8 @@
 """Command-line driver: transform, prove, test, check.
 
 Exit codes: 0 success, 1 property violated (counterexample found or
-confirmed), 2 input or usage error, 3 proofs incomplete under --strict.
+confirmed), 2 input or usage error (for check, also a vector that could
+not be replayed), 3 proofs incomplete under --strict.
 """
 
 from __future__ import annotations
@@ -255,8 +256,13 @@ def cmd_check(args) -> int:
                           for r in reports], indent=2, sort_keys=True))
     else:
         print(_table(rows, ("Property", "Outcome", "Error")))
-    return EXIT_VIOLATION if any(r.outcome == "fail" for r in reports) \
-        else EXIT_OK
+    if any(r.outcome == "fail" for r in reports):
+        return EXIT_VIOLATION
+    errors = [r for r in reports if r.outcome == "error"]
+    for r in errors:
+        print(f"{args.input}: error: property {r.property} not replayed: "
+              f"{r.error}", file=sys.stderr)
+    return EXIT_INPUT_ERROR if errors else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

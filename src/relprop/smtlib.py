@@ -11,19 +11,21 @@ node that mentions quantifier-bound names, such as a chain of shared values
 over a call's fresh names that the one-point rule did not remove, is bound
 inside the innermost quantifier that binds them.
 
-The VCs of one function share frames (see `vcgen.ObligationSet`). For a
-set of several obligations, one printer computes each node's text once,
-with a placeholder for each node that some script may bind, and one walk
-over the set's tree of frames keeps those nodes' references and `let`
-levels along the path; each quantifier-free VC's script is filled in from
-those texts. Each script is byte for byte the one its closed goal
-`F1 ==> (... local)` would print, and still stands alone, so the bytes of
-a function's scripts grow with the sum of its VCs' dags.
+The VCs of one function share frames (see `vcgen.ObligationSet`). Each
+quantifier-free frame and local goal of a set is printed once, as a
+segment: the `let`s of the bound nodes that are new there, around the text
+of its formula. A VC's goal joins the segments along its path,
+`head1 (=> F1 ... headn (=> Fn head local))`, so each node's text is
+computed once per set and each script still stands alone. Such a goal
+means its closed goal `F1 ==> (... local)` but is not its bytes: it may
+bind a node that it references only once, and it names each binding by
+its number in the set. A goal with no shared frame or with a quantifier
+on its path prints from its closed goal, as a lone goal does. A
+function's script bytes grow with the sum of its VCs' dags.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter, defaultdict
 from itertools import count
 from typing import Iterator, Optional
@@ -33,9 +35,7 @@ from .logic import (
     FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant, FApp,
     children, dag_walk, free_vars, symbols, has_quantifier,
 )
-from .vcgen import (
-    Obligation, ObligationSet, SharedFrame, VerificationCondition,
-)
+from .vcgen import Obligation, ObligationSet, VerificationCondition
 
 _OPS = {"+": "+", "-": "-", "*": "*", "/": "div"}
 _CMPS = {"==": "=", "<=": "<=", ">=": ">=", "<": "<", ">": ">"}
@@ -80,6 +80,24 @@ def _node_text(n, kids: list[str]) -> str:
     raise TypeError(f"unknown node {n!r}")
 
 
+def _bind(n, kid_texts: list[str], text: dict, level: dict, shared: bool,
+          names: Iterator[int]) -> Optional[str]:
+    """Print `n` from its children's texts into `text`, and its `level`:
+    the deepest `let` its text refers to. A `shared` compound node is
+    bound to the next name `$sN`: its text becomes the name, its level
+    rises by one, and its binding is returned."""
+    kids = children(n)
+    level[n] = max((level[c] for c in kids), default=0)
+    text[n] = _node_text(n, kid_texts)
+    if not kids or not shared:
+        return None
+    name = f"$s{next(names)}"
+    level[n] += 1
+    binding = f"({name} {text[n]})"
+    text[n] = name
+    return binding
+
+
 def form_sexpr(f: Form, names: Iterator[int]) -> str:
     """A formula's s-expression. Every compound node reached more than once
     is printed once, bound by `let` to `$sN` (N drawn from `names`, in
@@ -102,7 +120,7 @@ def form_sexpr(f: Form, names: Iterator[int]) -> str:
     for v in free_vars(f) & binder.keys():
         binder[v] = _NOWHERE
     text: dict = {}
-    level: dict = {}  # deepest `let` a node's text refers to
+    level: dict = {}
     # place (None in front of the formula, else a quantifier's position) ->
     # level -> bindings
     lets: dict[Optional[int], dict[int, list[str]]] = \
@@ -115,35 +133,28 @@ def form_sexpr(f: Form, names: Iterator[int]) -> str:
         return body
 
     for i, n in enumerate(order):
-        kids = children(n)
-        level[n] = max((level[c] for c in kids), default=0)
-        kid_texts = [text[c] for c in kids]
+        kid_texts = [text[c] for c in children(n)]
         if isinstance(n, FQuant):
             kid_texts = [under_lets(i, kid_texts[0])]
-        text[n] = _node_text(n, kid_texts)
-        if not kids or refs[n] < 2:
-            continue
-        places = {binder[v] for v in free_vars(n) & binder.keys()}
-        if _NOWHERE in places:
-            continue
-        name = f"$s{next(names)}"
-        level[n] += 1
-        lets[min(places, default=None)][level[n]].append(
-            f"({name} {text[n]})")
-        text[n] = name
+        places = {binder[v] for v in free_vars(n) & binder.keys()} \
+            if refs[n] > 1 else {_NOWHERE}
+        binding = _bind(n, kid_texts, text, level, _NOWHERE not in places,
+                        names)
+        if binding is not None:
+            lets[min(places, default=None)][level[n]].append(binding)
     return under_lets(None, text[f])
 
 
 def emit_smtlib(vc: VerificationCondition) -> str:
     """Render one VC as an SMT-LIB v2 script; `unsat` means the VC holds."""
     ob = vc.obligation
-    printer = _printer(ob)
-    if printer is None:
-        consts = set(free_vars(vc.goal))
-        syms = dict(symbols(vc.goal))
-    else:
+    segmented = _in_segments(ob)
+    if segmented:
         consts = set(ob.free_vars())
         syms = {**ob.frame.symbols, **symbols(ob.local)}
+    else:
+        consts = set(free_vars(vc.goal))
+        syms = dict(symbols(vc.goal))
     for _, h in vc.hypotheses:
         consts |= free_vars(h)
         for name, sig in symbols(h).items():
@@ -165,222 +176,64 @@ def emit_smtlib(vc: VerificationCondition) -> str:
     for hname, h in vc.hypotheses:
         lines.append(f"; hypothesis: {hname}")
         lines.append(f"(assert {form_sexpr(h, names)})")
-    goal = form_sexpr(vc.goal, names) if printer is None \
-        else printer.goal_text(ob, names)
+    goal = _goal_text(ob) if segmented else form_sexpr(vc.goal, names)
     lines.append(f"(assert (not {goal}))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
 
-def _quantifier_free(ob: Obligation) -> bool:
-    return not has_quantifier(ob.local) and (
-        ob.frame is None or not ob.frame.quantified)
+def _in_segments(ob: Obligation) -> bool:
+    """Whether the obligation's goal is printed from its set's segments:
+    it has a shared frame, and no quantifier on its path."""
+    return ob.frame is not None and not ob.frame.quantified \
+        and not has_quantifier(ob.local)
 
 
-# One set is printed at a time, so only the last set's printer is kept; it
-# goes when its set does.
-_kept: Optional["_SetPrinter"] = None
+# The segments of a set live on the set, in its `__dict__`, as `logic`
+# nodes keep their analyses: they are computed once and go with the set.
+_SEGMENTS = "_smt_segments"
 
 
-def _forget(ref: weakref.ref) -> None:
-    global _kept
-    if _kept is not None and _kept.oset is ref:
-        _kept = None
-
-
-def _printer(ob: Obligation) -> Optional["_SetPrinter"]:
-    """The printer of the obligation's set; None for an obligation printed
-    from its closed goal: one with no shared frame, the only one of its
-    set, one with a quantifier, and one whose local goal lies inside a
-    frame of its path."""
-    global _kept
-    oset = ob.owner
-    if ob.frame is None or len(oset.obligations) < 2 \
-            or not _quantifier_free(ob):
-        return None
-    if _kept is None or _kept.oset() is not oset:
-        _kept = _SetPrinter(oset)
-    return _kept if id(ob) in _kept.scripts else None
-
-
-# The kinds of `_SetPrinter.log` entries.
-_NEW, _REF, _LEVEL = "new", "ref", "level"
-
-
-class _SetPrinter:
-    """The goal texts of one obligation set's quantifier-free obligations,
-    each the text `form_sexpr` gives its closed goal
-    `F1 ==> (F2 ==> ... (Fn ==> local))`.
-
-    A node may be bound in some script only if the set's frames and local
-    goals, with the chain's references to them, reference it twice. Each
-    such candidate is a placeholder in the texts of the nodes above it,
-    and every node's text is computed once. One walk over the set's tree
-    of frames then keeps, for each candidate on the current path, its
-    references and its `let` level, as `form_sexpr` would count them for
-    the chain that ends there: entering a frame adds its new nodes, and
-    leaving it undoes the log. At each obligation the script
-    fills in its candidates in walk order: a bound one is written `{i}`,
-    its number in the set, and gets a binding; any other is replaced by
-    its text. `goal_text` then renames each `{i}` to `$sN` in order of
-    binding, as `form_sexpr` numbers them."""
-
-    def __init__(self, oset: ObligationSet):
-        self.oset = weakref.ref(oset, _forget)
-        # id of an obligation -> (its text, the numbers of its bindings by
-        # rank); ids, so that the printer does not keep the set alive
-        self.scripts: dict = {}
-        frames = [f for f in oset.frames if not f.quantified]
-        obligations = [ob for ob in oset.obligations if ob.frame is not None
-                       and _quantifier_free(ob) and oset.new_nodes(ob)]
-        entries = [(f, oset.new_nodes(f), f.form) for f in frames] \
-            + [(ob, oset.new_nodes(ob), ob.local) for ob in obligations]
-        refs = Counter(root for _, _, root in entries)
-        refs.update(c for _, new, _ in entries for n in new
-                    for c in children(n))
-        self.index: dict = {}     # candidate -> its number in the set
-        # node -> its text, with `{k}` for the k-th candidate it names
-        self.template: dict = {}
-        self.below: dict = {}     # node -> the candidates its text names
-        for _, new, _ in entries:
-            for n in new:
-                if n in self.template:  # new in two branches
-                    continue
-                kids, texts, below = children(n), [], []
-                for c in kids:
-                    if c in self.index:
-                        texts.append("{%d}" % len(below))
-                        below.append(c)
-                    else:
-                        texts.append(self.template[c].format(*[
-                            "{%d}" % (len(below) + k)
-                            for k in range(len(self.below[c]))]))
-                        below.extend(self.below[c])
-                self.template[n] = _node_text(n, texts)
-                self.below[n] = below
-                if kids and refs[n] > 1:
-                    self.index[n] = len(self.index)
-                if isinstance(n, (IVar, IApp, FApp)):
-                    name = n.name if isinstance(n, IVar) else n.fn \
-                        if isinstance(n, IApp) else n.pred
-                    if "{" in name or "}" in name:
-                        return  # a name would read as a placeholder
-
-        self.refs: dict = {}   # candidate on the path -> its references
-        self.level: dict = {}  # candidate on the path -> its `let` level
-        self.above: dict = defaultdict(list)  # candidate -> those naming it
-        self.bound: set = set()  # candidates with two references
-        self.cands: list = []  # the path's candidates, children first
-        self.roots: list = []  # the path's frame formulas, outermost first
-        self.log: list = []    # what entering did, for `_undo`
-        inner: dict = {}
-        for at, new, root in entries:
-            outer = at.outer if isinstance(at, SharedFrame) else at.frame
-            inner.setdefault(outer, []).append((at, new, root))
-        stack: list = [(x, None) for x in reversed(inner.get(None, ()))]
-        while stack:
-            (at, new, root), mark = stack.pop()
-            if mark is not None:
-                self._undo(mark)
-                continue
-            mark = self._enter(new, root)
-            if isinstance(at, Obligation):
-                self.scripts[id(at)] = self._script(root)
-                self._undo(mark)
-                continue
-            self.roots.append(root)
-            stack.append(((at, new, root), mark))
-            stack.extend((x, None) for x in reversed(inner.get(at, ())))
-
-    def _enter(self, new: list, root) -> tuple:
-        """Add a frame's or a local goal's new nodes, children first, and
-        the chain's reference to its formula `root`."""
-        mark = (len(self.log), len(self.cands), len(self.roots))
-        index, level = self.index, self.level
-        for n in new:
-            for c in children(n):
-                if c in index:
-                    self._add_ref(c)
-            if n in index:
-                below = self.below[n]
-                level[n] = max([level[c] for c in below], default=0)
-                for c in below:
-                    self.above[c].append(n)
-                self.refs[n] = 0
-                self.cands.append(n)
-                self.log.append((_NEW, n))
-        if root in index:
-            self._add_ref(root)
-        return mark
-
-    def _add_ref(self, n) -> None:
-        self.refs[n] += 1
-        self.log.append((_REF, n))
-        if self.refs[n] == 2:
-            self.bound.add(n)
-            self._raise(n, self.level[n] + 1)
-
-    def _raise(self, n, to: int) -> None:
-        """Raise the level of `n` to `to`, and of the candidates above it
-        as far as that raises theirs."""
-        todo = [(n, to)]
-        while todo:
-            n, to = todo.pop()
-            if to <= self.level[n]:
-                continue
-            self.log.append((_LEVEL, n, self.level[n]))
-            self.level[n] = to
-            todo.extend((m, to + (m in self.bound)) for m in self.above[n])
-
-    def _undo(self, mark: tuple) -> None:
-        log, cands, roots = mark
-        while len(self.log) > log:
-            entry = self.log.pop()
-            kind, n = entry[0], entry[1]
-            if kind is _LEVEL:
-                self.level[n] = entry[2]
-            elif kind is _REF:
-                if self.refs[n] == 2:
-                    self.bound.discard(n)
-                self.refs[n] -= 1
-            else:
-                for c in self.below[n]:
-                    self.above[c].pop()
-                del self.refs[n], self.level[n]
-        del self.cands[cands:]
-        del self.roots[roots:]
-
-    def _script(self, local) -> tuple[str, list[int]]:
-        index, template, below = self.index, self.template, self.below
-        filled: dict = {}  # candidate -> its text in this script
+def _segments(oset: ObligationSet) -> dict:
+    """Frame or obligation -> its segment `(head, text, depth)`: `head`
+    opens its `depth` `let` groups, which bind the set's shared nodes that
+    are new there, by level; `text` is its formula's. A node is shared
+    when the set's nodes reference it twice. A node new in two sibling
+    frames, such as an `if`'s guard and its merged frame, is bound in
+    both segments."""
+    segments = oset.__dict__.get(_SEGMENTS)
+    if segments is not None:
+        return segments
+    entries = [(f, f.form) for f in oset.frames if not f.quantified] \
+        + [(ob, ob.local) for ob in oset.obligations if _in_segments(ob)]
+    refs = Counter(c for at, _ in entries for n in oset.new_nodes(at)
+                   for c in children(n))
+    text: dict = {}
+    level: dict = {}
+    binding: dict = {}
+    names = count(1)
+    segments = {}
+    for at, root in entries:
         lets: dict[int, list[str]] = defaultdict(list)
-        ranked = []
+        for n in oset.new_nodes(at):
+            if n not in text:
+                binding[n] = _bind(n, [text[c] for c in children(n)], text,
+                                   level, refs[n] > 1, names)
+            if binding[n] is not None:
+                lets[level[n]].append(binding[n])
+        head = "".join(f"(let ({' '.join(lets[d])}) " for d in sorted(lets))
+        segments[at] = head, text[root], len(lets)
+    oset.__dict__[_SEGMENTS] = segments
+    return segments
 
-        def text(n) -> str:
-            return template[n].format(*[filled[c] for c in below[n]])
 
-        for n in self.cands:
-            i = index[n]
-            if n in self.bound:
-                filled[n] = "{%d}" % i
-                lets[self.level[n]].append("({%d} %s)" % (i, text(n)))
-                ranked.append(i)
-            else:
-                filled[n] = text(n)
-
-        def ref(n) -> str:
-            return filled[n] if n in filled else text(n)
-
-        depths = sorted(lets)
-        return "".join(
-            [f"(let ({' '.join(lets[d])}) " for d in depths]
-            + ["(=> %s " % ref(r) for r in self.roots]
-            + [ref(local), ")" * (len(self.roots) + len(depths))]), ranked
-
-    def goal_text(self, ob: Obligation, names: Iterator[int]) -> str:
-        """The text `form_sexpr(ob.goal, names)` gives."""
-        text, ranked = self.scripts[id(ob)]
-        slots: list = [None] * len(self.index)
-        for i, n in zip(ranked, names):
-            slots[i] = "$s%d" % n
-        return text.format(*slots)
+def _goal_text(ob: Obligation) -> str:
+    """The obligation's goal, joined from the segments along its path."""
+    segments = _segments(ob.owner)
+    parts, close = [], 0
+    for f in ob.frame.path():
+        head, text, depth = segments[f]
+        parts.append(f"{head}(=> {text} ")
+        close += depth + 1
+    head, text, depth = segments[ob]
+    return "".join(parts) + head + text + ")" * (close + depth)

@@ -366,10 +366,6 @@ class _Forward:
                             out.add(loc.name)
         return out
 
-    def obligation(self, kind: str, label: str, span: Optional[Span],
-                   form: Form, path: Optional[_Frame]) -> _Item:
-        return _Item(kind, label, span, form, path)
-
     def run(self, stmts: tuple[Stmt, ...], state: StateEnv,
             path: Optional[_Frame]) -> tuple[Optional[_Frame], list[_Item]]:
         """Run `stmts` from `state`, which it updates, under `path`. Returns
@@ -394,7 +390,7 @@ class _Forward:
             p = subst(compile_pred(s.pred, self.program), state)
             kind = "wrapper-assert" if s.label == ASSERT_LABEL else "assert"
             return _Frame(p, outer=path), [
-                self.obligation(kind, s.label or "assert", s.span, p, path)]
+                _Item(kind, s.label or "assert", s.span, p, path)]
         elif isinstance(s, IfStmt):
             return self._if(s, state, path)
         elif isinstance(s, WhileStmt):
@@ -444,16 +440,16 @@ class _Forward:
         cond = compile_pred(s.cond, self.program)
         # Initiation holds on entry; the loop then runs from an arbitrary
         # state where the modified variables carry fresh names, left free.
-        init = self.obligation("loop-init", "loop_init", s.span,
-                               subst(inv, state), path)
+        init = _Item("loop-init", "loop_init", s.span, subst(inv, state),
+                     path)
         for m in sorted(self.modified(s.body)):
             state[m] = IVar(self.fresh(m))
         body_state = dict(state)
         body_path, body_items = self.run(
             s.body, body_state, _Frame(subst(conj([inv, cond]), state),
                                        outer=path))
-        preserve = self.obligation("loop-preserve", "loop_preserve", s.span,
-                                   subst(inv, body_state), body_path)
+        preserve = _Item("loop-preserve", "loop_preserve", s.span,
+                         subst(inv, body_state), body_path)
         exit_frame = _Frame(subst(conj([inv, FNot(cond)]), state), outer=path)
         return exit_frame, [preserve] + body_items + [init]
 
@@ -503,7 +499,7 @@ class _Forward:
         items = []
         reqs = [compile_pred(p, self.program) for p in callee.contract.requires]
         if reqs:
-            items.append(self.obligation(
+            items.append(_Item(
                 "call-requires", f"requires_of_{s.callee}", s.span,
                 subst(subst(conj(reqs), pre), state), path))
         frame = _Frame(subst(subst(conj(ens), post), state), tuple(fresh_vars),

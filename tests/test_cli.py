@@ -251,6 +251,20 @@ def test_check_malformed_json_exits_2(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_check_unreplayable_vector_exits_2(tmp_path, capsys):
+    # fig2 defines no P1, so a cmp_sign_bad counterexample replays nothing
+    cmp_bad = corpus_path("comparators/cmp_sign_bad.mc")
+    assert run(["test", cmp_bad, "-o", tmp_path, "--bound", 2,
+                "--budget", 1, "--seed", 42]) == 1
+    capsys.readouterr()
+    cex = tmp_path / "cmp_sign_bad.P1.cex.json"
+    assert run(["check", corpus_path("fig2.mc"), cex]) == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.out
+    assert captured.err.count("not replayed") == 1
+    assert "P1" in captured.err
+
+
 def test_check_empty_vector_file(tmp_path):
     path = tmp_path / "empty.cex.json"
     path.write_text("[]")
