@@ -18,21 +18,27 @@ Outcomes:
                       reproduce.
 
 Quantifier-free, table-free problems whose terms provably stay within
-int64 take a vectorized numpy path that evaluates each node over its own
-variables' axes; the exact scalar evaluator (unbounded integers) handles
-quantifiers, tables and everything that could overflow int64. The int64
-bound is a worst-case magnitude that each node keeps, per bound.
+int64 take a vectorized numpy path; the exact scalar evaluator (unbounded
+integers) handles quantifiers, tables and everything that could overflow
+int64. The int64 bound is a worst-case magnitude that each node keeps,
+per bound. The vectorized path has one evaluator, `_Box`: one block of
+the box, each variable on its own axis and each node evaluated once over
+its own variables' axes. It evaluates every block of the walk, the
+count's factors and the frames of an obligation set.
 
-A VC with shared frames (see `vcgen.ObligationSet`) whose box fits one
-block is checked without building its closed goal `F1 ==> (... local)`:
-the rows each frame's path admits are computed once per frame, over a box
-kept for the set's next VC, and the VC's falsifying rows are those rows
-less the rows where its local goal holds. The box spans every variable of
-the set when that fits one block (each node is still evaluated over its
-own variables' axes), so a VC over fewer variables reduces the rows over
-the axes it does not mention. The result, the budget's node count
-included, is the one the closed goal would give; any VC this cannot show
-for falls back to its closed goal.
+A VC with shared frames (see `vcgen.ObligationSet`) is searched without
+building its closed goal `F1 ==> (... local)`. Its problem is its
+hypotheses and `not local` under the path of frames, the conjuncts of the
+closed goal's negation, with the closed goal's node count for the budget,
+so the result is the one the closed goal would give. When the VC's box
+fits one block, the box is kept for the set's next VC and the rows each
+frame's path admits are computed once per frame; it spans every variable
+of the set when that fits one block, and a VC over fewer variables
+reduces the rows over the axes it does not mention. A VC whose box spans
+several blocks is counted and walked with its frames as conjuncts. The
+closed goal is built only where it decides: when a hypothesis is an
+implication that `instance_of` could match, when the problem needs the
+scalar search, and when the local goal has no node new on its path.
 
 The vectorized path counts before it walks. The negated VC is a
 conjunction of facts that each mention few variables (a self-composed
@@ -134,7 +140,8 @@ def _magnitude(n, bound: int) -> int:
 
 def _fits_int64(forms: list[Form], bound: int) -> bool:
     """True when no term can leave int64 with every variable in
-    [-bound, bound]: a worst-case magnitude per term node, kept on it."""
+    [-bound, bound], and so none is a table and none is quantified: a
+    worst-case magnitude per term node, kept on it."""
     return all(_magnitude(f, bound) >= 0 for f in forms)
 
 
@@ -246,8 +253,7 @@ def _np_term(t: TermF, env, memo) -> np.ndarray:
     return out
 
 
-def _np_form(f: Form, env, memo=None) -> np.ndarray:
-    memo = memo if memo is not None else {}
+def _np_form(f: Form, env, memo) -> np.ndarray:
     hit = memo.get(f)
     if hit is not None:
         return hit
@@ -318,9 +324,7 @@ def _count_rows(forms: list[Form], order: list[str], bound: int,
     size = 2 * bound + 1
     k = len(order)
     axis = {v: i for i, v in enumerate(order)}
-    values = np.arange(-bound, bound + 1, dtype=np.int64)
-    env = dict(zip(order, np.ix_(*[values] * k)))
-    memo: dict = {}
+    box = _Box(bound, order)
     factors: list[tuple[np.ndarray, list[int]]] = []  # (tensor, its axes)
     labels = k  # the next value axis
 
@@ -329,14 +333,14 @@ def _count_rows(forms: list[Form], order: list[str], bound: int,
         if size ** len(axes) > _CHUNK:
             return None
         shape = [size if i in axes else 1 for i in range(k)]
-        out = np.broadcast_to(evaluate(node, env, memo), shape)
+        out = np.broadcast_to(evaluate(node), shape)
         return out.reshape([size] * len(axes)), axes
 
     def one_hot(t: np.ndarray, vals: np.ndarray) -> np.ndarray:
         return vals.reshape((-1,) + (1,) * t.ndim) == t  # value axis first
 
     for c in _conjuncts(forms):
-        sides = ([over_own_axes(s, _np_term) for s in (c.left, c.right)]
+        sides = ([over_own_axes(s, box.term) for s in (c.left, c.right)]
                  if isinstance(c, FCmp) else [None])
         if None not in sides:
             (tl, al), (tr, ar) = sides
@@ -350,13 +354,13 @@ def _count_rows(forms: list[Form], order: list[str], bound: int,
                                  [labels, labels + 1])]
                     labels += 2
                     continue
-        factor = over_own_axes(c, _np_form)
+        factor = over_own_axes(c, box.value)
         if factor is None:
             return None
         factors.append(factor)
     if labels > 52:  # einsum's axis labels
         return None
-    memo.clear()  # the nodes' tensors; only the factors are contracted
+    box.memo.clear()  # the nodes' tensors; only the factors are contracted
     # Counted per value of the first variable, every partial count stays
     # below total / size < 2**24, where float32 is exact.
     operands = [x for t, axes in factors for x in (t.astype(np.float32), axes)]
@@ -368,60 +372,109 @@ def _count_rows(forms: list[Form], order: list[str], bound: int,
 
 
 def _vectorized_search(forms: list[Form], order: list[str], bound: int,
-                       budget: int) -> tuple[int, Optional[dict[str, int]]]:
-    """Rows examined and the first falsifying assignment in lexicographic
-    order, or None. A box of more than one block is first counted by
-    _count_rows; when no row falsifies, the block walk is skipped."""
+                       budget: int, frame=None, nodes: Optional[int] = None,
+                       box: Optional["_Box"] = None
+                       ) -> tuple[int, Optional[dict[str, int]]]:
+    """Rows examined and the first assignment of `order`, in lexicographic
+    order, where every form and the path of frames ending at `frame` hold,
+    or None. `nodes` is the problem's node count when the forms are not
+    the whole problem, and `box` a kept box that holds the whole of
+    `order`'s box in one block. A box of more than one block is first
+    counted by _count_rows; when no row falsifies, the block walk is
+    skipped."""
     size = 2 * bound + 1
-    k = len(order)
-    total = size ** k
-    nodes = sum(_node_count(f) for f in forms)
+    total = size ** len(order)
+    if nodes is None:
+        nodes = sum(_node_count(f) for f in forms)
     cost = total * max(nodes, 1)
     if cost > budget:
         raise BudgetExceeded(
             f"{total} assignments x {nodes} nodes exceeds the budget")
-    if k == 0:
-        env: dict[str, np.ndarray] = {}
-        ok = all(bool(np.all(_np_form(f, env))) for f in forms)
-        return 1, ({} if ok else None)
     # float32 counts are exact while each value of the first variable has
     # fewer than 2**24 rows.
-    if _CHUNK < total < size << 24 and _count_rows(forms, order, bound,
-                                                     cost) == 0:
-        return total, None
-    return _walk_blocks(forms, order, bound)
+    if _CHUNK < total < size << 24:
+        path = [f.form for f in frame.path()] if frame is not None else []
+        if _count_rows(path + forms, order, bound, cost) == 0:
+            return total, None
+    for block in [box] if box is not None else _blocks(bound, order):
+        idx = block.first(frame, forms, order)
+        if idx is not None:
+            row = int(np.ravel_multi_index(idx, (size,) * len(order)))
+            return row + 1, {v: i - bound for v, i in zip(order, idx)}
+    return total, None
 
 
-def _walk_blocks(forms: list[Form], order: list[str],
-                 bound: int) -> tuple[int, Optional[dict[str, int]]]:
-    """Lexicographic enumeration by numpy broadcasting, in blocks of at most
-    _CHUNK cells; returns (rows, first falsifying assignment or None)."""
+class _Box:
+    """One block of a box of values, each variable on its own axis: every
+    node is evaluated once, over its own variables' axes, and the rows
+    each path of frames admits once per frame. The block spans `widths`
+    values from `starts` on each axis, the whole box by default."""
+
+    def __init__(self, bound: int, order: list[str], starts=None, widths=None):
+        size = 2 * bound + 1
+        self.order = order
+        self.starts = starts or [0] * len(order)
+        widths = widths or [size] * len(order)
+        values = np.arange(-bound, bound + 1, dtype=np.int64)
+        cuts = [values[s:s + w] for s, w in zip(self.starts, widths)]
+        self.shape = tuple(len(c) for c in cuts)
+        self.env = dict(zip(order, np.ix_(*cuts)))  # variable i on axis i
+        self.memo: dict = {}
+        self.admitted: dict = {}  # frame -> rows its whole path admits
+
+    def term(self, t: TermF):
+        return _np_term(t, self.env, self.memo)
+
+    def value(self, f: Form):
+        return _np_form(f, self.env, self.memo)
+
+    def path(self, frame):
+        todo = []
+        while frame is not None and frame not in self.admitted:
+            todo.append(frame)
+            frame = frame.outer
+        mask = self.admitted[frame] if frame is not None else np.bool_(True)
+        for f in reversed(todo):
+            mask = self.admitted[f] = mask & self.value(f.form)
+        return mask
+
+    def first(self, frame, forms: list[Form], order: list[str]
+              ) -> Optional[list[int]]:
+        """The value indices, one per variable of `order`, of the block's
+        first row where the path of `frame` and every form hold; None when
+        no row does. The axes of variables outside `order` are reduced
+        away."""
+        mask = self.path(frame)
+        for f in forms:
+            if not mask.any():
+                return None
+            mask = mask & self.value(f)
+        if not mask.any():
+            return None
+        kept = [i for i, v in enumerate(self.order) if v in order]
+        mask = np.asarray(mask)
+        if mask.ndim:
+            mask = np.any(mask, axis=tuple(
+                i for i in range(len(self.order)) if i not in kept))
+        shape = tuple(self.shape[i] for i in kept)
+        at = np.argmax(np.broadcast_to(mask, shape))
+        return [self.starts[i] + int(c)
+                for i, c in zip(kept, np.unravel_index(at, shape))]
+
+
+def _blocks(bound: int, order: list[str]):
+    """The box over `order` in blocks of at most _CHUNK cells, in
+    lexicographic order. A block spans the last `whole` axes, a slice of
+    the axis before them, and one value of each earlier axis."""
     size = 2 * bound + 1
     k = len(order)
-    total = size ** k
-    # A block spans the last `whole` axes, a slice of the axis before them,
-    # and one value of each earlier axis.
     whole = 0
     while whole < k - 1 and size ** (whole + 1) <= _CHUNK:
         whole += 1
-    widths = [1] * (k - 1 - whole) + [_CHUNK // size ** whole] + [size] * whole
-    values = np.arange(-bound, bound + 1, dtype=np.int64)
+    widths = ([1] * (k - 1 - whole) + [_CHUNK // size ** whole]
+              + [size] * whole)[:k]  # no axis at all when k is 0
     for starts in itertools.product(*(range(0, size, w) for w in widths)):
-        cuts = [values[s:s + w] for s, w in zip(starts, widths)]
-        env = dict(zip(order, np.ix_(*cuts)))  # variable i on axis i
-        mask = np.bool_(True)
-        memo: dict = {}
-        for f in forms:
-            mask = mask & _np_form(f, env, memo)
-            if not mask.any():
-                break
-        if mask.any():
-            shape = tuple(len(c) for c in cuts)
-            at = np.argmax(np.broadcast_to(mask, shape))
-            idx = [s + int(c) for s, c in zip(starts, np.unravel_index(at, shape))]
-            return (int(np.ravel_multi_index(idx, (size,) * k)) + 1,
-                    {v: i - bound for v, i in zip(order, idx)})
-    return total, None
+        yield _Box(bound, order, list(starts), widths)
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +595,19 @@ def check_bounded(vc: VerificationCondition, bound: int,
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if vc.obligation.frame is not None:
-        shared = _shared_search(vc.obligation,
-                                [simplify(h) for _name, h in vc.hypotheses],
-                                bound, budget)
-        if shared is not None:
-            return _verdict(bound, "vectorized", *shared)
-    goal = simplify(vc.goal)
-    if goal == TRUE:
-        return BoundedResult("valid", bound, method="instantiation", rows=0)
     hyps = [simplify(h) for _name, h in vc.hypotheses]
-    if any(instance_of(h, goal) for h in hyps):
+    if vc.obligation.frame is not None:
+        shared = _shared_problem(vc.obligation, hyps, bound)
+        if shared is not None:
+            forms, order, frame, nodes, box = shared
+            return _verdict(bound, "vectorized", *_vectorized_search(
+                forms, order, bound, budget, frame, nodes, box))
+    goal = simplify(vc.goal)
+    if goal == TRUE or any(instance_of(h, goal) for h in hyps):
         return BoundedResult("valid", bound, method="instantiation", rows=0)
-
     forms, free = _prepare(goal, hyps)
     order = sorted(free)
-    any_tables = any(symbols(f) for f in forms)
-    any_quant = any(has_quantifier(f) for f in forms)
-
-    if not any_tables and not any_quant and _fits_int64(forms, bound):
+    if _fits_int64(forms, bound):
         return _verdict(bound, "vectorized",
                         *_vectorized_search(forms, order, bound, budget))
     rows, assignment, used_tables = _scalar_search(forms, order, bound, budget)
@@ -584,40 +631,15 @@ def _verdict(bound: int, method: str, rows: int,
 # The obligations of one function, checked together
 # ---------------------------------------------------------------------------
 
-class _Box:
-    """The frames of one obligation set evaluated over one box of values,
-    each variable on its own axis, as `_walk_blocks` evaluates one block:
-    every node once, each over its own variables' axes, and the rows each
-    path of frames admits once per frame."""
-
-    def __init__(self, bound: int, order: list[str]):
-        self.order = order
-        values = np.arange(-bound, bound + 1, dtype=np.int64)
-        self.env = dict(zip(order, np.ix_(*[values] * len(order))))
-        self.memo: dict = {}
-        self.admitted: dict = {}  # frame -> rows its whole path admits
-
-    def value(self, f: Form):
-        return _np_form(f, self.env, self.memo)
-
-    def path(self, frame):
-        todo = []
-        while frame is not None and frame not in self.admitted:
-            todo.append(frame)
-            frame = frame.outer
-        mask = self.admitted[frame] if frame is not None else np.bool_(True)
-        for f in reversed(todo):
-            mask = self.admitted[f] = mask & self.value(f.form)
-        return mask
-
-
 class _SetCheck:
     """What checking one obligation set at one bound keeps between its
     VCs: the variables of its shared obligations, whether each frame's
-    path fits int64, and one box. The box spans every variable of the set
-    when that fits one block, so each frame is evaluated once for all its
-    VCs; otherwise it spans the last VC's variables and is kept for the
-    VCs over the same ones."""
+    path fits int64, and one box of one block. The box spans every
+    variable of the set when that fits one block, so each frame is
+    evaluated once for all its VCs; otherwise it spans the last VC's
+    variables and is kept for the VCs over the same ones. A VC whose own
+    box spans several blocks is walked block by block, and nothing of it
+    is kept."""
 
     def __init__(self, oset: ObligationSet, bound: int):
         self.oset = weakref.ref(oset, _forget)
@@ -633,9 +655,12 @@ class _SetCheck:
                 and _magnitude(f.form, bound) >= 0
         self.box: Optional[_Box] = None
 
-    def box_for(self, order: list[str]) -> _Box:
+    def box_for(self, order: list[str]) -> Optional[_Box]:
+        size = 2 * self.bound + 1
+        if size ** len(order) > _CHUNK:
+            return None
         wide = sorted(self.free.union(order))
-        if (2 * self.bound + 1) ** len(wide) <= _CHUNK:
+        if size ** len(wide) <= _CHUNK:
             order = wide
         if self.box is None or self.box.order != order:
             self.box = _Box(self.bound, order)
@@ -660,58 +685,27 @@ def _set_check(oset: ObligationSet, bound: int) -> _SetCheck:
     return _kept
 
 
-def _shared_search(ob: Obligation, hyps: list[Form], bound: int, budget: int
-                   ) -> Optional[tuple[int, Optional[dict[str, int]]]]:
-    """`_vectorized_search` of the closed goal of `ob` under `hyps`, with
-    the goal left unbuilt; None when only the closed goal can decide.
+def _shared_problem(ob: Obligation, hyps: list[Form], bound: int):
+    """The `_vectorized_search` problem, bound and budget aside, of the
+    closed goal of `ob` under `hyps`, with the goal left unbuilt; None
+    when only the closed goal can decide.
 
     The goal is `F1 ==> (... (Fn ==> local))`, not `true` (see
-    `Obligation`), so the search assumes each frame and refutes `local`,
-    and the problem's node count is the count of the path's distinct nodes
-    plus the local goal's new ones, the n implications and the negation.
-    The closed goal decides when a hypothesis is an implication, which
-    `instance_of` could match against it; when the problem needs the
-    scalar search; when the box spans more than one block; and when the
-    local goal lies inside a frame, so that an implication of the chain
-    may too."""
+    `Obligation`), and its node count is the count of the path's distinct
+    nodes plus the local goal's new ones, the n implications and the
+    negation. When the local goal has no new node, it lies inside a frame,
+    and an implication of the chain may too, so that count is not exact."""
     if any(isinstance(h, FImp) or isinstance(h, FQuant) and h.kind == "forall"
            and isinstance(h.body, FImp) for h in hyps):
         return None
-    frame, local, oset = ob.frame, ob.local, ob.owner
+    frame, oset = ob.frame, ob.owner
     forms = _prepare_hyps(hyps, set(), [0])
-    if frame.quantified or frame.symbols or has_quantifier(local) \
-            or symbols(local) \
-            or any(symbols(f) or has_quantifier(f) for f in forms):
-        return None
-    check = _set_check(oset, bound)
-    if not (check.fits[frame] and _fits_int64(forms + [local], bound)):
-        return None
-    free = set(ob.free_vars())
-    for f in forms:
-        free |= free_vars(f)
-    order = sorted(free)
-    size = 2 * bound + 1
-    total = size ** len(order)
     new = oset.new_nodes(ob)
-    if total > _CHUNK or not new:
+    check = _set_check(oset, bound)
+    if not (new and check.fits[frame]
+            and _fits_int64(forms + [ob.local], bound)):
         return None
     nodes = oset.path_size(frame) + len(new) + frame.depth + 1 \
         + sum(_node_count(f) for f in forms)
-    if total * nodes > budget:
-        raise BudgetExceeded(
-            f"{total} assignments x {nodes} nodes exceeds the budget")
-
-    box = check.box_for(order)
-    mask = box.path(frame) & ~box.value(local)
-    for f in forms:
-        mask = mask & box.value(f)
-    mask = np.asarray(mask)
-    if mask.ndim:  # the axes this VC does not mention
-        mask = np.any(mask, axis=tuple(i for i, v in enumerate(box.order)
-                                       if v not in free))
-    mask = np.broadcast_to(mask, (size,) * len(order))
-    if not mask.any():
-        return total, None
-    at = int(np.argmax(mask))
-    idx = np.unravel_index(at, mask.shape)
-    return at + 1, {v: int(i) - bound for v, i in zip(order, idx)}
+    order = sorted(ob.free_vars().union(*map(free_vars, forms)))
+    return forms + [FNot(ob.local)], order, frame, nodes, check.box_for(order)

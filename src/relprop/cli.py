@@ -37,7 +37,7 @@ def _transform(path: str) -> TransformedProgram | None:
     """Parse and transform one input; diagnostics go to stderr."""
     try:
         program = parse_program(Path(path).read_text(encoding="utf-8"), path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: error: {exc}", file=sys.stderr)
         return None
     if isinstance(program, list):
@@ -278,6 +278,19 @@ def _common(sub: argparse.ArgumentParser) -> None:
                      help="emit machine-readable JSON on stdout")
 
 
+def _at_least(kind: type, low: int, strict: bool = False):
+    """An argparse type: a `kind` value of at least `low`, or above it when
+    `strict`; anything else is a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):  # NaN fails both
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, not {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -298,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="generate and check verification "
                                      "conditions")
     _common(p)
-    p.add_argument("--bound", type=int, default=8,
+    p.add_argument("--bound", type=_at_least(int, 1), default=8,
                    help="bounded-oracle range [-bound, bound] (default 8)")
     p.add_argument("--assume-lemmas", action="store_true",
                    help="admit every relational lemma without proof")
@@ -310,9 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="search for counterexamples")
     _common(p)
-    p.add_argument("--bound", type=int, default=8,
+    p.add_argument("--bound", type=_at_least(int, 0), default=8,
                    help="exhaustive-phase range (default 8)")
-    p.add_argument("--budget", type=float, default=30.0,
+    p.add_argument("--budget", type=_at_least(float, 0, strict=True),
+                   default=30.0,
                    help="seconds per property (default 30)")
     p.add_argument("--seed", type=int, default=0,
                    help="random-phase seed (default 0)")

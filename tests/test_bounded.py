@@ -239,7 +239,7 @@ def test_six_variable_valid_vcs_are_counted_without_a_walk(name):
     # Three 4-variable per-call factors (P3's `r2 != r3` split on its sides'
     # values) count 0 falsifying rows of 17^6, so no block is walked.
     vc = cmp_pair_ok_vc(name)
-    with mock.patch.object(bounded, "_walk_blocks",
+    with mock.patch.object(bounded._Box, "first",
                            side_effect=AssertionError("walked a block")):
         r = check_bounded(vc, 8)
     assert r.status == "valid" and r.method == "vectorized"

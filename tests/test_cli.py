@@ -49,6 +49,32 @@ def test_transform_missing_input_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["transform", "prove", "test", "check"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "utf16.mc"
+    src.write_bytes(b"\xff\xfei\x00n\x00t\x00")
+    vectors = [tmp_path] if command == "check" else []
+    assert run([command, src, "-o", tmp_path / "out", *vectors]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{src}: error: ") and "utf-8" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["prove", "--bound", "0"], ["prove", "--bound", "-3"],
+    ["prove", "--bound", "two"], ["test", "--bound", "-1"],
+    ["test", "--budget", "0"], ["test", "--budget", "-1"],
+    ["test", "--budget", "nan"],
+], ids=" ".join)
+def test_out_of_range_bound_or_budget_is_a_usage_error(tmp_path, capsys,
+                                                       args):
+    with pytest.raises(SystemExit) as exc:
+        run([args[0], corpus_path("fig2.mc"), "-o", tmp_path, *args[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: relprop ") and f"argument {args[1]}" in err
+    assert not (tmp_path / "vc_index.json").exists()
+
+
 def test_transform_invalid_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.mc"
     bad.write_text("int f( {")

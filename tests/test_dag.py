@@ -20,6 +20,7 @@ import time
 import weakref
 from collections import Counter
 from itertools import count
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -645,15 +646,20 @@ def _outcome(vc: VerificationCondition, bound: int, budget: int):
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seq_ifs_like(), st.integers(1, 3),
-       st.sampled_from([DEFAULT_BUDGET, 60, 400]))
+       st.sampled_from([DEFAULT_BUDGET, 60, 400]),
+       st.sampled_from([bounded._CHUNK, 3, 5, 7, 12]))
 def test_shared_check_and_script_agree_with_the_closed_goal(text, bound,
-                                                           budget):
+                                                           budget, chunk):
+    # A chunk of a few cells cuts the box of `a` and `b` into blocks, so a
+    # chain is counted and walked block by block as its frames' conjuncts.
     t = transform(parse(text))
     for vc in vcs_for(t, t.lemma_names):
         closed = VerificationCondition(vc.name, vc.function, vc.assertion,
                                        vc.kind, vc.goal, vc.hypotheses)
         assert closed.obligation.frame is None
-        assert _outcome(vc, bound, budget) == _outcome(closed, bound, budget)
+        with mock.patch.object(bounded, "_CHUNK", chunk):
+            assert _outcome(vc, bound, budget) == _outcome(closed, bound,
+                                                           budget)
         # The goal's assert, second to last, may print the closed goal in
         # other bytes; every other line is the closed goal's, and the goal
         # expands to the closed goal's tree.
