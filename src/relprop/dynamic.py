@@ -59,9 +59,14 @@ class InputVector:
         return out
 
     @staticmethod
-    def from_json(data: dict) -> "InputVector":
-        return InputVector(values={k: int(v)
-                                   for k, v in data["assignment"].items()},
+    def from_json(data: object) -> "InputVector":
+        """Raises ValueError unless `data` is an object whose `assignment`
+        maps names to integers (a boolean is not one)."""
+        if not isinstance(data, dict) or not isinstance(data["assignment"], dict) \
+                or any(type(v) is not int for v in data["assignment"].values()):
+            raise ValueError("a vector must be an object whose assignment "
+                             "maps names to integers")
+        return InputVector(values=dict(data["assignment"]),
                            property=data.get("property"),
                            strategy=data.get("strategy"),
                            seed=data.get("seed"))

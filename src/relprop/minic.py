@@ -318,6 +318,19 @@ class FormalLoc(Loc):
     name: str
 
 
+def loc_str(loc: Loc) -> str:
+    """A location as an assigns clause writes it."""
+    if isinstance(loc, DerefLoc):
+        return f"*{loc.name}"
+    if isinstance(loc, (GlobalLoc, FormalLoc)):
+        return loc.name
+    if isinstance(loc, ResultLoc):
+        return "\\result"
+    if isinstance(loc, NothingLoc):
+        return "\\nothing"
+    raise TypeError(f"unknown location {loc!r}")
+
+
 @dataclass(frozen=True)
 class AssignsClause(Node):
     target: Loc
@@ -558,14 +571,22 @@ def height(node) -> int:
     them); computed without recursion, so any depth is measured."""
     best = 0
     stack = [(node, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        n, d = stack.pop()
-        if isinstance(n, tuple):
-            stack.extend((c, d) for c in n)
-        elif isinstance(n, Node):
-            d += 1
-            best = max(best, d)
-            stack.extend((getattr(n, f), d) for f in _node_fields(type(n)))
+        n, d = pop()
+        names = _NODE_FIELDS.get(type(n))
+        if names is None:
+            if isinstance(n, tuple):
+                stack.extend([(c, d) for c in n])
+                continue
+            if not isinstance(n, Node):
+                continue
+            names = _node_fields(type(n))
+        d += 1
+        if d > best:
+            best = d
+        for name in names:
+            push((getattr(n, name), d))
     return best
 
 

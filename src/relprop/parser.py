@@ -4,7 +4,9 @@ Annotations live in `/*@ ... */` and `//@ ...` comments. Contract
 annotations precede the function they describe, loop annotations precede
 their `while`, assert annotations stand as statements, and `axiomatic`
 blocks are top-level items. Unknown annotation keywords are parse errors,
-never skipped.
+never skipped. Code and annotations share one expression grammar; what code
+may mention is for `validate` to decide, so `\\result` or `f(x) + 1` in a
+statement parses and is reported there.
 
 The lexer matches one compiled pattern per state (code, `/*@ ... */`,
 `//@ ...`) and dispatches on the group that matched; a token's line and
@@ -22,10 +24,10 @@ parser nor any recursive layer after it can overflow the stack.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from .minic import (
-    INT, PTR, VOID,
+    INT, PTR, VOID, ARITH_OPS, CMP_OPS,
     Span, Diagnostic, Program, GlobalDecl, FunctionDef, Param, Contract,
     AssignsClause, Behavior, RelationalClause, CallSpec, Binder,
     Axiomatic, PredicateDecl, LogicFnDecl, Lemma,
@@ -177,8 +179,8 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[self.pos + k]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def at(self, kind: str, value: Optional[str] = None, k: int = 0) -> bool:
         t = self.toks[self.pos + k]
@@ -190,18 +192,41 @@ class _Parser:
             self.pos += 1
         return t
 
+    def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
+        """The next token, consumed, if it matches; None otherwise."""
+        t = self.toks[self.pos]
+        if t.kind == kind and (value is None or t.value == value):
+            self.pos += 1
+            return t
+        return None
+
     def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, value):
+        t = self.accept(kind, value)
+        if t is None:
+            t = self.peek()
             want = value if value is not None else kind
             raise _fail(self.file, t, f"expected {want!r}, found {t.value or t.kind!r}")
-        return self.next()
+        return t
 
     def punct(self, value: str) -> Token:
         return self.expect("PUNCT", value)
 
     def ident(self) -> Token:
         return self.expect("IDENT")
+
+    def listed(self, item: Callable[[], Any]) -> tuple:
+        """One or more `item`s, separated by commas."""
+        out = [item()]
+        while self.accept("PUNCT", ","):
+            out.append(item())
+        return tuple(out)
+
+    def parens(self, item: Callable[[], Any]) -> tuple:
+        """A parenthesized, possibly empty list of `item`s."""
+        self.punct("(")
+        out = () if self.at("PUNCT", ")") else self.listed(item)
+        self.punct(")")
+        return out
 
     def span_from(self, start: Token) -> Span:
         prev = self.toks[max(self.pos - 1, 0)]
@@ -229,10 +254,10 @@ class _Parser:
 
     def parse_program(self) -> Program:
         items: list = []
-        pending: list[list] = []  # raw contract clause groups awaiting a function
+        pending: list[list] = []  # contract clause groups awaiting a function
         while not self.at("EOF"):
-            if self.at("ANNOT_OPEN"):
-                open_tok = self.next()
+            open_tok = self.accept("ANNOT_OPEN")
+            if open_tok:
                 if self.at("IDENT", "axiomatic"):
                     if pending:
                         raise _fail(self.file, open_tok,
@@ -256,10 +281,7 @@ class _Parser:
     def parse_declaration(self, pending: list[list]) -> Union[GlobalDecl, FunctionDef]:
         start = self.peek()
         base = self.next().value  # int | void
-        is_ptr = False
-        if self.at("PUNCT", "*"):
-            self.next()
-            is_ptr = True
+        is_ptr = self.accept("PUNCT", "*") is not None
         name = self.ident()
         if self.at("PUNCT", "("):
             ret = VOID if base == "void" else (PTR if is_ptr else INT)
@@ -273,12 +295,8 @@ class _Parser:
             raise _fail(self.file, start,
                         "contract annotation not attached to a function")
         init: Optional[int] = None
-        if self.at("PUNCT", "="):
-            self.next()
-            neg = False
-            if self.at("PUNCT", "-"):
-                self.next()
-                neg = True
+        if self.accept("PUNCT", "="):
+            neg = self.accept("PUNCT", "-")
             lit = self.expect("INT")
             init = -int(lit.value) if neg else int(lit.value)
         self.punct(";")
@@ -287,23 +305,13 @@ class _Parser:
 
     def parse_function(self, name: str, ret: str, pending: list[list],
                        start: Token) -> FunctionDef:
-        self.punct("(")
-        formals: list[Param] = []
-        if not self.at("PUNCT", ")"):
-            if self.at("IDENT", "void") and self.at("PUNCT", ")", 1):
-                self.next()
-            else:
-                while True:
-                    formals.append(self.parse_param(code=True))
-                    if self.at("PUNCT", ","):
-                        self.next()
-                        continue
-                    break
-        self.punct(")")
+        formals: tuple[Param, ...] = ()
+        if self.at("IDENT", "void", 1) and self.at("PUNCT", ")", 2):
+            self.pos += 3  # `(void)`
+        else:
+            formals = self.parens(lambda: self.parse_param(code=True))
         body = self.parse_block()
-        contract = self.assemble_contract(pending, start)
-        contract = _resolve_formal_locs(contract, {p.name for p in formals})
-        return FunctionDef(name, tuple(formals), ret, body, contract,
+        return FunctionDef(name, formals, ret, body, _contract(pending, formals),
                            span=self.span_from(start))
 
     def parse_param(self, code: bool) -> Param:
@@ -311,10 +319,7 @@ class _Parser:
         allowed = ("int",) if code else ("int", "integer")
         if tok.value not in allowed:
             raise _fail(self.file, tok, "expected parameter type")
-        ty = INT
-        if self.at("PUNCT", "*"):
-            self.next()
-            ty = PTR
+        ty = PTR if self.accept("PUNCT", "*") else INT
         name = self.ident()
         return Param(name.value, ty, span=name.span(self.file))
 
@@ -334,74 +339,49 @@ class _Parser:
         start = self.peek()
         if self.at("ANNOT_OPEN"):
             return self.parse_stmt_annotation()
-        if self.at("IDENT", "int"):
-            self.next()
+        if self.accept("IDENT", "int"):
             name = self.ident()
-            init: Optional[Term] = None
-            if self.at("PUNCT", "="):
-                self.next()
-                init = self.parse_term(logic=False)
+            init = self.parse_term() if self.accept("PUNCT", "=") else None
             self.punct(";")
             return [DeclStmt(name.value, init, span=self.span_from(start))]
-        if self.at("IDENT", "if"):
-            self.next()
+        if self.accept("IDENT", "if"):
             self.punct("(")
-            cond = self.parse_pred(logic=False)
+            cond = self.parse_pred()
             self.punct(")")
             then = self.parse_block()
-            orelse: tuple[Stmt, ...] = ()
-            if self.at("IDENT", "else"):
-                self.next()
-                orelse = self.parse_block()
+            orelse = self.parse_block() if self.accept("IDENT", "else") else ()
             return [IfStmt(cond, then, orelse, span=self.span_from(start))]
         if self.at("IDENT", "while"):
             return [self.parse_while(None, None, start)]
-        if self.at("IDENT", "return"):
-            self.next()
-            value: Optional[Term] = None
-            if not self.at("PUNCT", ";"):
-                value = self.parse_term(logic=False)
+        if self.accept("IDENT", "return"):
+            value = None if self.at("PUNCT", ";") else self.parse_term()
             self.punct(";")
             return [ReturnStmt(value, span=self.span_from(start))]
-        if self.at("PUNCT", "*"):
-            self.next()
+        if self.accept("PUNCT", "*"):
             name = self.ident()
             target = Deref(name.value, span=name.span(self.file))
             self.punct("=")
-            value = self.parse_term(logic=False)
+            value = self.parse_term()
             self.punct(";")
             return [AssignStmt(target, value, span=self.span_from(start))]
-        if self.at("IDENT"):
-            name = self.next()
+        name = self.accept("IDENT")
+        if name:
             if self.at("PUNCT", "("):
-                args = self.parse_call_args()
+                args = self.parens(self.parse_term)
                 self.punct(";")
                 return [CallStmt(None, name.value, args, span=self.span_from(start))]
             self.punct("=")
             if self.at("IDENT") and self.at("PUNCT", "(", 1):
                 callee = self.next()
-                args = self.parse_call_args()
+                args = self.parens(self.parse_term)
                 self.punct(";")
                 return [CallStmt(name.value, callee.value, args,
                                  span=self.span_from(start))]
-            value = self.parse_term(logic=False)
+            value = self.parse_term()
             self.punct(";")
             return [AssignStmt(Var(name.value, span=name.span(self.file)), value,
                                span=self.span_from(start))]
         raise _fail(self.file, start, "expected statement")
-
-    def parse_call_args(self) -> tuple[Term, ...]:
-        self.punct("(")
-        args: list[Term] = []
-        if not self.at("PUNCT", ")"):
-            while True:
-                args.append(self.parse_term(logic=False))
-                if self.at("PUNCT", ","):
-                    self.next()
-                    continue
-                break
-        self.punct(")")
-        return tuple(args)
 
     def parse_stmt_annotation(self) -> list[Stmt]:
         first = self.pos
@@ -412,26 +392,24 @@ class _Parser:
         saw_loop = False
         while not self.at("ANNOT_CLOSE"):
             tok = self.peek()
-            if self.at("IDENT", "assert"):
-                self.next()
+            if self.accept("IDENT", "assert"):
                 label: Optional[str] = None
                 if self.at("IDENT") and self.at("PUNCT", ":", 1) and \
                         self.peek().value not in CLAUSE_KEYWORDS:
                     label = self.next().value
                     self.next()
-                pred = self.parse_pred(logic=True)
+                pred = self.parse_pred()
                 self.punct(";")
                 out.append(AssertStmt(label, pred, span=self.span_from(tok)))
                 continue
-            if self.at("IDENT", "loop"):
-                self.next()
+            if self.accept("IDENT", "loop"):
                 saw_loop = True
                 kind = self.ident()
                 if kind.value == "invariant":
-                    p = self.parse_pred(logic=True)
+                    p = self.parse_pred()
                     invariant = p if invariant is None else PAnd(invariant, p)
                 elif kind.value == "variant":
-                    variant = self.parse_term(logic=True)
+                    variant = self.parse_term()
                 else:
                     raise _fail(self.file, kind,
                                 f"unknown loop annotation {kind.value!r}")
@@ -456,49 +434,41 @@ class _Parser:
                     start: Token) -> Stmt:
         self.expect("IDENT", "while")
         self.punct("(")
-        cond = self.parse_pred(logic=False)
+        cond = self.parse_pred()
         self.punct(")")
         body = self.parse_block()
         return WhileStmt(cond, invariant, variant, body, span=self.span_from(start))
 
     # -- contracts -----------------------------------------------------------
 
-    def parse_contract_clauses(self) -> list:
-        """Parse the inside of one annotation block as contract clauses.
-
-        Returns raw clause tuples; `assemble_contract` merges groups.
-        """
-        clauses: list = []
+    def parse_contract_clauses(self) -> list[tuple[str, object]]:
+        """The clauses of one annotation block, each tagged with the
+        `Contract` field it belongs to; `_contract` merges the groups."""
+        clauses: list[tuple[str, object]] = []
         while not self.at("ANNOT_CLOSE"):
             tok = self.peek()
-            if self.at("IDENT", "requires"):
+            if tok.kind == "IDENT" and tok.value in ("requires", "ensures"):
                 self.next()
-                p = self.parse_pred(logic=True)
+                clauses.append((tok.value, self.parse_pred()))
                 self.punct(";")
-                clauses.append(("requires", p))
-            elif self.at("IDENT", "ensures"):
-                self.next()
-                p = self.parse_pred(logic=True)
+            elif self.accept("IDENT", "assigns"):
+                targets = self.listed(self.parse_loc)
+                sources = self.listed(self.parse_loc) \
+                    if self.accept("BSKW", "from") else ()
                 self.punct(";")
-                clauses.append(("ensures", p))
-            elif self.at("IDENT", "assigns"):
-                self.next()
-                clauses.extend(self.parse_assigns())
-            elif self.at("IDENT", "behavior"):
-                self.next()
+                clauses.extend(("assigns", AssignsClause(t, sources)) for t in targets)
+            elif self.accept("IDENT", "behavior"):
                 name = self.ident()
                 self.punct(":")
                 ens: list[Pred] = []
-                while self.at("IDENT", "ensures"):
-                    self.next()
-                    ens.append(self.parse_pred(logic=True))
+                while self.accept("IDENT", "ensures"):
+                    ens.append(self.parse_pred())
                     self.punct(";")
                 if not ens:
                     raise _fail(self.file, name, "behavior without ensures clause")
-                clauses.append(("behavior", Behavior(name.value, tuple(ens),
-                                                     span=name.span(self.file))))
-            elif self.at("IDENT", "relational"):
-                self.next()
+                clauses.append(("behaviors", Behavior(name.value, tuple(ens),
+                                                      span=name.span(self.file))))
+            elif self.accept("IDENT", "relational"):
                 clauses.append(("relational", self.parse_relational()))
             else:
                 raise _fail(self.file, tok,
@@ -506,53 +476,13 @@ class _Parser:
         self.expect("ANNOT_CLOSE")
         return clauses
 
-    def assemble_contract(self, groups: list[list], start: Token) -> Contract:
-        requires: list[Pred] = []
-        assigns: list[AssignsClause] = []
-        ensures: list[Pred] = []
-        behaviors: list[Behavior] = []
-        relational: list[RelationalClause] = []
-        for group in groups:
-            for kind, payload in group:
-                if kind == "requires":
-                    requires.append(payload)
-                elif kind == "assigns":
-                    assigns.append(payload)
-                elif kind == "ensures":
-                    ensures.append(payload)
-                elif kind == "behavior":
-                    behaviors.append(payload)
-                else:
-                    relational.append(payload)
-        return Contract(tuple(requires), tuple(assigns), tuple(ensures),
-                        tuple(behaviors), tuple(relational))
-
-    def parse_assigns(self) -> list[tuple[str, AssignsClause]]:
-        targets: list[Loc] = [self.parse_loc()]
-        while self.at("PUNCT", ","):
-            self.next()
-            targets.append(self.parse_loc())
-        sources: tuple[Loc, ...] = ()
-        if self.at("BSKW", "from"):
-            self.next()
-            srcs = [self.parse_loc()]
-            while self.at("PUNCT", ","):
-                self.next()
-                srcs.append(self.parse_loc())
-            sources = tuple(srcs)
-        self.punct(";")
-        return [("assigns", AssignsClause(t, sources)) for t in targets]
-
     def parse_loc(self) -> Loc:
         tok = self.peek()
-        if self.at("BSKW", "result"):
-            self.next()
+        if self.accept("BSKW", "result"):
             return ResultLoc(span=tok.span(self.file))
-        if self.at("BSKW", "nothing"):
-            self.next()
+        if self.accept("BSKW", "nothing"):
             return NothingLoc(span=tok.span(self.file))
-        if self.at("PUNCT", "*"):
-            self.next()
+        if self.accept("PUNCT", "*"):
             name = self.ident()
             return DerefLoc(name.value, span=name.span(self.file))
         name = self.ident()
@@ -564,21 +494,17 @@ class _Parser:
         name = self.ident()
         self.punct(":")
         binders: tuple[Binder, ...] = ()
-        if self.at("BSKW", "forall"):
-            self.next()
+        if self.accept("BSKW", "forall"):
             binders = self.parse_binders()
             self.punct(";")
-        kw = self.expect("BSKW", "callset")
+        self.expect("BSKW", "callset")
         self.punct("(")
-        calls: list[CallSpec] = [self.parse_callspec()]
-        while self.at("PUNCT", ","):
-            self.next()
-            calls.append(self.parse_callspec())
+        calls = self.listed(self.parse_callspec)
         self.punct(")")
         self.punct("==>")
-        pred = self.parse_pred(logic=True)
+        pred = self.parse_pred()
         self.punct(";")
-        return RelationalClause(name.value, binders, tuple(calls), pred,
+        return RelationalClause(name.value, binders, calls, pred,
                                 span=self.span_from(name))
 
     def parse_callspec(self) -> CallSpec:
@@ -589,36 +515,26 @@ class _Parser:
             depth = int(self.next().value)
             self.punct(",")
         callee = self.ident()
-        rest: list[Term] = []
-        while self.at("PUNCT", ","):
-            self.next()
-            rest.append(self.parse_term(logic=True))
+        rest = self.listed(self.parse_term) if self.accept("PUNCT", ",") else ()
         self.punct(")")
         if not rest or not isinstance(rest[-1], Var):
             raise _fail(self.file, start, "\\call must end with a call identifier")
-        call_id = rest[-1].name
-        return CallSpec(depth, callee.value, tuple(rest[:-1]), call_id,
+        return CallSpec(depth, callee.value, rest[:-1], rest[-1].name,
                         span=self.span_from(start))
 
     def parse_binders(self) -> tuple[Binder, ...]:
-        binders: list[Binder] = []
-        ty = INT
-        while True:
-            if self.at("IDENT", "int") or self.at("IDENT", "integer"):
-                self.next()
-                ty = INT
-                if self.at("PUNCT", "*"):
-                    self.next()
-                    ty = PTR
-            elif self.at("PUNCT", "*"):
-                self.next()
+        ty = INT  # a binder without a type takes the one before it
+
+        def binder() -> Binder:
+            nonlocal ty
+            if self.accept("IDENT", "int") or self.accept("IDENT", "integer"):
+                ty = PTR if self.accept("PUNCT", "*") else INT
+            elif self.accept("PUNCT", "*"):
                 ty = PTR
             name = self.ident()
-            binders.append(Binder(name.value, ty, span=name.span(self.file)))
-            if self.at("PUNCT", ","):
-                self.next()
-                continue
-            return tuple(binders)
+            return Binder(name.value, ty, span=name.span(self.file))
+
+        return self.listed(binder)
 
     # -- axiomatic blocks ------------------------------------------------------
 
@@ -629,35 +545,27 @@ class _Parser:
         items: list = []
         while not self.at("PUNCT", "}"):
             tok = self.peek()
-            if self.at("IDENT", "predicate"):
-                self.next()
+            if self.accept("IDENT", "predicate"):
                 pname = self.ident()
                 labels = self.parse_label_params()
-                params = self.parse_logic_params()
-                reads: list[Term] = []
-                if self.at("IDENT", "reads"):
-                    self.next()
-                    reads.append(self.parse_term(logic=True))
-                    while self.at("PUNCT", ","):
-                        self.next()
-                        reads.append(self.parse_term(logic=True))
+                params = self.parens(lambda: self.parse_param(code=False))
+                reads = self.listed(self.parse_term) \
+                    if self.accept("IDENT", "reads") else ()
                 self.punct(";")
-                items.append(PredicateDecl(pname.value, labels, params,
-                                           tuple(reads), span=pname.span(self.file)))
-            elif self.at("IDENT", "logic"):
-                self.next()
+                items.append(PredicateDecl(pname.value, labels, params, reads,
+                                           span=pname.span(self.file)))
+            elif self.accept("IDENT", "logic"):
                 self.expect("IDENT", "integer")
                 fname = self.ident()
-                params = self.parse_logic_params()
+                params = self.parens(lambda: self.parse_param(code=False))
                 self.punct(";")
                 items.append(LogicFnDecl(fname.value, params,
                                          span=fname.span(self.file)))
-            elif self.at("IDENT", "lemma"):
-                self.next()
+            elif self.accept("IDENT", "lemma"):
                 lname = self.ident()
                 labels = self.parse_label_params()
                 self.punct(":")
-                body = self.parse_pred(logic=True)
+                body = self.parse_pred()
                 self.punct(";")
                 items.append(Lemma(lname.value, labels, body,
                                    span=lname.span(self.file)))
@@ -668,115 +576,93 @@ class _Parser:
         return Axiomatic(name.value, tuple(items), span=self.span_from(start))
 
     def parse_label_params(self) -> tuple[str, ...]:
-        if not self.at("PUNCT", "{"):
+        if not self.accept("PUNCT", "{"):
             return ()
-        self.next()
-        labels = [self.ident().value]
-        while self.at("PUNCT", ","):
-            self.next()
-            labels.append(self.ident().value)
+        labels = self.listed(lambda: self.ident().value)
         self.punct("}")
-        return tuple(labels)
-
-    def parse_logic_params(self) -> tuple[Param, ...]:
-        self.punct("(")
-        params: list[Param] = []
-        if not self.at("PUNCT", ")"):
-            while True:
-                params.append(self.parse_param(code=False))
-                if self.at("PUNCT", ","):
-                    self.next()
-                    continue
-                break
-        self.punct(")")
-        return tuple(params)
+        return labels
 
     # -- predicates ------------------------------------------------------------
 
-    def parse_pred(self, logic: bool) -> Pred:
+    def parse_pred(self) -> Pred:
         start = self.pos
-        return self.bounded(self.parse_imp(logic), start)
+        return self.bounded(self.parse_imp(), start)
 
-    def parse_imp(self, logic: bool) -> Pred:
+    def parse_imp(self) -> Pred:
         start = self.peek()
         self.enter()
-        left = self.parse_or(logic)
-        if self.at("PUNCT", "==>"):
-            self.next()
-            left = PImp(left, self.parse_imp(logic),  # right-associative
+        left = self.parse_or()
+        if self.accept("PUNCT", "==>"):
+            left = PImp(left, self.parse_imp(),  # right-associative
                         span=self.span_from(start))
         self.depth -= 1
         return left
 
-    def parse_or(self, logic: bool) -> Pred:
-        left = self.parse_and(logic)
-        while self.at("PUNCT", "||"):
-            self.next()
-            left = POr(left, self.parse_and(logic))
+    def parse_or(self) -> Pred:
+        left = self.parse_and()
+        while self.accept("PUNCT", "||"):
+            left = POr(left, self.parse_and())
         return left
 
-    def parse_and(self, logic: bool) -> Pred:
-        left = self.parse_pred_atom(logic)
-        while self.at("PUNCT", "&&"):
-            self.next()
-            left = PAnd(left, self.parse_pred_atom(logic))
+    def parse_and(self) -> Pred:
+        left = self.parse_pred_atom()
+        while self.accept("PUNCT", "&&"):
+            left = PAnd(left, self.parse_pred_atom())
         return left
 
-    def parse_pred_atom(self, logic: bool) -> Pred:
+    def parse_pred_atom(self) -> Pred:
         self.enter()
-        atom = self.pred_atom(logic)
+        atom = self.pred_atom()
         self.depth -= 1
         return atom
 
-    def pred_atom(self, logic: bool) -> Pred:
+    def pred_atom(self) -> Pred:
         tok = self.peek()
-        if self.at("PUNCT", "!"):
+        if self.accept("PUNCT", "!"):
+            return PNot(self.parse_pred_atom())
+        if tok.kind == "BSKW" and tok.value in ("true", "false"):
             self.next()
-            return PNot(self.parse_pred_atom(logic))
-        if logic and self.at("BSKW", "true"):
+            return PBool(tok.value == "true", span=tok.span(self.file))
+        if tok.kind == "BSKW" and tok.value in ("forall", "exists"):
             self.next()
-            return PBool(True, span=tok.span(self.file))
-        if logic and self.at("BSKW", "false"):
-            self.next()
-            return PBool(False, span=tok.span(self.file))
-        if logic and (self.at("BSKW", "forall") or self.at("BSKW", "exists")):
-            kind = self.next().value
             binders = self.parse_binders()
             self.punct(";")
-            body = self.parse_imp(logic)
-            cls = PForall if kind == "forall" else PExists
+            body = self.parse_imp()
+            cls = PForall if tok.value == "forall" else PExists
             return cls(binders, body, span=self.span_from(tok))
-        if logic and self.at("BSKW", "separated"):
-            self.next()
+        if self.accept("BSKW", "separated"):
             self.punct("(")
-            left = self.parse_term(logic)
+            left = self.parse_term()
             self.punct(",")
-            right = self.parse_term(logic)
+            right = self.parse_term()
             self.punct(")")
             return Separated(left, right, span=self.span_from(tok))
-        if logic and self.at("IDENT") and self.at("PUNCT", "{", 1):
+        if tok.kind == "IDENT" and self.at("PUNCT", "{", 1):
             # label-parameterized predicate application: p{l1, l2}(args)
-            name = self.next()
+            self.next()
             labels = self.parse_label_params()
-            args = self.parse_call_args_logic()
-            return PredApp(name.value, labels, args, span=self.span_from(tok))
-        if self.at("PUNCT", "("):
+            args = self.parens(self.parse_term)
+            return PredApp(tok.value, labels, args, span=self.span_from(tok))
+        if tok.kind == "PUNCT" and tok.value == "(":
             # Either a parenthesized predicate or a parenthesized term that
-            # starts a comparison; try the predicate reading first.
+            # starts a comparison; the predicate reading wins unless a term
+            # operator follows it.
             save, depth = self.pos, self.depth
             try:
                 self.next()
-                inner = self.parse_imp(logic)
+                inner = self.parse_imp()
                 self.punct(")")
-                if self.at_term_continuation():
-                    raise _fail(self.file, self.peek(), "term context")
-                return inner
+                after = self.peek()
+                if after.kind != "PUNCT" or (after.value not in ARITH_OPS
+                                             and after.value not in CMP_OPS):
+                    return inner
             except ParseFailure:
-                self.pos, self.depth = save, depth
-        left = self.parse_term(logic)
+                pass
+            self.pos, self.depth = save, depth
+        left = self.parse_term()
         if self.at_cmp():
             op = self.next().value
-            right = self.parse_term(logic)
+            right = self.parse_term()
             if self.at_cmp():
                 raise _fail(self.file, self.peek(),
                             "chained comparisons are not supported")
@@ -787,94 +673,69 @@ class _Parser:
         raise _fail(self.file, self.peek(), "expected comparison operator")
 
     def at_cmp(self) -> bool:
-        return self.peek().kind == "PUNCT" and self.peek().value in (
-            "==", "!=", "<=", ">=", "<", ">")
-
-    def at_term_continuation(self) -> bool:
-        return self.peek().kind == "PUNCT" and self.peek().value in (
-            "+", "-", "*", "/", "==", "!=", "<=", ">=", "<", ">")
-
-    def parse_call_args_logic(self) -> tuple[Term, ...]:
-        self.punct("(")
-        args: list[Term] = []
-        if not self.at("PUNCT", ")"):
-            while True:
-                args.append(self.parse_term(logic=True))
-                if self.at("PUNCT", ","):
-                    self.next()
-                    continue
-                break
-        self.punct(")")
-        return tuple(args)
+        t = self.peek()
+        return t.kind == "PUNCT" and t.value in CMP_OPS
 
     # -- terms -------------------------------------------------------------------
 
-    def parse_term(self, logic: bool) -> Term:
+    def parse_term(self) -> Term:
         start = self.pos
-        return self.bounded(self.parse_add(logic), start)
+        return self.bounded(self.parse_add(), start)
 
-    def parse_add(self, logic: bool) -> Term:
-        left = self.parse_mul(logic)
+    def parse_add(self) -> Term:
+        left = self.parse_mul()
         while self.at("PUNCT", "+") or self.at("PUNCT", "-"):
             op = self.next().value
-            left = Bin(op, left, self.parse_mul(logic))
+            left = Bin(op, left, self.parse_mul())
         return left
 
-    def parse_mul(self, logic: bool) -> Term:
-        left = self.parse_unary(logic)
+    def parse_mul(self) -> Term:
+        left = self.parse_unary()
         while self.at("PUNCT", "*") or self.at("PUNCT", "/"):
             # `*/` closes the annotation; `*` here is either multiplication or
             # an upcoming deref, both of which continue a term.
             op = self.next().value
-            left = Bin(op, left, self.parse_unary(logic))
+            left = Bin(op, left, self.parse_unary())
         return left
 
-    def parse_unary(self, logic: bool) -> Term:
+    def parse_unary(self) -> Term:
         tok = self.peek()
         self.enter()
-        if self.at("PUNCT", "-"):
-            self.next()
-            inner = self.parse_unary(logic)
+        if self.accept("PUNCT", "-"):
+            inner = self.parse_unary()
             if isinstance(inner, IntLit):
                 out = IntLit(-inner.value, span=tok.span(self.file))
             else:
                 out = Bin("-", IntLit(0), inner)
-        elif self.at("PUNCT", "*"):
-            self.next()
+        elif self.accept("PUNCT", "*"):
             name = self.ident()
             out = Deref(name.value, span=self.span_from(tok))
         else:
-            out = self.parse_term_atom(logic)
+            out = self.parse_term_atom()
         self.depth -= 1
         return out
 
-    def parse_term_atom(self, logic: bool) -> Term:
+    def parse_term_atom(self) -> Term:
         tok = self.peek()
-        if self.at("INT"):
+        kind = tok.kind
+        if kind == "IDENT":
+            self.next()
+            if self.at("PUNCT", "("):
+                args = self.parens(self.parse_term)
+                return LogicApp(tok.value, args, span=self.span_from(tok))
+            return Var(tok.value, span=tok.span(self.file))
+        if kind == "INT":
             self.next()
             return IntLit(int(tok.value), span=tok.span(self.file))
-        if self.at("FLOAT"):
+        if kind == "FLOAT":
             self.next()
             return FloatLit(tok.value, span=tok.span(self.file))
-        if self.at("PUNCT", "("):
-            self.next()
-            inner = self.parse_add(logic)
+        if kind == "BSKW":
+            return self.parse_backslash_term()
+        if self.accept("PUNCT", "("):
+            inner = self.parse_add()
             self.punct(")")
             return inner
-        if self.at("BSKW"):
-            if not logic:
-                raise _fail(self.file, tok,
-                            f"\\{tok.value} is not allowed in program expressions")
-            return self.parse_backslash_term()
-        if self.at("IDENT"):
-            name = self.next()
-            if logic and self.at("PUNCT", "("):
-                args = self.parse_call_args_logic()
-                return LogicApp(name.value, args, span=self.span_from(tok))
-            if not logic and self.at("PUNCT", "("):
-                raise _fail(self.file, tok,
-                            "calls cannot be nested inside expressions")
-            return Var(name.value, span=tok.span(self.file))
         raise _fail(self.file, tok, f"expected term, found {tok.value or tok.kind!r}")
 
     def parse_backslash_term(self) -> Term:
@@ -884,7 +745,7 @@ class _Parser:
             return ResultTerm(span=tok.span(self.file))
         if word == "old":
             self.punct("(")
-            inner = self.parse_term(logic=True)
+            inner = self.parse_term()
             self.punct(")")
             return OldTerm(inner, span=self.span_from(tok))
         if word == "callresult":
@@ -894,7 +755,7 @@ class _Parser:
             return CallResult(cid.value, span=self.span_from(tok))
         if word == "at":
             self.punct("(")
-            base = self.parse_unary(logic=True)
+            base = self.parse_unary()
             self.punct(",")
             label = self.ident()
             self.punct(")")
@@ -904,32 +765,34 @@ class _Parser:
             depth = 1
             if self.at("INT") and self.at("PUNCT", ",", 1):
                 depth = int(self.next().value)
-                self.punct(",")
-            callee = self.ident()
-            args: list[Term] = []
-            while self.at("PUNCT", ","):
                 self.next()
-                args.append(self.parse_term(logic=True))
+            callee = self.ident()
+            args = self.listed(self.parse_term) if self.accept("PUNCT", ",") else ()
             self.punct(")")
-            return CallPure(depth, callee.value, tuple(args),
-                            span=self.span_from(tok))
+            return CallPure(depth, callee.value, args, span=self.span_from(tok))
         raise _fail(self.file, tok, f"\\{word} is not a term")
 
 
-def _resolve_formal_locs(contract: Contract, formals: set[str]) -> Contract:
-    """A bare name in an assigns/\\from list denotes a formal when the
-    enclosing function has one by that name; formals are not state."""
+def _contract(groups: list[list[tuple[str, object]]],
+              formals: tuple[Param, ...]) -> Contract:
+    """The contract of a function from its tagged clause groups. A bare name
+    in an assigns/\\from list denotes a formal when the function has one by
+    that name; formals are not state."""
+    names = {p.name for p in formals}
 
     def fix(loc: Loc) -> Loc:
-        if isinstance(loc, GlobalLoc) and loc.name in formals:
+        if isinstance(loc, GlobalLoc) and loc.name in names:
             return FormalLoc(loc.name, span=loc.span)
         return loc
 
-    assigns = tuple(AssignsClause(fix(a.target), tuple(fix(s) for s in a.sources),
-                                  span=a.span)
-                    for a in contract.assigns)
-    return Contract(contract.requires, assigns, contract.ensures,
-                    contract.behaviors, contract.relational)
+    fields: dict[str, list] = {}
+    for group in groups:
+        for field, clause in group:
+            if field == "assigns":
+                clause = AssignsClause(fix(clause.target),
+                                       tuple(map(fix, clause.sources)))
+            fields.setdefault(field, []).append(clause)
+    return Contract(**{field: tuple(items) for field, items in fields.items()})
 
 
 def parse_program(text: str, file: str = "<input>") -> Union[Program, list[Diagnostic]]:

@@ -13,7 +13,7 @@ from .minic import (
     OldTerm, ResultTerm, LogicApp,
     Pred, PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
-    Loc, GlobalLoc, DerefLoc, ResultLoc, NothingLoc, FormalLoc,
+    loc_str,
 )
 
 _ADD, _MUL, _UNARY = 1, 2, 3
@@ -100,20 +100,6 @@ def binders_str(binders: tuple[Binder, ...]) -> str:
             parts.append(f"int {b.name}")
             prev_ty = INT
     return ", ".join(parts)
-
-
-def loc_str(loc: Loc) -> str:
-    if isinstance(loc, GlobalLoc):
-        return loc.name
-    if isinstance(loc, DerefLoc):
-        return f"*{loc.name}"
-    if isinstance(loc, ResultLoc):
-        return "\\result"
-    if isinstance(loc, NothingLoc):
-        return "\\nothing"
-    if isinstance(loc, FormalLoc):
-        return loc.name
-    raise TypeError(f"unknown location {loc!r}")
 
 
 def _param_str(p: Param) -> str:

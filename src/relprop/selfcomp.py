@@ -28,9 +28,10 @@ from .minic import (
     ResultTerm, LogicApp,
     Pred, Cmp, PAnd, POr, PImp, PForall, PExists, Separated,
     PredApp,
-    GlobalLoc, DerefLoc, Loc, Diagnostic, rel_label, statements, walk,
+    GlobalLoc, DerefLoc, Loc, Diagnostic, height, rel_label, statements, walk,
     map_nodes,
 )
+from .parser import MAX_NESTING
 from .validate import validate, footprint_of
 
 WRAPPER_PREFIX = "relational_wrapper_"
@@ -311,15 +312,28 @@ class _Inliner:
         self.program = program
         self.names = names
         self.opaque_callees: set[str] = set()
+        self.site: Optional[CallSpec] = None  # the \call being emitted
+
+    def too_deep(self) -> TransformError:
+        return TransformError([Diagnostic(
+            "error", self.site.span,
+            f"inlining {self.site.callee} nests deeper than {MAX_NESTING} "
+            "levels; lower the inlining option")])
 
     def inline(self, callee: FunctionDef, arg_terms: list[Term],
                state_env: dict[str, str], tag: str, depth: int,
                ret_target: Optional[str],
-               frame_env: Optional[dict[str, str]] = None) -> list[Stmt]:
+               frame_env: Optional[dict[str, str]] = None,
+               nesting: int = 1, levels: int = 1) -> list[Stmt]:
         """Inline one call: bind int formals to locals (fresh ones unless
         `frame_env` names them and the callee's locals), rename the body
         through the call's state copy, convert returns, and unfold nested
-        calls while the depth budget lasts."""
+        calls while the depth budget lasts. `nesting` counts the blocks
+        around the call in the wrapper and `levels` the inlined calls, this
+        one included; past MAX_NESTING of either the wrapper is refused,
+        before the recursion that builds it can overflow."""
+        if nesting > MAX_NESTING or levels > MAX_NESTING:
+            raise self.too_deep()
         out: list[Stmt] = []
         env = dict(state_env)
         env.update(frame_env if frame_env is not None else
@@ -327,7 +341,8 @@ class _Inliner:
         int_formals = [p for p in callee.formals if p.ty == INT]
         for p, arg in zip(int_formals, arg_terms):
             out.append(DeclStmt(env[p.name], arg))
-        body = self.rename_stmts(list(callee.body), env, tag, depth)
+        body = self.rename_stmts(list(callee.body), env, tag, depth,
+                                 nesting, levels)
         converted = tail_convert(body, ret_target)
         if converted is None:
             converted = flag_convert(body, ret_target,
@@ -352,9 +367,10 @@ class _Inliner:
         return t
 
     def rename_stmts(self, stmts: list[Stmt], env: dict[str, str], tag: str,
-                     depth: int) -> list[Stmt]:
+                     depth: int, nesting: int, levels: int) -> list[Stmt]:
         out: list[Stmt] = []
         seq = 0
+        inner = nesting + 1
         for s in stmts:
             if isinstance(s, DeclStmt):
                 out.append(DeclStmt(env.get(s.name, s.name), _rename(s.init, env)))
@@ -363,19 +379,20 @@ class _Inliner:
                                       _rename(s.value, env)))
             elif isinstance(s, CallStmt):
                 seq += 1
-                out.extend(self._inline_nested(s, env, f"{tag}_{seq}", depth))
+                out.extend(self._inline_nested(s, env, f"{tag}_{seq}", depth,
+                                               nesting, levels))
             elif isinstance(s, IfStmt):
                 out.append(IfStmt(_rename(s.cond, env),
-                                  tuple(self.rename_stmts(list(s.then), env,
-                                                          tag, depth)),
-                                  tuple(self.rename_stmts(list(s.orelse), env,
-                                                          tag, depth))))
+                                  tuple(self.rename_stmts(list(s.then), env, tag,
+                                                          depth, inner, levels)),
+                                  tuple(self.rename_stmts(list(s.orelse), env, tag,
+                                                          depth, inner, levels))))
             elif isinstance(s, WhileStmt):
                 out.append(WhileStmt(_rename(s.cond, env),
                                      _rename(s.invariant, env),
                                      _rename(s.variant, env),
-                                     tuple(self.rename_stmts(list(s.body), env,
-                                                             tag, depth))))
+                                     tuple(self.rename_stmts(list(s.body), env, tag,
+                                                             depth, inner, levels))))
             elif isinstance(s, ReturnStmt):
                 out.append(ReturnStmt(_rename(s.value, env)))
             elif isinstance(s, AssertStmt):
@@ -385,7 +402,7 @@ class _Inliner:
         return out
 
     def _inline_nested(self, s: CallStmt, env: dict[str, str], tag: str,
-                       depth: int) -> list[Stmt]:
+                       depth: int, nesting: int, levels: int) -> list[Stmt]:
         target = env.get(s.target, s.target) if s.target else None
         args = list(_rename(s.args, env))
         callee = self.program.function(s.callee)
@@ -393,7 +410,8 @@ class _Inliner:
             # Already an opaque logic application; keep it.
             return [CallStmt(target, s.callee, tuple(args))]
         if depth > 1:
-            return self.inline(callee, args, dict(env), tag, depth - 1, target)
+            return self.inline(callee, args, dict(env), tag, depth - 1, target,
+                               nesting=nesting, levels=levels + 1)
         # Depth exhausted: replace with an opaque application of the callee's
         # logic mirror, constrained only by contracts and admitted lemmas.
         if not footprint_of(callee, self.program).is_pure or callee.ret != INT:
@@ -406,7 +424,9 @@ class _Inliner:
 
 
 def _emit_call(spec: CallSpec, renaming: Renaming, inliner: _Inliner) -> list[Stmt]:
-    """Emit the inlined block for one callset call under its renaming."""
+    """Emit the inlined block for one callset call under its renaming; the
+    block is at most MAX_NESTING nodes high."""
+    inliner.site = spec
     callee = inliner.program.function(spec.callee)
     out: list[Stmt] = []
     tag = str(renaming.index)
@@ -415,6 +435,8 @@ def _emit_call(spec: CallSpec, renaming: Renaming, inliner: _Inliner) -> list[St
         out.append(DeclStmt(renaming.ret_var, None))
     out.extend(inliner.inline(callee, args, {**renaming.globals, **renaming.pointers},
                               tag, spec.depth, renaming.ret_var, renaming.locals))
+    if height(tuple(out)) > MAX_NESTING:
+        raise inliner.too_deep()
     return out
 
 

@@ -7,7 +7,9 @@ written/read state of a function from its `assigns ... \\from ...` clauses
 (never inferred from the body), unioning in callee footprints.
 
 One checker, `_check`, applies one rule per construct wherever it appears;
-a scope says what the place may mention. There are four contexts:
+a scope says what the place may mention. The parser reads code and
+annotations with one expression grammar, so this checker alone keeps logic
+constructs out of code. There are four contexts:
 
 - code (conditions, right-hand sides, arguments, returns): integers,
   arithmetic, comparisons, `&&`, `||`, `!`, the visible formals, locals and
@@ -48,7 +50,7 @@ from .minic import (
     PBool, Cmp, PAnd, POr, PImp, PNot, PForall, PExists, Separated,
     PredApp,
     Loc, GlobalLoc, DerefLoc, ResultLoc, FormalLoc,
-    Diagnostic, rel_label, statements, walk,
+    Diagnostic, loc_str, rel_label, statements, walk,
 )
 
 
@@ -176,7 +178,7 @@ def _memoize_footprints(root: FunctionDef, program: Program) -> None:
     def enter(f: FunctionDef):
         missing = _uncovered(f, program)
         if missing:
-            raise MissingAssigns(f"{f.name}: body touches {_loc_str(missing[0])} "
+            raise MissingAssigns(f"{f.name}: body touches {loc_str(missing[0])} "
                                  "but no assigns clause covers it")
         callees = []
         for name in _callees(f.body):
@@ -227,14 +229,6 @@ def _memoize_footprints(root: FunctionDef, program: Program) -> None:
                 add(caller, *reached[f.name])
 
 
-def _loc_str(loc: Loc) -> str:
-    if isinstance(loc, GlobalLoc):
-        return loc.name
-    if isinstance(loc, DerefLoc):
-        return f"*{loc.name}"
-    return type(loc).__name__
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -253,7 +247,8 @@ _NOT_CODE = {
     Separated: "\\separated is not a program expression",
     PredApp: "predicate application in program expression",
     PBool: "\\true/\\false are not program expressions",
-    **dict.fromkeys((CallResult, At, CallPure, OldTerm, ResultTerm, LogicApp),
+    LogicApp: "calls cannot be nested inside expressions",
+    **dict.fromkeys((CallResult, At, CallPure, OldTerm, ResultTerm),
                     "logic construct in program expression"),
 }
 
@@ -351,11 +346,11 @@ def _check_assigns_coverage(fn: FunctionDef, program: Program,
     if missing and not fn.contract.assigns and involved:
         diags.append(_err(fn.span,
                           f"{fn.name} is part of a relational property but has no "
-                          f"assigns clause covering {_loc_str(missing[0])}"))
+                          f"assigns clause covering {loc_str(missing[0])}"))
     else:
         for loc in missing:
             diags.append(_err(fn.span,
-                              f"{fn.name}: assigns clauses do not cover {_loc_str(loc)}"))
+                              f"{fn.name}: assigns clauses do not cover {loc_str(loc)}"))
 
 
 def _validate_function(fn: FunctionDef, base: _Scope, fn_index: dict[str, int],

@@ -277,6 +277,20 @@ def test_check_malformed_json_exits_2(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"property": "R1", "assignment": [1, 2]}',
+    '{"property": "R1", "assignment": {"x1": 1.7, "y1": 2}}',
+    '{"property": "R1", "assignment": {"x1": true, "y1": 2}}',
+], ids=["not_an_object", "assignment_list", "float_value", "bool_value"])
+def test_check_rejects_malformed_vector(text, tmp_path, capsys):
+    path = tmp_path / "bad.cex.json"
+    path.write_text(text)
+    assert run(["check", corpus_path("fig2.mc"), path]) == 2
+    err = capsys.readouterr().err
+    assert "malformed counterexample file" in err and "Traceback" not in err
+
+
 def test_check_unreplayable_vector_exits_2(tmp_path, capsys):
     # fig2 defines no P1, so a cmp_sign_bad counterexample replays nothing
     cmp_bad = corpus_path("comparators/cmp_sign_bad.mc")

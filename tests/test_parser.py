@@ -1,10 +1,13 @@
 """Concrete syntax: lexing, parsing, diagnostics, spans."""
 
+import pytest
+
 from relprop.minic import (
     Program, CallSpec, IntLit, Var, Bin, CallResult, At, Cmp, PImp,
     RelationalClause, Diagnostic,
 )
 from relprop.parser import parse_program, lex
+from relprop.validate import validate
 
 
 def test_fig2_clause_shape(fig2):
@@ -118,10 +121,12 @@ def test_span_within_input_bounds():
 
 
 def test_calls_cannot_nest_in_expressions():
+    # Code parses with the annotation grammar; validate rejects the call.
     src = "int f(int x) { return x; } int g(int x) { int y = f(x) + 1; return y; }"
-    diags = parse_program(src)
-    assert isinstance(diags, list)
-    assert "nested" in diags[0].message
+    program = parse_program(src, "t.mc")
+    assert isinstance(program, Program)
+    assert [str(d) for d in validate(program)] == \
+        ["t.mc:1:51: error: calls cannot be nested inside expressions"]
 
 
 def test_loop_annotation_attaches_to_while():
@@ -150,3 +155,35 @@ def test_lexer_tracks_positions():
     names = [(t.value, t.line, t.col) for t in toks if t.kind != "EOF"]
     assert names[0] == ("int", 1, 1)
     assert names[3] == ("x", 2, 3)
+
+
+# Malformed inputs with no logic construct in code, each with the exact
+# diagnostic the parser reports for it.
+PARSE_ERRORS = [
+    ("int f(int x) { if (x > 0 { return 1; } return 0; }",
+     "t.mc:1:26: error: expected ')', found '{'"),
+    ("/*@ requiress x > 0; */\nint f(int x) { return x; }",
+     "t.mc:1:5: error: unknown contract clause 'requiress'"),
+    ("/*@ behavior B: assigns \\nothing; */\nint f(int x) { return x; }",
+     "t.mc:1:14: error: behavior without ensures clause"),
+    ("int f(int x) { if (0 < x < 9) { return 1; } return 0; }",
+     "t.mc:1:26: error: chained comparisons are not supported"),
+    ("/*@ relational R: \\forall int x;\n  \\callset(\\call(f, x + 1)) ==> \\true; */\n"
+     "int f(int x) { return x; }",
+     "t.mc:2:12: error: \\call must end with a call identifier"),
+    ("int f(int x) { return x; }\n/*@ requires x > 0;\n",
+     "t.mc:2:19: error: unterminated annotation"),
+    ("int f(int x) {\n  /*@ loop invariant x >= 0; */\n  return x;\n}",
+     "t.mc:3:3: error: loop annotation must precede a while statement"),
+    ("int *f() { return 0; }", "t.mc:1:1: error: functions cannot return pointers"),
+    ("void x;", "t.mc:1:1: error: void is not a valid variable type"),
+    ("int f(int x) { return " + "(" * 101 + "x" + ")" * 101 + "; }",
+     "t.mc:1:122: error: nesting deeper than 100 levels"),
+]
+
+
+@pytest.mark.parametrize("src, expected", PARSE_ERRORS,
+                         ids=[e.split("error: ")[1] for _, e in PARSE_ERRORS])
+def test_parse_error_diagnostics(src, expected):
+    diags = parse_program(src, "t.mc")
+    assert [str(d) for d in diags] == [expected]

@@ -15,6 +15,9 @@ from relprop.selfcomp import (
     STYLE_LABELS,
 )
 from relprop.validate import validate
+from relprop.cli import main
+
+from conftest import corpus_path
 
 
 def clause_of(program, fn_name):
@@ -263,6 +266,56 @@ def test_transform_deterministic(fig5):
 def test_transform_output_validates(fig2, fig5, fig6, crypt, fact):
     for p in (fig2, fig5, fig6, crypt, fact):
         assert validate(transform(p).program) == []
+
+
+def _fact_with_depth(k: int, tmp_path):
+    """fact.mc with its first call inlined k levels deep."""
+    src = corpus_path("fact.mc").read_text(encoding="utf-8")
+    path = tmp_path / "fact.mc"
+    path.write_text(src.replace("\\call(2, fact", f"\\call({k}, fact"))
+    return path
+
+
+@pytest.mark.parametrize("k", [100, 400])
+def test_too_deep_inlining_is_rejected_at_the_call(k, tmp_path, capsys):
+    path = _fact_with_depth(k, tmp_path)
+    out = str(tmp_path / "out")
+    for args in (["transform"], ["prove", "--bound", "2"], ["test", "--budget", "1"]):
+        assert main([args[0], str(path), "-o", out] + args[1:]) == 2
+    assert capsys.readouterr().err.splitlines() == 3 * [
+        f"{path}:4:16: error: inlining fact nests deeper than 100 levels; "
+        "lower the inlining option"]
+
+
+@pytest.mark.parametrize("k", [2, 97])
+def test_accepted_inlining_output_reparses(k, tmp_path):
+    # 97 is the deepest fact inlining that transform accepts
+    path = _fact_with_depth(k, tmp_path)
+    assert main(["transform", str(path), "-o", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "fact.transformed.mc").read_text(encoding="utf-8")
+    again = parse_program(text)
+    assert again == transform(parse_program(path.read_text())).program
+    assert validate(again) == []
+
+
+def _early_returns(n: int) -> Program:
+    """`f` returns from n sequential ifs; inlining nests the rest of the
+    body one level deeper after each."""
+    body = "".join(f"  if (x > {i}) {{ return {i}; }}\n" for i in range(n))
+    return parse_program(f"""
+    /*@ assigns \\result \\from x;
+        relational R: \\forall int x; \\callset(\\call(f, x, id1))
+          ==> \\callresult(id1) >= 0;
+    */
+    int f(int x) {{
+    {body}  return 0;
+    }}
+    """)
+
+
+def test_deep_early_returns_are_rejected():
+    with pytest.raises(TransformError, match="nests deeper than 100 levels"):
+        transform(_early_returns(120))
 
 
 def test_transform_rejects_invalid_input():

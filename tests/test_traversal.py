@@ -5,9 +5,12 @@ import operator
 from relprop.logic import ARITH, CMP, ediv
 from relprop.minic import (
     Bin, CallPure, Cmp, DeclStmt, IfStmt, IntLit, LogicApp, PForall, Binder,
-    Program, Var, walk, map_nodes, Span,
+    Node, Program, Var, walk, map_nodes, height, Span,
 )
 from relprop.parser import parse_program
+from relprop.selfcomp import transform
+
+from conftest import CORPUS, load
 
 
 def test_walk_is_preorder_and_flattens_tuples():
@@ -23,6 +26,23 @@ def test_walk_reaches_conditions_and_nested_bodies():
                    (DeclStmt("r", IntLit(1)),), ()),)
     names = [n.name for n in walk(body) if isinstance(n, (Var, DeclStmt))]
     assert names == ["g", "r"]
+
+
+def _height(node) -> int:
+    """`height` by its definition: nodes on the longest downward path."""
+    if isinstance(node, tuple):
+        return max(map(_height, node), default=0)
+    if not isinstance(node, Node):
+        return 0
+    return 1 + max((_height(getattr(node, f)) for f in node.__dataclass_fields__
+                    if f != "span"), default=0)
+
+
+def test_height_matches_its_definition_on_every_transformed_corpus_file():
+    for path in sorted(CORPUS.rglob("*.mc")):
+        program = transform(load(str(path.relative_to(CORPUS)))).program
+        for item in program.items:
+            assert height(item) == _height(item), (path.name, item)
 
 
 def test_map_nodes_keeps_unchanged_nodes_and_spans():

@@ -1,18 +1,16 @@
 """One minimal program per message that `validate` can emit.
 
-Each row is a program (MiniC source, or an AST where the parser rejects the
-construct before validation sees it) and one message `validate` must report
-for it, with a span. `NEW_RULES` holds the rules of the single annotation
-checker that the earlier checkers lacked; every other message was emitted
-before them, with the same text."""
+Each row is a program (MiniC source, or an AST for a location the parser
+cannot produce) and one message `validate` must report for it, with a
+span. `NEW_RULES` holds the rules of the single annotation checker that the
+earlier checkers lacked; every other message was emitted before them, with
+the same text."""
 
 import pytest
 
 from relprop.cli import main
 from relprop.minic import (
-    INT, VOID, Program, FunctionDef, Param, Contract, AssignsClause,
-    FormalLoc, IfStmt, ReturnStmt, Cmp, PForall, Binder,
-    Separated, PredApp, PBool, Var, IntLit, ResultTerm,
+    VOID, Program, FunctionDef, Contract, AssignsClause, FormalLoc, ReturnStmt,
 )
 from relprop.parser import parse_program
 from relprop.validate import validate
@@ -38,11 +36,9 @@ int f(int x) {{ return x; }}
 """
 
 
-def _cond_fn(cond) -> Program:
-    """`void f(int x)` whose body is `if (cond) {}`: for predicates the
-    parser never lets into code."""
-    return Program((FunctionDef("f", (Param("x", INT),), VOID,
-                                (IfStmt(cond, (), ()), ReturnStmt(None))),))
+def _cond_fn(cond: str) -> str:
+    """`void f(int x)` whose body is `if (cond) { x = 1; }`."""
+    return f"void f(int x) {{ if ({cond}) {{ x = 1; }} return; }}"
 
 
 EXISTING = [
@@ -85,7 +81,7 @@ EXISTING = [
     ("pointer p used in arithmetic",
      "/*@ assigns *p \\from *p; */\nvoid f(int *p) { *p = p + 1; return; }"),
     ("logic construct in program expression",
-     _cond_fn(Cmp(">", ResultTerm(), IntLit(0)))),
+     _cond_fn("\\result > 0")),
     ("\\result outside an int function's ensures",
      "/*@ requires \\result > 0; */\nint f(int x) { return x; }"),
     ("label Pre_id1 is only meaningful inside a relational clause",
@@ -95,22 +91,22 @@ EXISTING = [
     ("==> is not a program operator",
      "void f(int x) { if (x > 0 ==> x > 1) { x = 1; } return; }"),
     ("quantifiers are not program expressions",
-     _cond_fn(PForall((Binder("y"),), Cmp(">", Var("y"), IntLit(0))))),
+     _cond_fn("\\forall int y; y > 0")),
     ("\\separated is not a program expression",
-     _cond_fn(Separated(Var("x"), Var("x")))),
+     _cond_fn("\\separated(x, x)")),
     ("\\separated expects pointers, got x",
      "/*@ requires \\separated(x, x); */\nint f(int x) { return x; }"),
     ("\\separated expects pointer names",
      "/*@ requires \\separated(1, 2); */\nint f(int x) { return x; }"),
     ("predicate application in program expression",
-     _cond_fn(PredApp("Q", (), (Var("x"),)))),
+     _cond_fn("Q(x)")),
     ("unknown predicate P", "/*@ requires P(x); */\nint f(int x) { return x; }"),
     ("P expects 2 labels",
      PTR_PRED + "/*@ assigns *p \\from *p;\n    requires P{Pre}(p); */\n"
      "void f(int *p) { *p = 1; return; }"),
     ("Q expects 1 arguments",
      PTR_PRED + "/*@ requires Q(x, x); */\nint f(int x) { return x; }"),
-    ("\\true/\\false are not program expressions", _cond_fn(PBool(True))),
+    ("\\true/\\false are not program expressions", _cond_fn("\\true")),
     ("cannot assign formal x as state",
      "/*@ assigns x \\from x; */\nvoid f(int x) { return; }"),
     ("unknown formal q",
@@ -171,6 +167,39 @@ EXISTING = [
     ("duplicate axiomatic item Q",
      "/*@ axiomatic A {\n  predicate Q(integer a);\n  predicate Q(integer a);\n} */"),
 ]
+
+# Each construct code may not mention, written in code; the exact diagnostic
+# validate reports for it.
+CODE_CONTEXT = [
+    ("int f(int x) { return \\result + 1; }",
+     "t.mc:1:23: error: logic construct in program expression"),
+    ("int f(int x) { return \\old(x); }",
+     "t.mc:1:23: error: logic construct in program expression"),
+    ("int f(int x) { return \\at(x, Pre); }",
+     "t.mc:1:23: error: logic construct in program expression"),
+    ("int f(int x) { return \\callresult(id1); }",
+     "t.mc:1:23: error: logic construct in program expression"),
+    ("int g(int x) { return x; }\nint f(int x) { return \\callpure(g, x); }",
+     "t.mc:2:23: error: logic construct in program expression"),
+    ("int g(int x) { return x; }\nint f(int x) { int y = g(x) + 1; return y; }",
+     "t.mc:2:24: error: calls cannot be nested inside expressions"),
+    (_cond_fn("\\true"), "t.mc:1:21: error: \\true/\\false are not program expressions"),
+    (_cond_fn("\\forall int y; y > x"),
+     "t.mc:1:21: error: quantifiers are not program expressions"),
+    (_cond_fn("\\separated(x, x)"),
+     "t.mc:1:21: error: \\separated is not a program expression"),
+    (_cond_fn("p{Pre}(x)"),
+     "t.mc:1:21: error: predicate application in program expression"),
+]
+
+
+@pytest.mark.parametrize("src, expected", CODE_CONTEXT,
+                         ids=["result", "old", "at", "callresult", "callpure",
+                              "nested_call", "true", "forall", "separated",
+                              "labelled_predicate"])
+def test_code_context_rule_from_source(src, expected):
+    assert [str(d) for d in validate(_program(src))] == [expected]
+
 
 # Rules of the one checker that no earlier check made; each of these
 # programs was accepted (or crashed `prove`) before.
