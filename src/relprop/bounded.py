@@ -24,7 +24,12 @@ int64. The int64 bound is a worst-case magnitude that each node keeps,
 per bound. The vectorized path has one evaluator, `_Box`: one block of
 the box, each variable on its own axis and each node evaluated once over
 its own variables' axes. It evaluates every block of the walk, the
-count's factors and the frames of an obligation set.
+count's factors and the frames of an obligation set. Each term node is
+held in the narrowest signed integer type (int8, int16, int32 or int64)
+that holds its magnitude at the box's bound: a variable's values in the
+bound's type, a constant in its own, `+ - *` computed in the widest of
+their operands' types and the node's, `/` and `ite` in their operands'
+promoted type. Every value fits its type, so no step wraps.
 
 A VC with shared frames (see `vcgen.ObligationSet`) is searched without
 building its closed goal `F1 ==> (... local)`. Its problem is its
@@ -43,14 +48,19 @@ scalar search, and when the local goal has no node new on its path.
 The vectorized path counts before it walks. The negated VC is a
 conjunction of facts that each mention few variables (a self-composed
 wrapper inlines every call over its own copy of the inputs), so its
-falsifying rows are counted by one tensor contraction over per-conjunct
-0/1 factors, as in bucket elimination. A count of 0 makes the VC valid
-with every row of the box examined; a positive count leaves the answer to
-the block walk, which finds the first falsifying row in lexicographic
-order. The count runs only when the box spans more than one block, every
-factor fits in one block, einsum's FLOP estimate is below the walk's cost
-of rows times dag nodes, and the box has fewer than 2**24 rows per value
-of its first variable (so float32 counts are exact).
+falsifying rows are counted by tensor contraction over per-conjunct 0/1
+factors, as in bucket elimination. A count of 0 makes the VC valid with
+every row of the box examined; a positive count leaves the answer to the
+block walk, which finds the first falsifying row in lexicographic order.
+The factors are built once over the whole box, as bool tensors, and
+contracted one slice of the box at a time, cut on the variable whose
+factors hold the most cells: the factors without that variable become
+float32 once, each slice converts only its own cut of the others, and
+one einsum path serves every slice. The count runs only when the box
+spans more than one block, every factor fits in one block, einsum's FLOP
+estimate for a slice times the number of slices is below the walk's
+cost of rows times dag nodes, and each slice has fewer than 2**24 rows
+(so its float32 count is exact).
 """
 
 from __future__ import annotations
@@ -109,6 +119,9 @@ def _magnitude(n, bound: int) -> int:
     """The kept worst-case magnitude of `n` at `bound`, computed once per
     node by one iterative pass, children first, that stops at nodes
     already measured at this bound."""
+    kept = n.__dict__.get(_MAG)
+    if kept is not None and kept[0] == bound:
+        return kept[1]
     stack = [(n, False)]
     while stack:
         node, expanded = stack.pop()
@@ -136,6 +149,18 @@ def _magnitude(n, bound: int) -> int:
             m = 0  # a formula: its terms fit
         node.__dict__[_MAG] = (bound, m if m <= _INT64_MAX else -1)
     return n.__dict__[_MAG][1]
+
+
+# The signed integer types by width, each with the largest magnitude it
+# holds.
+_INT_TYPES = tuple((np.iinfo(t).max, t)
+                   for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _int_type(m: int):
+    """The narrowest signed integer type that holds every value of
+    magnitude at most `m` (which is at most _INT64_MAX)."""
+    return next(t for top, t in _INT_TYPES if m <= top)
 
 
 def _fits_int64(forms: list[Form], bound: int) -> bool:
@@ -233,49 +258,62 @@ def _np_ediv(a, b):
     return np.where(bz, 0, q)
 
 
-def _np_term(t: TermF, env, memo) -> np.ndarray:
-    hit = memo.get(t)
+# `/` goes through _np_ediv.
+_UFUNC = {"+": np.add, "-": np.subtract, "*": np.multiply}
+
+
+def _np_term(t: TermF, box: "_Box") -> np.ndarray:
+    """The value of `t` over `box`, in the narrowest integer type that
+    holds its magnitude at the box's bound: `+ - *` compute in the widest
+    of their operands' types and that one, `/` and `ite` in their
+    operands' promoted type."""
+    hit = box.memo.get(t)
     if hit is not None:
         return hit
     if isinstance(t, IVar):
-        out = env[t.name]
+        out = box.env[t.name]
     elif isinstance(t, ICon):
-        out = np.int64(t.value)
+        out = _int_type(abs(t.value))(t.value)
     elif isinstance(t, IOp):
-        a, b = _np_term(t.left, env, memo), _np_term(t.right, env, memo)
-        out = _np_ediv(a, b) if t.op == "/" else ARITH[t.op](a, b)
+        a, b = _np_term(t.left, box), _np_term(t.right, box)
+        if t.op == "/":
+            out = _np_ediv(a, b)
+        else:
+            own = _int_type(_magnitude(t, box.bound))
+            out = _UFUNC[t.op](a, b, dtype=np.promote_types(
+                np.result_type(a, b), own))
     elif isinstance(t, IIte):
-        out = np.where(_np_form(t.cond, env, memo), _np_term(t.then, env, memo),
-                       _np_term(t.other, env, memo))
+        out = np.where(_np_form(t.cond, box), _np_term(t.then, box),
+                       _np_term(t.other, box))
     else:
         raise TypeError(f"vectorized path cannot evaluate {t!r}")
-    memo[t] = out
+    box.memo[t] = out
     return out
 
 
-def _np_form(f: Form, env, memo) -> np.ndarray:
-    hit = memo.get(f)
+def _np_form(f: Form, box: "_Box") -> np.ndarray:
+    hit = box.memo.get(f)
     if hit is not None:
         return hit
     if isinstance(f, FBool):
         out = np.bool_(f.value)
     elif isinstance(f, FCmp):
-        out = CMP[f.op](_np_term(f.left, env, memo), _np_term(f.right, env, memo))
+        out = CMP[f.op](_np_term(f.left, box), _np_term(f.right, box))
     elif isinstance(f, FNot):
-        out = ~_np_form(f.body, env, memo)
+        out = ~_np_form(f.body, box)
     elif isinstance(f, FAnd):
-        out = _np_form(f.items[0], env, memo)
+        out = _np_form(f.items[0], box)
         for i in f.items[1:]:
-            out = out & _np_form(i, env, memo)
+            out = out & _np_form(i, box)
     elif isinstance(f, FOr):
-        out = _np_form(f.items[0], env, memo)
+        out = _np_form(f.items[0], box)
         for i in f.items[1:]:
-            out = out | _np_form(i, env, memo)
+            out = out | _np_form(i, box)
     elif isinstance(f, FImp):
-        out = ~_np_form(f.hyp, env, memo) | _np_form(f.concl, env, memo)
+        out = ~_np_form(f.hyp, box) | _np_form(f.concl, box)
     else:
         raise TypeError(f"vectorized path cannot evaluate {f!r}")
-    memo[f] = out
+    box.memo[f] = out
     return out
 
 
@@ -312,10 +350,10 @@ def _distinct(t: np.ndarray) -> np.ndarray:
 
 def _count_rows(forms: list[Form], order: list[str], bound: int,
                 walk_cost: int) -> Optional[int]:
-    """The number of rows of the box satisfying every form, counted by one
-    einsum over the conjuncts, each a 0/1 tensor over its own variables'
-    axes; None when some tensor would not fit in a block or the contraction
-    is not estimated cheaper than `walk_cost`.
+    """The number of rows of the box satisfying every form, counted slice
+    by slice by einsum over the conjuncts, each a 0/1 tensor over its own
+    variables' axes; None when some tensor would not fit in a block or
+    the contraction is not estimated cheaper than `walk_cost`.
 
     A comparison whose sides lie on incomparable sets of variables becomes
     three factors instead of one tensor over their union: a one-hot tensor
@@ -361,14 +399,32 @@ def _count_rows(forms: list[Form], order: list[str], bound: int,
     if labels > 52:  # einsum's axis labels
         return None
     box.memo.clear()  # the nodes' tensors; only the factors are contracted
-    # Counted per value of the first variable, every partial count stays
-    # below total / size < 2**24, where float32 is exact.
-    operands = [x for t, axes in factors for x in (t.astype(np.float32), axes)]
-    path, info = np.einsum_path(*operands, [0], optimize=("greedy", _CHUNK))
+    # Counted one slice at a time, cut on the variable whose factors hold
+    # the most cells, every partial count stays below total / size < 2**24,
+    # where float32 is exact, and only the factors over that variable are
+    # converted per slice.
+    cells = [sum(t.size for t, axes in factors if i in axes) for i in range(k)]
+    cut = cells.index(max(cells))
+    whole: list = []
+    sliced = []  # (tensor with the cut axis first, its other axes)
+    for t, axes in factors:
+        if cut in axes:
+            sliced.append((np.moveaxis(t, axes.index(cut), 0),
+                           [a for a in axes if a != cut]))
+        else:
+            whole += [t.astype(np.float32), axes]
+
+    def operands(i: int) -> list:
+        return whole + [x for t, axes in sliced
+                        for x in (t[i].astype(np.float32), axes)]
+
+    first = operands(0)
+    path, info = np.einsum_path(*first, [], optimize=("greedy", _CHUNK))
     flops = float(re.search(r"Optimized FLOP count:\s*(\S+)", info).group(1))
-    if flops >= walk_cost:
+    if flops * size >= walk_cost:
         return None
-    return int(np.einsum(*operands, [0], optimize=path).astype(np.int64).sum())
+    return sum(int(np.einsum(*(operands(i) if i else first), [], optimize=path))
+               for i in range(size))
 
 
 def _vectorized_search(forms: list[Form], order: list[str], bound: int,
@@ -390,8 +446,8 @@ def _vectorized_search(forms: list[Form], order: list[str], bound: int,
     if cost > budget:
         raise BudgetExceeded(
             f"{total} assignments x {nodes} nodes exceeds the budget")
-    # float32 counts are exact while each value of the first variable has
-    # fewer than 2**24 rows.
+    # float32 counts are exact while each slice of the count has fewer than
+    # 2**24 rows.
     if _CHUNK < total < size << 24:
         path = [f.form for f in frame.path()] if frame is not None else []
         if _count_rows(path + forms, order, bound, cost) == 0:
@@ -412,10 +468,11 @@ class _Box:
 
     def __init__(self, bound: int, order: list[str], starts=None, widths=None):
         size = 2 * bound + 1
+        self.bound = bound
         self.order = order
         self.starts = starts or [0] * len(order)
         widths = widths or [size] * len(order)
-        values = np.arange(-bound, bound + 1, dtype=np.int64)
+        values = np.arange(-bound, bound + 1, dtype=_int_type(bound))
         cuts = [values[s:s + w] for s, w in zip(self.starts, widths)]
         self.shape = tuple(len(c) for c in cuts)
         self.env = dict(zip(order, np.ix_(*cuts)))  # variable i on axis i
@@ -423,10 +480,10 @@ class _Box:
         self.admitted: dict = {}  # frame -> rows its whole path admits
 
     def term(self, t: TermF):
-        return _np_term(t, self.env, self.memo)
+        return _np_term(t, self)
 
     def value(self, f: Form):
-        return _np_form(f, self.env, self.memo)
+        return _np_form(f, self)
 
     def path(self, frame):
         todo = []

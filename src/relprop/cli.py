@@ -124,10 +124,9 @@ def cmd_prove(args) -> int:
                 (smt_dir / f"{vc.name}.smt2").write_text(emit_smtlib(vc),
                                                          encoding="utf-8")
     results = run.results
-    index = {"input": args.input, "bound": args.bound, "vcs": results}
-    (out / "vc_index.json").write_text(json.dumps(index, indent=2,
-                                                  sort_keys=True) + "\n",
-                                       encoding="utf-8")
+    index = json.dumps({"input": args.input, "bound": args.bound,
+                        "vcs": results}, indent=2, sort_keys=True)
+    (out / "vc_index.json").write_text(index + "\n", encoding="utf-8")
 
     wrappers = [r for r in results.values() if r["kind"] == "wrapper-assert"]
     clause_rows = [(e.clause.name, e.wrapper.fn.name,
@@ -139,7 +138,7 @@ def cmd_prove(args) -> int:
                   if r["kind"] not in ("wrapper-assert", "lemma")]
 
     if args.json:
-        print(json.dumps(index, indent=2, sort_keys=True))
+        print(index)
     else:
         if clause_rows:
             print(_table(clause_rows, ("Property", "Wrapper", "Proof")))

@@ -73,6 +73,10 @@ class ParseFailure(Exception):
         self.diagnostic = diagnostic
 
 
+class NestingTooDeep(ParseFailure):
+    """Nesting deeper than MAX_NESTING."""
+
+
 def _fail(file: str, tok: Optional[Token], message: str) -> ParseFailure:
     span = tok.span(file) if tok is not None else None
     return ParseFailure(Diagnostic("error", span, message))
@@ -237,8 +241,7 @@ class _Parser:
         so the parser's own recursion stays bounded."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise _fail(self.file, self.peek(),
-                        f"nesting deeper than {MAX_NESTING} levels")
+            raise self.too_deep(self.peek())
 
     def bounded(self, node, start: int):
         """`node`, parsed from token `start` on, if its nesting fits what the
@@ -246,9 +249,13 @@ class _Parser:
         is high, so only long ones are measured."""
         room = MAX_NESTING - self.depth
         if self.pos - start > room and height(node) > room:
-            raise _fail(self.file, self.toks[start],
-                        f"nesting deeper than {MAX_NESTING} levels")
+            raise self.too_deep(self.toks[start])
         return node
+
+    def too_deep(self, tok: Token) -> NestingTooDeep:
+        return NestingTooDeep(Diagnostic(
+            "error", tok.span(self.file),
+            f"nesting deeper than {MAX_NESTING} levels"))
 
     # -- top level -----------------------------------------------------------
 
@@ -643,10 +650,14 @@ class _Parser:
             labels = self.parse_label_params()
             args = self.parens(self.parse_term)
             return PredApp(tok.value, labels, args, span=self.span_from(tok))
+        deep = None  # the predicate reading's nesting failure
         if tok.kind == "PUNCT" and tok.value == "(":
             # Either a parenthesized predicate or a parenthesized term that
             # starts a comparison; the predicate reading wins unless a term
-            # operator follows it.
+            # operator follows it. It spends more levels than the term
+            # reading, so past the nesting limit the term reading is still
+            # tried; when that fails short of the limit, the nesting is
+            # what is reported.
             save, depth = self.pos, self.depth
             try:
                 self.next()
@@ -656,9 +667,20 @@ class _Parser:
                 if after.kind != "PUNCT" or (after.value not in ARITH_OPS
                                              and after.value not in CMP_OPS):
                     return inner
+            except NestingTooDeep as exc:
+                deep = exc
             except ParseFailure:
                 pass
             self.pos, self.depth = save, depth
+        try:
+            return self.comparison(tok)
+        except ParseFailure as exc:
+            if deep is None or isinstance(exc, NestingTooDeep):
+                raise
+            raise deep from None
+
+    def comparison(self, tok: Token) -> Pred:
+        """A comparison, or a bare application, starting at `tok`."""
         left = self.parse_term()
         if self.at_cmp():
             op = self.next().value

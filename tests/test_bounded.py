@@ -264,3 +264,84 @@ def test_six_variable_counterexample_keeps_the_walks_first_row():
     rows_s, a_s, _ = _scalar_search(problem, order, 8, 10**10)
     assert found == (rows_s, a_s)
     assert a_s == {"a": -8, "b": -7, "c": -8, "d": -8, "e": 6, "f": -3}
+
+
+# Constants at the edges of the narrow integer types the vectorized path
+# computes in, and near the top of int64.
+EDGES = [s * c for c in (127, 128, 32767, 32768, 2 ** 31) for s in (1, -1)]
+EDGE_CONSTANTS = st.sampled_from(EDGES + [2 ** 62]).map(ICon) | CONSTANTS
+
+
+@st.composite
+def edge_problems(draw):
+    bound = draw(st.integers(1, 8))
+    # at most 343 rows, so the scalar search and brute force stay fast
+    width = max(n for n in range(4) if (2 * bound + 1) ** n <= 343)
+    names = NAMES[:draw(st.integers(1, width))]
+    variables = st.sampled_from(names).map(IVar)
+    t = st.recursive(variables | EDGE_CONSTANTS, lambda t: st.one_of(
+        st.builds(IOp, st.sampled_from(("+", "-", "*", "/")), t, t),
+        st.builds(IIte, st.builds(FCmp, COMPARE, t, t), t, t)), max_leaves=5)
+    atoms = st.builds(FCmp, COMPARE, t, t)
+    problem = draw(st.lists(atoms | atoms.map(FNot), min_size=1, max_size=2))
+    return problem, bound
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(edge_problems(), st.sampled_from((12, None, bounded._CHUNK)))
+def test_narrow_types_agree_with_the_exact_search(problem, chunk):
+    # Each term node is computed in the narrowest integer type that holds
+    # its magnitude at the bound; values at a type's edge must not wrap.
+    problem, bound = problem
+    assume(bounded._fits_int64(problem, bound))
+    order = sorted({v for f in problem for v in free_vars(f)})
+    assume(order)  # a box of one row is never counted
+    if chunk is None:
+        chunk = (2 * bound + 1) ** (len(order) - 1)
+    rows_s, a_s, _ = _scalar_search(problem, order, bound, 10**9)
+    ev = bounded._Scalar(bound, 10**9)
+    want = sum(all(ev.form(f, dict(zip(order, values))) for f in problem)
+               for values in itertools.product(range(-bound, bound + 1),
+                                               repeat=len(order)))
+    with mock.patch.object(bounded, "_CHUNK", chunk):
+        assert _vectorized_search(problem, order, bound, 10**9) == (rows_s, a_s)
+        got = _count_rows(problem, order, bound, float("inf"))
+    assert got == want or (got is None and chunk < bounded._CHUNK)
+
+
+def traced_peak(run):
+    """What `run()` returns and the peak of memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["relational_wrapper_1__Rpp",
+                                  "relational_wrapper_2__Rpp",
+                                  "relational_wrapper_3__Rpp"])
+def test_cmp_pair_ok_checks_stay_under_2_mib(name):
+    # Narrow integer nodes, and a count that converts one slice at a time.
+    vc = cmp_pair_ok_vc(name)
+    r, peak = traced_peak(lambda: check_bounded(vc, 8))
+    assert r.status == "valid" and r.method == "vectorized"
+    assert peak < 2 * 2 ** 20
+
+
+def test_walked_six_variable_box_stays_under_6_mib():
+    # `a+b+c+d+e+f == 100` is one 6-variable factor, larger than a block,
+    # so the count declines and the 17 blocks of 17^5 rows are walked.
+    a, b, c, d, e, f = map(IVar, "abcdef")
+    total = IOp("+", IOp("+", IOp("+", IOp("+", IOp("+", a, b), c), d), e), f)
+    problem = [FCmp("==", total, ICon(100)),
+               FCmp("<", IOp("*", IOp("-", a, f), IOp("+", b, e)), ICon(1000))]
+    order = list("abcdef")
+    assert _count_rows(problem, order, 8, float("inf")) is None
+    found, peak = traced_peak(
+        lambda: _vectorized_search(problem, order, 8, 10**11))
+    assert found == (17 ** 6, None)
+    assert peak < 6 * 2 ** 20

@@ -187,3 +187,41 @@ PARSE_ERRORS = [
 def test_parse_error_diagnostics(src, expected):
     diags = parse_program(src, "t.mc")
     assert [str(d) for d in diags] == [expected]
+
+
+def negated_clause(n: int) -> str:
+    return ("/*@ relational R: \\forall int x1, x2;\n"
+            "      \\callset(\\call(f, x1, id1), \\call(f, x2, id2))\n"
+            "      ==> " + "!" * n + "(\\callresult(id1) == \\callresult(id2)); */\n"
+            "int f(int x) { return x; }")
+
+
+@pytest.mark.parametrize("n, expected", [
+    (95, None),
+    (96, "t.mc:3:108: error: nesting deeper than 100 levels"),
+    (97, "t.mc:3:109: error: nesting deeper than 100 levels"),
+])
+def test_negations_past_the_limit_report_the_nesting(n, expected):
+    # At 96, the parenthesized predicate reading runs out of levels and the
+    # term reading fails on `==`; the nesting is what is reported.
+    result = parse_program(negated_clause(n), "t.mc")
+    if expected is None:
+        assert isinstance(result, Program)
+    else:
+        assert [str(d) for d in result] == [expected]
+
+
+@pytest.mark.parametrize("k, expected", [
+    (97, None),
+    (98, "t.mc:1:112: error: nesting deeper than 100 levels"),
+])
+def test_parenthesized_term_keeps_the_term_readings_levels(k, expected):
+    # The predicate reading of `(` spends two levels a parenthesis and runs
+    # out at 49; the term reading, which spends one, still parses to 97.
+    src = ("/*@ requires " + "(" * k + "x" + ")" * k + " + 1 > 0; */\n"
+           "int f(int x) { return x; }")
+    result = parse_program(src, "t.mc")
+    if expected is None:
+        assert isinstance(result, Program)
+    else:
+        assert [str(d) for d in result] == [expected]
