@@ -4,7 +4,9 @@ This is the language verification conditions live in: integer variables,
 arithmetic with Euclidean division, if-then-else terms, comparisons, the
 boolean connectives, quantifiers, and applications of uninterpreted
 functions (`IApp`, integer-valued) and predicates (`FApp`, boolean-valued).
-All nodes are immutable; substitution is capture-avoiding.
+All nodes are immutable records (`frozen.Frozen`: dataclass fields, with
+constructor, repr and frozen assignment shared by every node class);
+substitution is capture-avoiding.
 
 Nodes are hash-consed: every node is built through one intern table, so
 two structurally equal nodes are one object, and `==` and `hash` are
@@ -18,7 +20,7 @@ symbols and whether it contains a quantifier (`free_vars`, `symbols`,
 `has_quantifier`, all read from one children-first pass that stops at
 nodes already analysed), and its `simplify` result. This is safe because a
 node never changes, so an answer computed once stays right, and because
-the cache is not a dataclass field, so it never enters repr. Since equal
+the cache is not a field, so it never enters repr. Since equal
 nodes are one node, each structurally distinct node is analysed once,
 however many VCs and layers build or ask about it.
 """
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
+
+from .frozen import Frozen
 
 
 class _Interned(type):
@@ -62,32 +65,27 @@ _TABLE: dict[tuple, weakref.ref] = {}
 # -- terms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class IVar(metaclass=_Interned):
+class IVar(Frozen, metaclass=_Interned):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
-class ICon(metaclass=_Interned):
+class ICon(Frozen, metaclass=_Interned):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
-class IOp(metaclass=_Interned):
+class IOp(Frozen, metaclass=_Interned):
     op: str  # + - * /
     left: "TermF"
     right: "TermF"
 
 
-@dataclass(frozen=True, eq=False)
-class IIte(metaclass=_Interned):
+class IIte(Frozen, metaclass=_Interned):
     cond: "Form"
     then: "TermF"
     other: "TermF"
 
 
-@dataclass(frozen=True, eq=False)
-class IApp(metaclass=_Interned):
+class IApp(Frozen, metaclass=_Interned):
     fn: str
     args: tuple["TermF", ...]
 
@@ -98,48 +96,40 @@ TermF = Union[IVar, ICon, IOp, IIte, IApp]
 # -- formulas ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FBool(metaclass=_Interned):
+class FBool(Frozen, metaclass=_Interned):
     value: bool
 
 
-@dataclass(frozen=True, eq=False)
-class FCmp(metaclass=_Interned):
+class FCmp(Frozen, metaclass=_Interned):
     op: str  # == != <= >= < >
     left: TermF
     right: TermF
 
 
-@dataclass(frozen=True, eq=False)
-class FNot(metaclass=_Interned):
+class FNot(Frozen, metaclass=_Interned):
     body: "Form"
 
 
-@dataclass(frozen=True, eq=False)
-class FAnd(metaclass=_Interned):
+class FAnd(Frozen, metaclass=_Interned):
     items: tuple["Form", ...]
 
 
-@dataclass(frozen=True, eq=False)
-class FOr(metaclass=_Interned):
+class FOr(Frozen, metaclass=_Interned):
     items: tuple["Form", ...]
 
 
-@dataclass(frozen=True, eq=False)
-class FImp(metaclass=_Interned):
+class FImp(Frozen, metaclass=_Interned):
     hyp: "Form"
     concl: "Form"
 
 
-@dataclass(frozen=True, eq=False)
-class FQuant(metaclass=_Interned):
+class FQuant(Frozen, metaclass=_Interned):
     kind: str  # "forall" | "exists"
     vars: tuple[str, ...]
     body: "Form"
 
 
-@dataclass(frozen=True, eq=False)
-class FApp(metaclass=_Interned):
+class FApp(Frozen, metaclass=_Interned):
     pred: str
     args: tuple[TermF, ...]
 

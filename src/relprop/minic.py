@@ -6,16 +6,20 @@ Contracts follow the ACSL style: requires/ensures/assigns clauses plus
 `relational` clauses that relate several calls of (possibly distinct)
 functions through a `\\callset`.
 
-All nodes are frozen dataclasses; source spans are carried for diagnostics
-but excluded from structural equality, so parse/pretty round-trips compare
-equal AST-to-AST.
+All nodes are immutable records (`frozen.Frozen`) whose fields are
+dataclass fields; source spans are carried for diagnostics but excluded
+from structural equality, so parse/pretty round-trips compare equal
+AST-to-AST.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Union
+
+from .frozen import Frozen
 
 INT = "int"
 PTR = "int*"
@@ -52,9 +56,31 @@ class Diagnostic:
         return f"{where}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Frozen):
     span: Optional[Span] = field(default=None, compare=False, repr=False, kw_only=True)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = [f.name for f in fields(cls) if f.compare]
+        if len(names) == 1:
+            get = attrgetter(names[0])
+            cls._key = lambda node: (get(node),)
+        elif names:
+            cls._key = attrgetter(*names)
+
+    def _key(self) -> tuple:
+        """The fields `==` and `hash` compare, every field but `span`, as a
+        tuple; each class with fields replaces this with its own getter."""
+        return ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self.__class__._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._key(self))
 
 
 # ---------------------------------------------------------------------------
@@ -62,47 +88,39 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Term(Node):
     pass
 
 
-@dataclass(frozen=True)
 class IntLit(Term):
     value: int
 
 
-@dataclass(frozen=True)
 class FloatLit(Term):
     # Parsed per the annotation grammar, rejected by validation.
     text: str
 
 
-@dataclass(frozen=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
 class Deref(Term):
     name: str
 
 
-@dataclass(frozen=True)
 class Bin(Term):
     op: str
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class CallResult(Term):
     """`\\callresult(id)`: value returned by the callset call named `id`."""
 
     call_id: str
 
 
-@dataclass(frozen=True)
 class At(Term):
     """`\\at(e, L)`: e evaluated in the state named by label L.
 
@@ -114,7 +132,6 @@ class At(Term):
     label: str
 
 
-@dataclass(frozen=True)
 class CallPure(Term):
     """`\\callpure(k, f, args)`: result of pure function f, unfolded up to k."""
 
@@ -123,19 +140,16 @@ class CallPure(Term):
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
 class OldTerm(Term):
     """`\\old(e)` inside an ensures clause."""
 
     term: Term
 
 
-@dataclass(frozen=True)
 class ResultTerm(Term):
     """`\\result` inside an ensures clause."""
 
 
-@dataclass(frozen=True)
 class LogicApp(Term):
     """Application of a declared logic function, e.g. `max_acsl(x, y)`."""
 
@@ -148,65 +162,54 @@ class LogicApp(Term):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Pred(Node):
     pass
 
 
-@dataclass(frozen=True)
 class PBool(Pred):
     value: bool
 
 
-@dataclass(frozen=True)
 class Cmp(Pred):
     op: str
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class PAnd(Pred):
     left: Pred
     right: Pred
 
 
-@dataclass(frozen=True)
 class POr(Pred):
     left: Pred
     right: Pred
 
 
-@dataclass(frozen=True)
 class PImp(Pred):
     left: Pred
     right: Pred
 
 
-@dataclass(frozen=True)
 class PNot(Pred):
     body: Pred
 
 
-@dataclass(frozen=True)
 class Binder(Node):
     name: str
     ty: str = INT
 
 
-@dataclass(frozen=True)
 class PForall(Pred):
     binders: tuple[Binder, ...]
     body: Pred
 
 
-@dataclass(frozen=True)
 class PExists(Pred):
     binders: tuple[Binder, ...]
     body: Pred
 
 
-@dataclass(frozen=True)
 class Separated(Pred):
     """`\\separated(p, q)`: p and q address disjoint memory."""
 
@@ -214,7 +217,6 @@ class Separated(Pred):
     right: Term
 
 
-@dataclass(frozen=True)
 class PredApp(Pred):
     """Application of a declared predicate, optionally label-parameterized,
     e.g. `h_acsl(y_pre, y_post)` or `k_acsl{Pre, Post}(y)`."""
@@ -229,24 +231,20 @@ class PredApp(Pred):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Stmt(Node):
     pass
 
 
-@dataclass(frozen=True)
 class DeclStmt(Stmt):
     name: str
     init: Optional[Term]
 
 
-@dataclass(frozen=True)
 class AssignStmt(Stmt):
     target: Term  # Var or Deref
     value: Term
 
 
-@dataclass(frozen=True)
 class CallStmt(Stmt):
     """`x = f(args);` or `f(args);` — calls are statements, never nested."""
 
@@ -255,14 +253,12 @@ class CallStmt(Stmt):
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
 class IfStmt(Stmt):
     cond: Pred
     then: tuple[Stmt, ...]
     orelse: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
 class WhileStmt(Stmt):
     cond: Pred
     invariant: Optional[Pred]
@@ -270,12 +266,10 @@ class WhileStmt(Stmt):
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
 class ReturnStmt(Stmt):
     value: Optional[Term]
 
 
-@dataclass(frozen=True)
 class AssertStmt(Stmt):
     label: Optional[str]
     pred: Pred
@@ -286,32 +280,26 @@ class AssertStmt(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Loc(Node):
     pass
 
 
-@dataclass(frozen=True)
 class GlobalLoc(Loc):
     name: str
 
 
-@dataclass(frozen=True)
 class DerefLoc(Loc):
     name: str  # a pointer-typed formal of the enclosing function
 
 
-@dataclass(frozen=True)
 class ResultLoc(Loc):
     pass
 
 
-@dataclass(frozen=True)
 class NothingLoc(Loc):
     pass
 
 
-@dataclass(frozen=True)
 class FormalLoc(Loc):
     """A plain formal named in a `\\from` list; formals are not state."""
 
@@ -331,19 +319,16 @@ def loc_str(loc: Loc) -> str:
     raise TypeError(f"unknown location {loc!r}")
 
 
-@dataclass(frozen=True)
 class AssignsClause(Node):
     target: Loc
     sources: tuple[Loc, ...]
 
 
-@dataclass(frozen=True)
 class Behavior(Node):
     name: str
     ensures: tuple[Pred, ...]
 
 
-@dataclass(frozen=True)
 class CallSpec(Node):
     """One `\\call(k, f, args, id)` inside a `\\callset`."""
 
@@ -353,7 +338,6 @@ class CallSpec(Node):
     call_id: str
 
 
-@dataclass(frozen=True)
 class RelationalClause(Node):
     name: str
     binders: tuple[Binder, ...]
@@ -361,7 +345,6 @@ class RelationalClause(Node):
     pred: Pred
 
 
-@dataclass(frozen=True)
 class Contract(Node):
     requires: tuple[Pred, ...] = ()
     assigns: tuple[AssignsClause, ...] = ()
@@ -379,13 +362,11 @@ class Contract(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Param(Node):
     name: str
     ty: str = INT
 
 
-@dataclass(frozen=True)
 class PredicateDecl(Node):
     name: str
     labels: tuple[str, ...]
@@ -393,13 +374,11 @@ class PredicateDecl(Node):
     reads: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
 class LogicFnDecl(Node):
     name: str
     params: tuple[Param, ...]
 
 
-@dataclass(frozen=True)
 class Lemma(Node):
     name: str
     labels: tuple[str, ...]
@@ -409,7 +388,6 @@ class Lemma(Node):
 AxiomItem = Union[PredicateDecl, LogicFnDecl, Lemma]
 
 
-@dataclass(frozen=True)
 class Axiomatic(Node):
     name: str
     items: tuple[AxiomItem, ...]
@@ -423,14 +401,12 @@ class Axiomatic(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GlobalDecl(Node):
     name: str
     ty: str = INT  # INT or PTR
     init: Optional[int] = None
 
 
-@dataclass(frozen=True)
 class FunctionDef(Node):
     name: str
     formals: tuple[Param, ...]
@@ -442,7 +418,6 @@ class FunctionDef(Node):
 TopItem = Union[GlobalDecl, Axiomatic, FunctionDef]
 
 
-@dataclass(frozen=True)
 class Program(Node):
     """A translation unit; `items` preserves declaration order."""
 
@@ -504,17 +479,6 @@ def rel_label(label: str) -> Optional[tuple[str, str]]:
     return None
 
 
-_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
-def _child_fields(cls: type) -> tuple[str, ...]:
-    names = _FIELDS.get(cls)
-    if names is None:
-        names = _FIELDS[cls] = tuple(f.name for f in fields(cls)
-                                     if f.name != "span")
-    return names
-
-
 # Field annotations that cannot hold a node.
 _SCALARS = {"str", "int", "bool", "Optional[str]", "Optional[int]",
             "Optional[bool]", "tuple[str, ...]"}
@@ -566,27 +530,49 @@ def statements(stmts) -> Iterator[Stmt]:
             stack.extend(reversed(s.body))
 
 
+# Per node class: the level it costs beyond its own node where the parser
+# reads an implication chain (1 for a predicate other than PImp; a PImp is
+# that level), and its node fields, each with whether a chain is read there.
+_LEVELS: dict[type, tuple[int, tuple[tuple[str, bool], ...]]] = {}
+
+
+def _levels(cls: type) -> tuple[int, tuple[tuple[str, bool], ...]]:
+    out = _LEVELS.get(cls)
+    if out is None:
+        chains = {PImp: ("right",), PForall: ("body",), PExists: ("body",)}.get(
+            cls, () if issubclass(cls, Pred) else _node_fields(cls))
+        extra = int(issubclass(cls, Pred) and cls is not PImp)
+        out = _LEVELS[cls] = (extra, tuple((name, name in chains)
+                                           for name in _node_fields(cls)))
+    return out
+
+
 def height(node) -> int:
-    """Nodes on the longest downward path from `node` (a Node or a tuple of
-    them); computed without recursion, so any depth is measured."""
+    """Nesting levels the parser spends on `node` (a Node or a tuple of
+    them): the nodes on the longest downward path, plus one for each
+    predicate other than `==>` where the parser reads an implication chain
+    on a level of its own: at the root or under a node that is no
+    predicate, as a quantifier body and as the right side of `==>`.
+    Computed without recursion, so any depth is measured."""
     best = 0
-    stack = [(node, 0)]
+    stack = [(node, 0, True)]
     pop, push = stack.pop, stack.append
     while stack:
-        n, d = pop()
-        names = _NODE_FIELDS.get(type(n))
-        if names is None:
+        n, d, chain = pop()
+        levels = _LEVELS.get(type(n))
+        if levels is None:
             if isinstance(n, tuple):
-                stack.extend([(c, d) for c in n])
+                stack.extend([(c, d, chain) for c in n])
                 continue
             if not isinstance(n, Node):
                 continue
-            names = _node_fields(type(n))
-        d += 1
+            levels = _levels(type(n))
+        extra, kids = levels
+        d += 1 + (extra if chain else 0)
         if d > best:
             best = d
-        for name in names:
-            push((getattr(n, name), d))
+        for name, opens in kids:
+            push((getattr(n, name), d, opens))
     return best
 
 
@@ -603,7 +589,7 @@ def map_nodes(node, fn: Callable[[Node], Optional[Node]]):
     out = fn(node)
     if out is not None:
         return out
-    old = [getattr(node, f) for f in _child_fields(type(node))]
+    old = [getattr(node, f) for f in node.__match_args__]  # all but the span
     new = [map_nodes(v, fn) for v in old]
     if all(a is b for a, b in zip(old, new)):
         return node

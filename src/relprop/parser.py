@@ -245,10 +245,11 @@ class _Parser:
 
     def bounded(self, node, start: int):
         """`node`, parsed from token `start` on, if its nesting fits what the
-        enclosing levels leave; a node spans at least as many tokens as it
-        is high, so only long ones are measured."""
+        enclosing levels leave; a node is at most one level higher than the
+        tokens it spans (the chain level of a predicate), so only long ones
+        are measured."""
         room = MAX_NESTING - self.depth
-        if self.pos - start > room and height(node) > room:
+        if self.pos - start >= room and height(node) > room:
             raise self.too_deep(self.toks[start])
         return node
 
@@ -596,13 +597,19 @@ class _Parser:
         return self.bounded(self.parse_imp(), start)
 
     def parse_imp(self) -> Pred:
-        start = self.peek()
+        """An implication chain on a level of its own, as a predicate, a
+        quantifier body and the right side of `==>` are read."""
         self.enter()
+        out = self.implication()
+        self.depth -= 1
+        return out
+
+    def implication(self) -> Pred:
+        start = self.peek()
         left = self.parse_or()
         if self.accept("PUNCT", "==>"):
             left = PImp(left, self.parse_imp(),  # right-associative
                         span=self.span_from(start))
-        self.depth -= 1
         return left
 
     def parse_or(self) -> Pred:
@@ -654,14 +661,14 @@ class _Parser:
         if tok.kind == "PUNCT" and tok.value == "(":
             # Either a parenthesized predicate or a parenthesized term that
             # starts a comparison; the predicate reading wins unless a term
-            # operator follows it. It spends more levels than the term
-            # reading, so past the nesting limit the term reading is still
-            # tried; when that fails short of the limit, the nesting is
-            # what is reported.
+            # operator follows it. Like the term reading, it spends one
+            # level a parenthesis: this atom's. Past the nesting limit the
+            # term reading is still tried; when that fails short of the
+            # limit, the nesting is what is reported.
             save, depth = self.pos, self.depth
             try:
                 self.next()
-                inner = self.parse_imp()
+                inner = self.implication()
                 self.punct(")")
                 after = self.peek()
                 if after.kind != "PUNCT" or (after.value not in ARITH_OPS

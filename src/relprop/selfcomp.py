@@ -425,7 +425,7 @@ class _Inliner:
 
 def _emit_call(spec: CallSpec, renaming: Renaming, inliner: _Inliner) -> list[Stmt]:
     """Emit the inlined block for one callset call under its renaming; the
-    block is at most MAX_NESTING nodes high."""
+    block nests at most MAX_NESTING levels deep (`height`)."""
     inliner.site = spec
     callee = inliner.program.function(spec.callee)
     out: list[Stmt] = []
@@ -516,9 +516,10 @@ def build_wrapper(clause: RelationalClause, program: Program, index: int = 1,
     body: list[Stmt] = []
     for cs, ren in zip(clause.calls, renamings):
         body.extend(_emit_call(cs, ren, inliner))
-    body.append(AssertStmt(ASSERT_LABEL,
-                           translate_pred(clause.pred, renamings, program,
-                                          "wrapper", clause)))
+    body.append(_readable(AssertStmt(ASSERT_LABEL,
+                                     translate_pred(clause.pred, renamings,
+                                                    program, "wrapper", clause)),
+                          clause, "assertion"))
 
     requires: list[Pred] = []
     for i, ri in enumerate(renamings):
@@ -688,7 +689,18 @@ def _build_lemma(clause: RelationalClause, program: Program, index: int,
         body = PImp(h, body)
     if binders:
         body = PForall(tuple(binders), body)
-    return Lemma(f"{LEMMA_PREFIX}{index}", tuple(labels), body)
+    return Lemma(f"{LEMMA_PREFIX}{index}", tuple(labels),
+                 _readable(body, clause, "lemma"))
+
+
+def _readable(node, clause: RelationalClause, what: str):
+    """`node`, the wrapper's assertion or the lemma's body generated for
+    `clause`, if it nests no deeper than the parser reads back."""
+    if height(node) > MAX_NESTING:
+        raise TransformError([Diagnostic(
+            "error", clause.span,
+            f"the {what} of {clause.name} nests deeper than {MAX_NESTING} levels")])
+    return node
 
 
 def _logic_app(t):

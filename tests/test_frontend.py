@@ -20,6 +20,7 @@ from relprop.parser import (
     BACKSLASH_KEYWORDS, MAX_LITERAL_DIGITS, MAX_NESTING, PUNCT, ParseFailure,
     lex, parse_program,
 )
+from relprop.pretty import pretty_print
 from relprop.selfcomp import TransformError, transform
 
 from conftest import CORPUS
@@ -299,6 +300,40 @@ def test_deepest_accepted_program_runs_every_command(shape, tmp_path, capsys):
                     ["test", "--bound", "1", "--budget", "1"]):
         assert main([*command, str(path), "-o", str(tmp_path)]) == 0, \
             (command, capsys.readouterr())
+
+
+# Programs whose transformed output nests one level deeper per k, each with
+# the largest k whose output the parser reads back.
+TRANSFORM_DEEP = {
+    # f's returns become nested `if (done == 0)` blocks when inlined.
+    "sequential returns": (lambda k: DEEPEST_CLAUSE + "int f(int x) { " + "".join(
+        f"if (x > {i}) {{ return {i}; }} " for i in range(k)) + "return x; }", 97),
+    # The lemma puts the predicate under a quantifier.
+    "negations": (lambda k: "/*@ relational R: \\forall int x1, x2;\n"
+                  "  \\callset(\\call(f, x1, id1), \\call(f, x2, id2))\n"
+                  "  ==> " + "!" * k + "(\\callresult(id1) == \\callresult(id2)); */\n"
+                  "int f(int x) { return x; }", 94),
+    # Without binders the lemma is as deep as the clause, and the wrapper's
+    # assertion one block deeper.
+    "differences": (lambda k: "/*@ relational R: "
+                    "\\callset(\\call(f, 1, id1), \\call(f, 2, id2))\n"
+                    "  ==> \\callresult(id1) == " + "1 - (" * k
+                    + "\\callresult(id2)" + ")" * k + "; */\n"
+                    "int f(int x) { return x; }", 96),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TRANSFORM_DEEP))
+def test_transform_writes_only_what_the_parser_reads_back(shape):
+    make, k = TRANSFORM_DEEP[shape]
+    out = pretty_print(transform(parse_program(make(k), "t.mc")).program)
+    assert isinstance(parse_program(out, "out.mc"), Program)
+    deeper = parse_program(make(k + 1), "t.mc")
+    assert isinstance(deeper, Program)
+    with pytest.raises(TransformError) as err:
+        transform(deeper)
+    assert f"nests deeper than {MAX_NESTING} levels" \
+        in err.value.diagnostics[0].message
 
 
 # Pieces of MiniC programs, for inputs that are nearly programs.

@@ -198,12 +198,13 @@ def negated_clause(n: int) -> str:
 
 @pytest.mark.parametrize("n, expected", [
     (95, None),
-    (96, "t.mc:3:108: error: nesting deeper than 100 levels"),
+    (96, None),
     (97, "t.mc:3:109: error: nesting deeper than 100 levels"),
 ])
 def test_negations_past_the_limit_report_the_nesting(n, expected):
-    # At 96, the parenthesized predicate reading runs out of levels and the
-    # term reading fails on `==`; the nesting is what is reported.
+    # The parenthesized predicate costs one level, as a parenthesized term
+    # does; at 97 both readings run out of levels, and the nesting is what
+    # is reported.
     result = parse_program(negated_clause(n), "t.mc")
     if expected is None:
         assert isinstance(result, Program)
@@ -211,13 +212,38 @@ def test_negations_past_the_limit_report_the_nesting(n, expected):
         assert [str(d) for d in result] == [expected]
 
 
+# Nested predicate clauses, each with the largest depth the parser accepts:
+# a parenthesis spends one level, whether it holds a predicate or a term.
+NESTED_CLAUSES = {
+    "parenthesized comparison": (lambda k: "requires " + "(" * k + "x > 0"
+                                 + ")" * k, 97),
+    "parenthesized term": (lambda k: "requires " + "(" * k + "x" + ")" * k
+                           + " > 0", 97),
+    "negated parentheses": (lambda k: "ensures " + "!(" * k + "\\result > 0"
+                            + ")" * k, 48),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_CLAUSES))
+def test_largest_accepted_clause_nesting(shape):
+    clause, k = NESTED_CLAUSES[shape]
+
+    def parse(depth):
+        return parse_program(f"/*@ {clause(depth)}; */\n"
+                             "int f(int x) { return x; }", "t.mc")
+
+    assert isinstance(parse(k), Program)
+    assert [d.message for d in parse(k + 1)] == \
+        ["nesting deeper than 100 levels"]
+
+
 @pytest.mark.parametrize("k, expected", [
     (97, None),
     (98, "t.mc:1:112: error: nesting deeper than 100 levels"),
 ])
 def test_parenthesized_term_keeps_the_term_readings_levels(k, expected):
-    # The predicate reading of `(` spends two levels a parenthesis and runs
-    # out at 49; the term reading, which spends one, still parses to 97.
+    # When the predicate reading of `(` fails, the term reading, which also
+    # spends one level a parenthesis, still parses to 97.
     src = ("/*@ requires " + "(" * k + "x" + ")" * k + " + 1 > 0; */\n"
            "int f(int x) { return x; }")
     result = parse_program(src, "t.mc")

@@ -4,8 +4,8 @@ import operator
 
 from relprop.logic import ARITH, CMP, ediv
 from relprop.minic import (
-    Bin, CallPure, Cmp, DeclStmt, IfStmt, IntLit, LogicApp, PForall, Binder,
-    Node, Program, Var, walk, map_nodes, height, Span,
+    Bin, CallPure, Cmp, DeclStmt, IfStmt, IntLit, LogicApp, PExists, PForall,
+    PImp, Pred, Binder, Node, Program, Var, walk, map_nodes, height, Span,
 )
 from relprop.parser import parse_program
 from relprop.selfcomp import transform
@@ -28,14 +28,23 @@ def test_walk_reaches_conditions_and_nested_bodies():
     assert names == ["g", "r"]
 
 
-def _height(node) -> int:
-    """`height` by its definition: nodes on the longest downward path."""
+def _height(node, chain: bool = True) -> int:
+    """`height` by its definition: nodes on the longest downward path, plus
+    one for each predicate other than `==>` read as an implication chain
+    (`chain`): at the root or under a node that is no predicate, a
+    quantifier body, the right side of `==>`."""
     if isinstance(node, tuple):
-        return max(map(_height, node), default=0)
+        return max((_height(n, chain) for n in node), default=0)
     if not isinstance(node, Node):
         return 0
-    return 1 + max((_height(getattr(node, f)) for f in node.__dataclass_fields__
-                    if f != "span"), default=0)
+    kids = [(getattr(node, f), not isinstance(node, Pred))
+            for f in node.__dataclass_fields__ if f != "span"]
+    if isinstance(node, PImp):
+        kids = [(node.left, False), (node.right, True)]
+    elif isinstance(node, (PForall, PExists)):
+        kids = [(node.binders, False), (node.body, True)]
+    own = chain and isinstance(node, Pred) and not isinstance(node, PImp)
+    return 1 + own + max((_height(k, c) for k, c in kids), default=0)
 
 
 def test_height_matches_its_definition_on_every_transformed_corpus_file():
