@@ -552,8 +552,9 @@ def height(node) -> int:
     them): the nodes on the longest downward path, plus one for each
     predicate other than `==>` where the parser reads an implication chain
     on a level of its own: at the root or under a node that is no
-    predicate, as a quantifier body and as the right side of `==>`.
-    Computed without recursion, so any depth is measured."""
+    predicate, as a quantifier body and as the right side of `==>`; and
+    one for a negative literal, read as `-` and its digits. Computed
+    without recursion, so any depth is measured."""
     best = 0
     stack = [(node, 0, True)]
     pop, push = stack.pop, stack.append
@@ -569,6 +570,8 @@ def height(node) -> int:
             levels = _levels(type(n))
         extra, kids = levels
         d += 1 + (extra if chain else 0)
+        if n.__class__ is IntLit and n.value < 0:
+            d += 1
         if d > best:
             best = d
         for name, opens in kids:

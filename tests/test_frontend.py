@@ -308,6 +308,10 @@ TRANSFORM_DEEP = {
     # f's returns become nested `if (done == 0)` blocks when inlined.
     "sequential returns": (lambda k: DEEPEST_CLAUSE + "int f(int x) { " + "".join(
         f"if (x > {i}) {{ return {i}; }} " for i in range(k)) + "return x; }", 97),
+    # A negative literal is one node read as two levels, `-` and digits.
+    "negative bounds": (lambda k: DEEPEST_CLAUSE + "int f(int x) { " + "".join(
+        f"if (x > -{i + 1}) {{ return {i}; }} " for i in range(k))
+        + "return x; }", 96),
     # The lemma puts the predicate under a quantifier.
     "negations": (lambda k: "/*@ relational R: \\forall int x1, x2;\n"
                   "  \\callset(\\call(f, x1, id1), \\call(f, x2, id2))\n"

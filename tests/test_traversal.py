@@ -32,11 +32,14 @@ def _height(node, chain: bool = True) -> int:
     """`height` by its definition: nodes on the longest downward path, plus
     one for each predicate other than `==>` read as an implication chain
     (`chain`): at the root or under a node that is no predicate, a
-    quantifier body, the right side of `==>`."""
+    quantifier body, the right side of `==>`; and one for a negative
+    literal."""
     if isinstance(node, tuple):
         return max((_height(n, chain) for n in node), default=0)
     if not isinstance(node, Node):
         return 0
+    if isinstance(node, IntLit):
+        return 1 + (node.value < 0)
     kids = [(getattr(node, f), not isinstance(node, Pred))
             for f in node.__dataclass_fields__ if f != "span"]
     if isinstance(node, PImp):
