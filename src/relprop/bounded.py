@@ -68,11 +68,11 @@ from __future__ import annotations
 import itertools
 import re
 import weakref
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .frozen import Frozen
 from .logic import (
     TermF, Form, IVar, ICon, IOp, IIte, IApp,
     FBool, FCmp, FNot, FAnd, FOr, FImp, FQuant, FApp,
@@ -88,8 +88,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BoundedResult:
+class BoundedResult(Frozen):
     status: str  # "valid" | "counterexample" | "unknown"
     bound: int
     assignment: Optional[dict[str, int]] = None

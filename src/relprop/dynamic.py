@@ -19,9 +19,9 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
 from typing import Optional
 
+from .frozen import Frozen
 from .minic import (
     INT, PTR,
     Program, RelationalClause,
@@ -40,8 +40,7 @@ RANDOM_SPAN = 2 ** 16  # random draws are uniform over [-RANDOM_SPAN, RANDOM_SPA
 BOUNDARY_SHARE = 0.1   # share of draws taken from {-1, 0, 1}
 
 
-@dataclass(frozen=True)
-class InputVector:
+class InputVector(Frozen):
     """Concrete inputs for one wrapper run: clause binders by name, pointer
     cell contents as `*name`, duplicated globals by name."""
 
@@ -72,8 +71,7 @@ class InputVector:
                            seed=data.get("seed"))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     property: str
     outcome: str  # "pass" | "fail" | "error"
     input: InputVector

@@ -11,9 +11,9 @@ and predicate applications are not executable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .frozen import Frozen
 from .minic import (
     INT,
     Program, FunctionDef,
@@ -60,22 +60,22 @@ class AssertViolated(InterpError):
         self.state = state
 
 
-@dataclass
-class Snapshot:
+class Snapshot(Frozen):
     globals: dict[str, int]
     heap: dict[int, int]
     frame: dict[str, int]
 
 
-@dataclass
 class State:
     """Mutable machine state: globals, heap cells, and label snapshots.
     Pointer values are heap cell ids; snapshots are frozen copies."""
 
-    globals: dict[str, int] = field(default_factory=dict)
-    heap: dict[int, int] = field(default_factory=dict)
-    snapshots: dict[str, Snapshot] = field(default_factory=dict)
-    _next_cell: int = 1
+    def __init__(self, globals: Optional[dict] = None,
+                 heap: Optional[dict] = None, snapshots: Optional[dict] = None):
+        self.globals = {} if globals is None else globals
+        self.heap = {} if heap is None else heap
+        self.snapshots = {} if snapshots is None else snapshots
+        self._next_cell = 1
 
     def alloc(self, value: int) -> int:
         cid = self._next_cell

@@ -38,9 +38,10 @@ class _Interned(type):
     """Calling a node class with the arguments of a live node returns that
     node. The key is the class and the arguments: strings and numbers
     compare by value, child nodes (and tuples of them) by identity, so
-    building bottom-up makes structurally equal nodes identical. The table
-    holds each node by a weak reference, so a node nothing uses is freed,
-    and its entry goes with it."""
+    building bottom-up makes structurally equal nodes identical, and the
+    node classes compare and hash by identity (`eq=False`). The table holds
+    each node by a weak reference, so a node nothing uses is freed, and its
+    entry goes with it."""
 
     def __call__(cls, *args):
         key = (cls, *args)
@@ -65,27 +66,27 @@ _TABLE: dict[tuple, weakref.ref] = {}
 # -- terms -------------------------------------------------------------------
 
 
-class IVar(Frozen, metaclass=_Interned):
+class IVar(Frozen, metaclass=_Interned, eq=False):
     name: str
 
 
-class ICon(Frozen, metaclass=_Interned):
+class ICon(Frozen, metaclass=_Interned, eq=False):
     value: int
 
 
-class IOp(Frozen, metaclass=_Interned):
+class IOp(Frozen, metaclass=_Interned, eq=False):
     op: str  # + - * /
     left: "TermF"
     right: "TermF"
 
 
-class IIte(Frozen, metaclass=_Interned):
+class IIte(Frozen, metaclass=_Interned, eq=False):
     cond: "Form"
     then: "TermF"
     other: "TermF"
 
 
-class IApp(Frozen, metaclass=_Interned):
+class IApp(Frozen, metaclass=_Interned, eq=False):
     fn: str
     args: tuple["TermF", ...]
 
@@ -96,40 +97,40 @@ TermF = Union[IVar, ICon, IOp, IIte, IApp]
 # -- formulas ----------------------------------------------------------------
 
 
-class FBool(Frozen, metaclass=_Interned):
+class FBool(Frozen, metaclass=_Interned, eq=False):
     value: bool
 
 
-class FCmp(Frozen, metaclass=_Interned):
+class FCmp(Frozen, metaclass=_Interned, eq=False):
     op: str  # == != <= >= < >
     left: TermF
     right: TermF
 
 
-class FNot(Frozen, metaclass=_Interned):
+class FNot(Frozen, metaclass=_Interned, eq=False):
     body: "Form"
 
 
-class FAnd(Frozen, metaclass=_Interned):
+class FAnd(Frozen, metaclass=_Interned, eq=False):
     items: tuple["Form", ...]
 
 
-class FOr(Frozen, metaclass=_Interned):
+class FOr(Frozen, metaclass=_Interned, eq=False):
     items: tuple["Form", ...]
 
 
-class FImp(Frozen, metaclass=_Interned):
+class FImp(Frozen, metaclass=_Interned, eq=False):
     hyp: "Form"
     concl: "Form"
 
 
-class FQuant(Frozen, metaclass=_Interned):
+class FQuant(Frozen, metaclass=_Interned, eq=False):
     kind: str  # "forall" | "exists"
     vars: tuple[str, ...]
     body: "Form"
 
 
-class FApp(Frozen, metaclass=_Interned):
+class FApp(Frozen, metaclass=_Interned, eq=False):
     pred: str
     args: tuple[TermF, ...]
 

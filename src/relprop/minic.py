@@ -7,16 +7,15 @@ Contracts follow the ACSL style: requires/ensures/assigns clauses plus
 functions through a `\\callset`.
 
 All nodes are immutable records (`frozen.Frozen`) whose fields are
-dataclass fields; source spans are carried for diagnostics but excluded
-from structural equality, so parse/pretty round-trips compare equal
-AST-to-AST.
+dataclass fields and which compare by value; source spans are carried for
+diagnostics but declared `compare=False`, so parse/pretty round-trips
+compare equal AST-to-AST.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from functools import cached_property
-from operator import attrgetter
 from typing import Callable, Iterator, Optional, Union
 
 from .frozen import Frozen
@@ -31,8 +30,7 @@ CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 BUILTIN_LABELS = ("Pre", "Post", "Here", "Old")
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Frozen):
     """Half-open source region, 1-based lines and columns."""
 
     file: str
@@ -45,8 +43,7 @@ class Span:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     severity: str  # "error" | "warning"
     span: Optional[Span]
     message: str
@@ -58,29 +55,6 @@ class Diagnostic:
 
 class Node(Frozen):
     span: Optional[Span] = field(default=None, compare=False, repr=False, kw_only=True)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        names = [f.name for f in fields(cls) if f.compare]
-        if len(names) == 1:
-            get = attrgetter(names[0])
-            cls._key = lambda node: (get(node),)
-        elif names:
-            cls._key = attrgetter(*names)
-
-    def _key(self) -> tuple:
-        """The fields `==` and `hash` compare, every field but `span`, as a
-        tuple; each class with fields replaces this with its own getter."""
-        return ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            key = self.__class__._key
-            return key(self) == key(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.__class__._key(self))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +437,7 @@ class Program(Node):
     def clauses(self) -> tuple[tuple[FunctionDef, RelationalClause], ...]:
         """All relational clauses paired with their host function, in
         declaration order (the order used to number generated artifacts)."""
-        out = []
-        for f in self.functions:
-            for c in f.contract.relational:
-                out.append((f, c))
-        return tuple(out)
+        return tuple((f, c) for f in self.functions for c in f.contract.relational)
 
 
 def rel_label(label: str) -> Optional[tuple[str, str]]:

@@ -180,6 +180,7 @@ class _Parser:
         self.pos = 0
         self.file = file
         self.depth = 0  # open blocks, unary operands, predicate atoms, ==>
+        self.after: Optional[dict[int, int]] = None  # see `after_group`
 
     # -- token plumbing ----------------------------------------------------
 
@@ -657,34 +658,59 @@ class _Parser:
             labels = self.parse_label_params()
             args = self.parens(self.parse_term)
             return PredApp(tok.value, labels, args, span=self.span_from(tok))
-        deep = None  # the predicate reading's nesting failure
+        deep, term = None, False  # the predicate reading's nesting failure
         if tok.kind == "PUNCT" and tok.value == "(":
-            # Either a parenthesized predicate or a parenthesized term that
-            # starts a comparison; the predicate reading wins unless a term
-            # operator follows it. Like the term reading, it spends one
-            # level a parenthesis: this atom's. Past the nesting limit the
-            # term reading is still tried; when that fails short of the
-            # limit, the nesting is what is reported.
-            save, depth = self.pos, self.depth
-            try:
-                self.next()
-                inner = self.implication()
-                self.punct(")")
-                after = self.peek()
-                if after.kind != "PUNCT" or (after.value not in ARITH_OPS
-                                             and after.value not in CMP_OPS):
+            # A parenthesized predicate, or a parenthesized term that starts
+            # a comparison. Both readings end at the matching `)`, so the
+            # token after it chooses: the term reading if a term operator
+            # follows, else the predicate reading, then the term reading.
+            # Each spends one level a parenthesis. If the term reading fails
+            # short of the nesting limit, a nesting failure of the predicate
+            # reading is what is reported.
+            save = self.pos, self.depth
+            after = self.after_group(self.pos)
+            term = after.kind == "PUNCT" and (after.value in ARITH_OPS
+                                              or after.value in CMP_OPS)
+            if not term:
+                inner, deep = self.predicate_reading()
+                if inner is not None:
                     return inner
-            except NestingTooDeep as exc:
-                deep = exc
-            except ParseFailure:
-                pass
-            self.pos, self.depth = save, depth
+                self.pos, self.depth = save
         try:
             return self.comparison(tok)
-        except ParseFailure as exc:
-            if deep is None or isinstance(exc, NestingTooDeep):
+        except NestingTooDeep:
+            raise
+        except ParseFailure:
+            if term:
+                self.pos, self.depth = save
+                deep = self.predicate_reading()[1]
+            if deep is None:
                 raise
             raise deep from None
+
+    def predicate_reading(self) -> tuple[Optional[Pred], Optional[NestingTooDeep]]:
+        """`( implication )` here, or None and the nesting failure, if any."""
+        try:
+            self.next()
+            inner = self.implication()
+            self.punct(")")
+            return inner, None
+        except NestingTooDeep as exc:
+            return None, exc
+        except ParseFailure:
+            return None, None
+
+    def after_group(self, start: int) -> Token:
+        """The token after the `)` that matches the `(` at token `start`, or
+        EOF if none does; every group is matched in one pass, on first use."""
+        if self.after is None:
+            self.after, opened = {}, []
+            for i, t in enumerate(self.toks):
+                if t.kind == "PUNCT" and t.value == "(":
+                    opened.append(i)
+                elif t.kind == "PUNCT" and t.value == ")" and opened:
+                    self.after[opened.pop()] = i + 1
+        return self.toks[self.after.get(start, -1)]
 
     def comparison(self, tok: Token) -> Pred:
         """A comparison, or a bare application, starting at `tok`."""

@@ -12,15 +12,15 @@ the wrapper assertion plus the link behaviors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
+from .frozen import Frozen
 from .bounded import BudgetExceeded, check_bounded
 from .selfcomp import TransformedProgram
 from .vcgen import VerificationCondition, vcs_for
 
 
-@dataclass(frozen=True)
-class ProofRun:
+class ProofRun(Frozen):
     vcs: tuple[VerificationCondition, ...]  # as checked, in generation order
     results: dict[str, dict]                # vc name -> vc_index.json entry
 

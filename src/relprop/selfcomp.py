@@ -14,9 +14,9 @@ The wrapper proves the property; the lemma lets other proofs use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .frozen import Frozen
 from .minic import (
     INT, PTR, VOID,
     Program, GlobalDecl, FunctionDef, Param, Contract,
@@ -52,8 +52,7 @@ class TransformError(Exception):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Renaming:
+class Renaming(Frozen):
     """Fresh names giving one callset call its own copy of the state."""
 
     call_id: str
@@ -64,8 +63,7 @@ class Renaming:
     ret_var: Optional[str]
 
 
-@dataclass(frozen=True)
-class WrapperFunction:
+class WrapperFunction(Frozen):
     fn: FunctionDef
     clause: str
     renamings: tuple[Renaming, ...]
@@ -74,8 +72,7 @@ class WrapperFunction:
     dup_globals: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClauseArtifacts:
+class ClauseArtifacts(Frozen):
     clause: RelationalClause
     index: int
     wrapper: WrapperFunction
@@ -83,8 +80,7 @@ class ClauseArtifacts:
     lemma_name: str
 
 
-@dataclass(frozen=True)
-class TransformedProgram:
+class TransformedProgram(Frozen):
     """Original program plus everything generated from its clauses."""
 
     program: Program
@@ -95,13 +91,9 @@ class TransformedProgram:
     def provenance(self) -> dict[str, str]:
         out: dict[str, str] = {}
         for e in self.entries:
-            out[e.wrapper.fn.name] = e.clause.name
-            out[e.axiomatic.name] = e.clause.name
-            out[e.lemma_name] = e.clause.name
-            for g in e.wrapper.dup_globals:
-                out[g] = e.clause.name
-            for p in e.wrapper.pointer_params:
-                out[p] = e.clause.name
+            out.update(dict.fromkeys((e.wrapper.fn.name, e.axiomatic.name,
+                                      e.lemma_name, *e.wrapper.dup_globals,
+                                      *e.wrapper.pointer_params), e.clause.name))
         return out
 
     @property
@@ -109,16 +101,12 @@ class TransformedProgram:
         return frozenset(e.lemma_name for e in self.entries)
 
     def wrapper_for(self, clause_name: str) -> Optional[WrapperFunction]:
-        for e in self.entries:
-            if e.clause.name == clause_name:
-                return e.wrapper
-        return None
+        return next((e.wrapper for e in self.entries
+                     if e.clause.name == clause_name), None)
 
     def lemma_of_wrapper(self, wrapper_name: str) -> Optional[str]:
-        for e in self.entries:
-            if e.wrapper.fn.name == wrapper_name:
-                return e.lemma_name
-        return None
+        return next((e.lemma_name for e in self.entries
+                     if e.wrapper.fn.name == wrapper_name), None)
 
 
 # ---------------------------------------------------------------------------

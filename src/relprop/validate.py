@@ -35,9 +35,9 @@ constructs out of code. There are four contexts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from .frozen import Frozen
 from .minic import (
     INT, PTR, VOID, BUILTIN_LABELS,
     Program, FunctionDef, AssignsClause,
@@ -62,8 +62,7 @@ class UnknownCallee(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MemFootprint:
+class MemFootprint(Frozen):
     """Declared state of a function: assigns targets and \\from sources."""
 
     writes: frozenset[Loc]
@@ -253,8 +252,7 @@ _NOT_CODE = {
 }
 
 
-@dataclass
-class _Scope:
+class _Scope(Frozen):
     """What an expression may mention where it appears. Built once per
     annotation, statement sequence or quantifier, never per node."""
 
@@ -262,13 +260,19 @@ class _Scope:
     ctx: str                      # CODE, CONTRACT, CLAUSE or LEMMA
     names: dict[str, str]         # visible names other than globals -> type
     globals: dict[str, str]
-    result: bool = False          # \result is visible
     # The labels that exist; a clause's Pre_<id>/Post_<id> map to <id>.
-    labels: dict[str, Optional[str]] = field(default_factory=dict)
+    labels: dict[str, Optional[str]]
     # A clause's call ids -> their callees (None if undefined).
-    calls: dict[str, Optional[FunctionDef]] = field(default_factory=dict)
+    calls: dict[str, Optional[FunctionDef]]
+    result: bool = False          # \result is visible
     where: str = ""               # message prefix: "R: " in clause or lemma R
     unbound: str = "undefined variable {}"  # how a name not visible is reported
+
+    def replace(self, **changes) -> _Scope:
+        """This scope with `changes`, copied without the constructor."""
+        new = object.__new__(_Scope)
+        vars(new).update(vars(self), **changes)
+        return new
 
     def type_of(self, name: str) -> str | None:
         ty = self.names.get(name)
@@ -305,7 +309,7 @@ def validate(program: Program) -> list[Diagnostic]:
         diags.append(_err(logic_decls[name].span,
                           f"{name} is both a global and a logic symbol"))
 
-    base = _Scope(program, CODE, {}, {g.name: g.ty for g in program.globals})
+    base = _Scope(program, CODE, {}, {g.name: g.ty for g in program.globals}, {}, {})
     fn_index = {f.name: i for i, f in enumerate(program.functions)}
     for fn in program.functions:
         _validate_function(fn, base, fn_index, diags)
@@ -363,17 +367,17 @@ def _validate_function(fn: FunctionDef, base: _Scope, fn_index: dict[str, int],
         if p.name in base.globals:
             diags.append(_err(p.span, f"formal {p.name} shadows a global"))
 
-    _validate_stmts(fn.body, fn, replace(base, names=dict(formals)),
+    _validate_stmts(fn.body, fn, base.replace(names=dict(formals)),
                     set(formals), diags)
 
     if fn.ret == INT and not _must_return(fn.body):
         diags.append(_err(fn.span, f"{fn.name} may fall off the end without returning"))
 
     # Contracts see the formals and globals, never the body's locals.
-    contract = replace(base, ctx=CONTRACT, names=formals, labels=_BUILTIN)
+    contract = base.replace(ctx=CONTRACT, names=formals, labels=_BUILTIN)
     for p in fn.contract.requires:
         _check(p, contract, diags)
-    ensures = replace(contract, result=fn.ret == INT)
+    ensures = contract.replace(result=fn.ret == INT)
     for p in fn.contract.ensures:
         _check(p, ensures, diags)
     for b in fn.contract.behaviors:
@@ -424,15 +428,15 @@ def _validate_stmts(stmts, fn: FunctionDef, scope: _Scope, declared: set[str],
         elif isinstance(s, IfStmt):
             _check(s.cond, scope, diags)
             for branch in (s.then, s.orelse):
-                _validate_stmts(branch, fn, replace(scope, names=dict(scope.names)),
+                _validate_stmts(branch, fn, scope.replace(names=dict(scope.names)),
                                 declared, diags)
         elif isinstance(s, WhileStmt):
             _check(s.cond, scope, diags)
-            logic = replace(scope, ctx=CONTRACT, labels=_BUILTIN)
+            logic = scope.replace(ctx=CONTRACT, labels=_BUILTIN)
             for annotation in (s.invariant, s.variant):
                 if annotation is not None:
                     _check(annotation, logic, diags)
-            _validate_stmts(s.body, fn, replace(scope, names=dict(scope.names)),
+            _validate_stmts(s.body, fn, scope.replace(names=dict(scope.names)),
                             declared, diags)
         elif isinstance(s, ReturnStmt):
             if s.value is not None:
@@ -442,7 +446,7 @@ def _validate_stmts(stmts, fn: FunctionDef, scope: _Scope, declared: set[str],
             elif fn.ret == INT:
                 diags.append(_err(s.span, f"{fn.name} must return a value"))
         elif isinstance(s, AssertStmt):
-            _check(s.pred, replace(scope, ctx=CONTRACT, labels=_BUILTIN), diags)
+            _check(s.pred, scope.replace(ctx=CONTRACT, labels=_BUILTIN), diags)
 
 
 def _validate_call(s: CallStmt, scope: _Scope, diags: list[Diagnostic]) -> None:
@@ -501,7 +505,7 @@ def _check(n, scope: _Scope, diags: list[Diagnostic]) -> None:
     elif isinstance(n, (PForall, PExists)):
         names = dict(scope.names)
         names.update((b.name, b.ty) for b in n.binders)
-        _check(n.body, replace(scope, names=names), diags)
+        _check(n.body, scope.replace(names=names), diags)
     elif isinstance(n, Deref):
         ty = scope.type_of(n.name)
         if scope.ctx == CLAUSE:
@@ -694,7 +698,7 @@ def _validate_clause(clause: RelationalClause, fn: FunctionDef, base: _Scope,
         binders[b.name] = INT
 
     # Arguments are evaluated before any call, from the binders alone.
-    args = replace(base, ctx=CLAUSE, names=binders, globals={}, where=where,
+    args = base.replace(ctx=CLAUSE, names=binders, globals={}, where=where,
                    unbound="call argument uses {}, which is not a clause binder")
     calls: dict[str, Optional[FunctionDef]] = {}
     labels: dict[str, Optional[str]] = {}
@@ -720,7 +724,7 @@ def _validate_clause(clause: RelationalClause, fn: FunctionDef, base: _Scope,
         for a in cs.args:
             _check(a, args, diags)
 
-    _check(clause.pred, replace(base, ctx=CLAUSE, names=binders, labels=labels,
+    _check(clause.pred, base.replace(ctx=CLAUSE, names=binders, labels=labels,
                                 calls=calls, where=where), diags)
 
 
@@ -731,11 +735,11 @@ def _validate_axiomatic(ax, base: _Scope, diags: list[Diagnostic]) -> None:
             diags.append(_err(item.span, f"duplicate axiomatic item {item.name}"))
         seen.add(item.name)
         if isinstance(item, Lemma):
-            lemma = replace(base, ctx=LEMMA, labels=dict.fromkeys(item.labels),
+            lemma = base.replace(ctx=LEMMA, labels=dict.fromkeys(item.labels),
                             where=f"{item.name}: ")
             _check(item.body, lemma, diags)
         elif isinstance(item, PredicateDecl) and item.reads:
-            scope = replace(base, ctx=LEMMA,
+            scope = base.replace(ctx=LEMMA,
                             names={p.name: p.ty for p in item.params},
                             labels=dict.fromkeys(item.labels),
                             where=f"{item.name}: ")

@@ -47,9 +47,10 @@ assertions (the lemma may never justify its own wrapper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
+from .frozen import Frozen
 from .minic import (
     INT, VOID,
     Program, FunctionDef,
@@ -81,8 +82,7 @@ class MissingLoopInvariant(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class VerificationCondition:
+class VerificationCondition(Frozen):
     name: str                 # unique, used for .smt2 file names
     function: str
     assertion: str            # assert label, ensures id, or loop role
@@ -260,8 +260,7 @@ def compile_lemma(lemma: Lemma, program: Program) -> Form:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Item:
+class _Item(Frozen):
     kind: str
     label: str
     span: Optional[Span]
@@ -269,8 +268,7 @@ class _Item:
     path: Optional["_Frame"]  # the frames assumed there
 
 
-@dataclass(frozen=True, eq=False)
-class _Frame:
+class _Frame(Frozen, eq=False):
     """One assumption on the path to a program point, innermost first:
     `assume` holds for every value of the `fresh` names it introduces, and
     `links` names the callees whose link ensures it contains. `path_links`
@@ -283,15 +281,19 @@ class _Frame:
     path_links: frozenset[str] = field(init=False, repr=False)
     binder: Optional["_Frame"] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        outer = self.outer
+    def __init__(self, assume: Form, fresh: tuple[str, ...] = (),
+                 links: frozenset[str] = frozenset(),
+                 outer: Optional[_Frame] = None):
         inherited = outer.path_links if outer is not None else frozenset()
-        object.__setattr__(self, "path_links", inherited
-                           if self.links <= inherited
-                           else inherited | self.links)
         binder = outer.binder if outer is not None else None
-        object.__setattr__(self, "binder",
-                           binder or (self if self.fresh else None))
+        set_ = object.__setattr__
+        set_(self, "assume", assume)
+        set_(self, "fresh", fresh)
+        set_(self, "links", links)
+        set_(self, "outer", outer)
+        set_(self, "path_links",
+             inherited if links <= inherited else inherited | links)
+        set_(self, "binder", binder or (self if fresh else None))
 
 
 def _close(path: Optional[_Frame], form: Form,
@@ -536,21 +538,18 @@ def wp(stmt, post: Form, fn: Optional[FunctionDef] = None,
 # ---------------------------------------------------------------------------
 
 
-def _function_items(fn: FunctionDef, program: Program) -> list[_Item]:
-    """Exit goals of a function: its user-written ensures clauses. Generated
-    link behaviors are definitional (they define the `_acsl` mirror) and get
-    no goal."""
-    items: list[_Item] = []
-    for i, p in enumerate(fn.contract.ensures, 1):
-        items.append(_Item("ensures", f"ensures_{i}", p.span,
-                           compile_pred(p, program), None))
-    for b in fn.contract.behaviors:
-        if b.name.startswith(BEHAVIOR_PREFIX):
-            continue
-        for i, p in enumerate(b.ensures, 1):
-            items.append(_Item("ensures", f"{b.name}_ensures_{i}", p.span,
-                               compile_pred(p, program), None))
-    return items
+def _function_items(fn: FunctionDef, program: Program, state: StateEnv,
+                    path: Optional[_Frame]) -> list[_Item]:
+    """Exit goals of a function: its user-written ensures clauses, met in
+    the exit `state` under `path`. Generated link behaviors are
+    definitional (they define the `_acsl` mirror) and get no goal."""
+    clauses = [(f"ensures_{i}", p) for i, p in enumerate(fn.contract.ensures, 1)]
+    clauses += [(f"{b.name}_ensures_{i}", p) for b in fn.contract.behaviors
+                if not b.name.startswith(BEHAVIOR_PREFIX)
+                for i, p in enumerate(b.ensures, 1)]
+    return [_Item("ensures", label, p.span,
+                  subst(compile_pred(p, program), state), path)
+            for label, p in clauses]
 
 
 class SharedFrame:
@@ -734,9 +733,7 @@ def function_vcs(fn: FunctionDef, program: Program) -> list[Obligation]:
         body = flag_convert(list(fn.body), RESULT_VAR, "$done")
     state: StateEnv = {}
     path, items = _Forward(fn, program).run(tuple(body), state, None)
-    goals = _function_items(fn, program)
-    for it in goals:
-        it.form, it.path = subst(it.form, state), path
+    goals = _function_items(fn, program, state, path)
     return ObligationSet(fn.name, goals + items).obligations
 
 

@@ -94,3 +94,35 @@ def test_checker_flags_a_private_import(tmp_path):
                    "from relprop.logic import _fresh\n"
                    "from os import _exit\n", encoding="utf-8")
     assert private_imports(mod) == ["m.py:2: _tail", "m.py:3: _fresh"]
+
+
+def dataclass_importers(paths) -> list[str]:
+    """The modules that import `dataclass` (the decorator) from
+    `dataclasses`, by name or as `dataclasses.dataclass`."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses" \
+                    and any(a.name in ("dataclass", "*") for a in node.names) \
+                    or isinstance(node, ast.Import) \
+                    and any(a.name == "dataclasses" for a in node.names) \
+                    or isinstance(node, ast.Attribute) and node.attr == "dataclass":
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_only_frozen_applies_dataclass():
+    """Every other record derives from `frozen.Frozen`, which registers its
+    fields without generating methods."""
+    assert [p for p in dataclass_importers(ALL_MODULES)
+            if not p.startswith("frozen.py:")] == []
+    assert dataclass_importers([PACKAGE / "frozen.py"]) != []
+
+
+def test_checker_flags_a_dataclass_import(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("from dataclasses import field, dataclass\n"
+                   "import dataclasses\n"
+                   "from dataclasses import replace\n", encoding="utf-8")
+    assert dataclass_importers([mod]) == ["m.py:1", "m.py:2"]

@@ -1,12 +1,14 @@
 """Concrete syntax: lexing, parsing, diagnostics, spans."""
 
+from unittest import mock
+
 import pytest
 
 from relprop.minic import (
     Program, CallSpec, IntLit, Var, Bin, CallResult, At, Cmp, PImp,
     RelationalClause, Diagnostic,
 )
-from relprop.parser import parse_program, lex
+from relprop.parser import _Parser, parse_program, lex
 from relprop.validate import validate
 
 
@@ -251,3 +253,43 @@ def test_parenthesized_term_keeps_the_term_readings_levels(k, expected):
         assert isinstance(result, Program)
     else:
         assert [str(d) for d in result] == [expected]
+
+
+def parse_unary_calls(src: str) -> int:
+    calls = []
+    original = _Parser.parse_unary
+
+    def counted(self):
+        calls.append(None)
+        return original(self)
+
+    with mock.patch.object(_Parser, "parse_unary", counted):
+        assert isinstance(parse_program(src, "t.mc"), Program)
+    return len(calls)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_CLAUSES))
+def test_nested_clauses_parse_in_linear_work(shape):
+    # Each `(` is read once: the token after its matching `)` chooses the
+    # term or the predicate reading, so doubling the depth at most doubles
+    # the work (it was quadratic for the parenthesized term).
+    clause, k = NESTED_CLAUSES[shape]
+    half = min(40, k // 2)  # 40, or what the shape's limit leaves
+    n, n2 = (parse_unary_calls(f"/*@ {clause(depth)}; */\n"
+                               "int f(int x) { return x; }")
+             for depth in (half, 2 * half))
+    assert n2 <= 2 * n + 4
+
+
+@pytest.mark.parametrize("n, expected", [
+    (20, "t.mc:1:15: error: expected term, found '!'"),
+    (95, "t.mc:1:15: error: expected term, found '!'"),
+    (96, "t.mc:1:112: error: nesting deeper than 100 levels"),
+    (98, "t.mc:1:113: error: nesting deeper than 100 levels"),
+])
+def test_a_term_followed_group_still_reports_the_predicates_nesting(n, expected):
+    # An operator after the `)` chooses the term reading; when it fails,
+    # the predicate reading still tells whether the nesting is to blame.
+    src = ("/*@ requires (" + "!" * n + "(x == 1)) + 1 > 0; */\n"
+           "int f(int x) { return x; }")
+    assert [str(d) for d in parse_program(src, "t.mc")] == [expected]
