@@ -11,8 +11,8 @@ class declared with `eq=False`, such as an interned logic node class,
 compares and hashes by identity. Every field is positional except a MiniC
 node's `span`, which has a parameter of its own, so the common call packs no
 keyword dict. Defaults are read from the class, where `dataclass` puts them;
-there are no default factories. `__post_init__` is called as a dataclass
-calls it.
+there are no default factories and no `__post_init__`: a record that derives
+a field writes its own `__init__`, which calls `Frozen.__init__`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ _UNSET = object()  # a span not given
 class Frozen:
     """An immutable record whose fields are declared as dataclass fields.
     Each subclass keeps its positional fields (`__match_args__`, `_fields`),
-    the required ones (`_required`), those `repr` shows (`_shown`) and the
-    getter of the tuple `==` and `hash` compare (`_key`)."""
+    the required ones (`_required`), those `repr` shows (`_shown`), whether
+    its `span` is keyword-only (`_span_param`) and the getter of the tuple
+    `==` and `hash` compare (`_key`)."""
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -41,6 +42,7 @@ class Frozen:
         cls._required = frozenset(f.name for f in fs
                                   if f.init and f.default is MISSING)
         cls._shown = tuple(f.name for f in fs if f.repr)
+        cls._span_param = any(f.name == "span" and f.kw_only for f in fs)
         names = [f.name for f in fs if f.compare]
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
@@ -49,14 +51,12 @@ class Frozen:
             cls._key = lambda record: (get(record),)
         else:
             cls._key = attrgetter(*names) if names else lambda record: ()
-        if "__post_init__" in vars(cls):
-            cls.__init__ = _init_then_post
 
     def __init__(self, *args, span=_UNSET, **kwargs):
         names = self.__match_args__
+        if span is not _UNSET and not self._span_param:
+            kwargs["span"], span = span, _UNSET  # checked as any keyword
         if kwargs or len(args) != len(names):
-            if span is not _UNSET and "span" in self._fields:
-                kwargs["span"], span = span, _UNSET
             given = kwargs.keys() | names[:len(args)]
             if len(given) < len(args) + len(kwargs) \
                     or not self._required <= given <= self._fields:
@@ -94,7 +94,3 @@ class Frozen:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-
-def _init_then_post(self, *args, **kwargs):
-    Frozen.__init__(self, *args, **kwargs)
-    self.__post_init__()

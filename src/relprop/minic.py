@@ -437,7 +437,11 @@ class Program(Node):
     def clauses(self) -> tuple[tuple[FunctionDef, RelationalClause], ...]:
         """All relational clauses paired with their host function, in
         declaration order (the order used to number generated artifacts)."""
-        return tuple((f, c) for f in self.functions for c in f.contract.relational)
+        out = []
+        for f in self.functions:
+            for c in f.contract.relational:
+                out.append((f, c))
+        return tuple(out)
 
 
 def rel_label(label: str) -> Optional[tuple[str, str]]:

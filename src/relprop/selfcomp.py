@@ -91,9 +91,13 @@ class TransformedProgram(Frozen):
     def provenance(self) -> dict[str, str]:
         out: dict[str, str] = {}
         for e in self.entries:
-            out.update(dict.fromkeys((e.wrapper.fn.name, e.axiomatic.name,
-                                      e.lemma_name, *e.wrapper.dup_globals,
-                                      *e.wrapper.pointer_params), e.clause.name))
+            out[e.wrapper.fn.name] = e.clause.name
+            out[e.axiomatic.name] = e.clause.name
+            out[e.lemma_name] = e.clause.name
+            for g in e.wrapper.dup_globals:
+                out[g] = e.clause.name
+            for p in e.wrapper.pointer_params:
+                out[p] = e.clause.name
         return out
 
     @property
@@ -101,12 +105,16 @@ class TransformedProgram(Frozen):
         return frozenset(e.lemma_name for e in self.entries)
 
     def wrapper_for(self, clause_name: str) -> Optional[WrapperFunction]:
-        return next((e.wrapper for e in self.entries
-                     if e.clause.name == clause_name), None)
+        for e in self.entries:
+            if e.clause.name == clause_name:
+                return e.wrapper
+        return None
 
     def lemma_of_wrapper(self, wrapper_name: str) -> Optional[str]:
-        return next((e.lemma_name for e in self.entries
-                     if e.wrapper.fn.name == wrapper_name), None)
+        for e in self.entries:
+            if e.wrapper.fn.name == wrapper_name:
+                return e.lemma_name
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,8 @@ class _Scope(Frozen):
 
     def replace(self, **changes) -> _Scope:
         """This scope with `changes`, copied without the constructor."""
+        if not changes.keys() <= _Scope._fields:
+            raise TypeError(f"no _Scope fields {set(changes) - _Scope._fields}")
         new = object.__new__(_Scope)
         vars(new).update(vars(self), **changes)
         return new

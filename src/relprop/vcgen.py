@@ -95,7 +95,8 @@ class VerificationCondition(Frozen):
     replayable: bool = False      # counterexample maps onto wrapper inputs
     span: Optional[Span] = field(default=None, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        Frozen.__init__(self, *args, **kwargs)
         if not isinstance(self.obligation, Obligation):
             object.__setattr__(self, "obligation",
                                Obligation(None, self.obligation))

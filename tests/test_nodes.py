@@ -60,13 +60,36 @@ def own_methods(cls) -> list[str]:
         getattr(method, "__code__", None), "co_filename", None) == "<string>"]
 
 
+def own_names(cls) -> list[str]:
+    """The methods of GENERATED in the own namespace of `cls`, generated or
+    written by hand, leaving out only the identity `==` and `hash` that
+    `eq=False` puts there."""
+    return [name for name in GENERATED if name in vars(cls)
+            and vars(cls)[name] not in (object.__eq__, object.__hash__)]
+
+
 def test_checker_flags_a_generated_method():
     assert own_methods(dataclasses.make_dataclass("R", ["a"])) == \
         ["__init__", "__eq__", "__repr__"]
 
 
+def test_checker_flags_a_hand_written_method():
+    class Written(Frozen):
+        a: int
+
+        def __repr__(self):
+            return "Written"
+
+    class Identity(Frozen, eq=False):
+        a: int
+
+    assert own_names(Written) == ["__repr__"] and own_methods(Written) == []
+    assert own_names(Identity) == [] and Identity(1) != Identity(1)
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_no_node_class_generates_its_own_methods(cls):
+    assert own_names(cls) == []
     assert own_methods(cls) == []
     if issubclass(cls, Node):  # one value equality, shared with the records
         assert (cls.__eq__, cls.__hash__) == (Frozen.__eq__, Frozen.__hash__)
@@ -381,6 +404,27 @@ def test_record_defaults():
     assert (report.error, report.trace, report.seconds) == (None, (), 0.0)
 
 
+def test_span_is_a_keyword_only_where_it_is_a_field():
+    vc = example(vcgen.VerificationCondition)
+    every_field = [getattr(vc, f.name) for f in dataclasses.fields(vc)]
+    for build in (lambda: Span("f.mc", 1, 2, 3, 4, span=SPAN),
+                  lambda: bounded.BoundedResult("valid", 8, span=SPAN),
+                  lambda: minic.Diagnostic("error", SPAN, "m", span=SPAN),
+                  lambda: vcgen.VerificationCondition(*every_field, span=SPAN)):
+        with pytest.raises(TypeError):
+            build()
+    d = minic.Diagnostic("error", message="m", span=SPAN)
+    assert d == minic.Diagnostic("error", SPAN, "m") and d.span is SPAN
+    assert example(vcgen.VerificationCondition, span=SPAN).span is SPAN
+
+
+def test_a_scope_replaces_only_its_fields():
+    scope = example(validate._Scope)
+    assert scope.replace(where="R: ").where == "R: " and scope.where == ""
+    with pytest.raises(TypeError):
+        scope.replace(nmaes={})
+
+
 def test_machine_state_defaults_and_cells():
     state = interp.State()
     assert (state.globals, state.heap, state.snapshots) == ({}, {}, {})
@@ -409,8 +453,14 @@ def test_every_record_is_frozen():
     assert len(records - set(CLASSES)) == len(RECORDS) == 16
 
 
+# Records that derive fields in a constructor of their own, which calls
+# or does the work of `Frozen.__init__`.
+OWN_CONSTRUCTOR = {vcgen._Frame, vcgen.VerificationCondition}
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_no_record_generates_its_own_methods(cls):
+    assert own_names(cls) == (["__init__"] if cls in OWN_CONSTRUCTOR else [])
     assert own_methods(cls) == []
     if cls is not vcgen._Frame:
         assert (cls.__eq__, cls.__hash__) == (Frozen.__eq__, Frozen.__hash__)
