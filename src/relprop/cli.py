@@ -115,14 +115,14 @@ def cmd_prove(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if args.emit_smt:
+    # A lemma VC is never checked: it takes its wrapper's status.
+    checked = [vc for vc in run.vcs if vc.kind != "lemma"]
+    if args.emit_smt and checked:
         smt_dir = out / "smt"
         smt_dir.mkdir(exist_ok=True)
-        for vc in run.vcs:
-            # A lemma VC is never checked: it takes its wrapper's status.
-            if vc.kind != "lemma":
-                (smt_dir / f"{vc.name}.smt2").write_text(emit_smtlib(vc),
-                                                         encoding="utf-8")
+        for vc in checked:
+            (smt_dir / f"{vc.name}.smt2").write_text(emit_smtlib(vc),
+                                                     encoding="utf-8")
     results = run.results
     index = json.dumps({"input": args.input, "bound": args.bound,
                         "vcs": results}, indent=2, sort_keys=True)

@@ -181,6 +181,7 @@ class _Parser:
         self.file = file
         self.depth = 0  # open blocks, unary operands, predicate atoms, ==>
         self.after: Optional[dict[int, int]] = None  # see `after_group`
+        self.groups: dict = {}  # (pos, depth) -> a term group's reading
 
     # -- token plumbing ----------------------------------------------------
 
@@ -787,9 +788,21 @@ class _Parser:
             return FloatLit(tok.value, span=tok.span(self.file))
         if kind == "BSKW":
             return self.parse_backslash_term()
-        if self.accept("PUNCT", "("):
-            inner = self.parse_add()
-            self.punct(")")
+        if kind == "PUNCT" and tok.value == "(":
+            # A group whose predicate reading fails is read as a term again
+            # in each group around it: read it once for its start and depth.
+            key = self.pos, self.depth
+            if key not in self.groups:
+                try:
+                    self.next()
+                    inner = self.parse_add()
+                    self.punct(")")
+                    self.groups[key] = inner, self.pos
+                except ParseFailure as exc:
+                    self.groups[key] = exc, self.pos
+            inner, self.pos = self.groups[key]
+            if isinstance(inner, ParseFailure):
+                raise inner
             return inner
         raise _fail(self.file, tok, f"expected term, found {tok.value or tok.kind!r}")
 

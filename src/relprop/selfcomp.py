@@ -14,7 +14,7 @@ The wrapper proves the property; the lemma lets other proofs use it.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .frozen import Frozen
 from .minic import (
@@ -234,73 +234,50 @@ def _rename(node, env: dict[str, str]):
     return map_nodes(node, rule)
 
 
-def _contains_return(stmts) -> bool:
-    return any(isinstance(s, ReturnStmt) for s in statements(stmts))
+def lower_returns(stmts: Sequence[Stmt], ret_target: Optional[str],
+                  flag_name: Callable[[], str]) -> list[Stmt]:
+    """Rewrite returns into straight-line code, in one walk: a return
+    becomes `ret_target = value` (nothing without a value or a target).
+    One that later code must skip also sets a completion flag, which guards
+    the rest of its block (`if (flag == 0) {...}`) and each loop around it;
+    the flag is declared, and `flag_name()` called, only then."""
+    sets: list[str] = []  # the flag's name, once for each return setting it
 
+    def done(value: int) -> Cmp:
+        return Cmp("==", Var(sets[0]), IntLit(value))
 
-def tail_convert(stmts: list[Stmt],
-                 ret_target: Optional[str]) -> Optional[list[Stmt]]:
-    """Rewrite returns in tail position into ret-variable assignments.
-
-    Returns None when a return occurs outside tail position, in which case
-    the caller falls back to the completion-flag transformation.
-    """
-    if not stmts:
-        return []
-    prefix, last = stmts[:-1], stmts[-1]
-    if _contains_return(tuple(prefix)):
-        return None
-    if isinstance(last, ReturnStmt):
-        if last.value is None or ret_target is None:
-            return prefix
-        return prefix + [AssignStmt(Var(ret_target), last.value)]
-    if isinstance(last, IfStmt):
-        if not _contains_return((last,)):
-            return stmts
-        then = tail_convert(list(last.then), ret_target)
-        orelse = tail_convert(list(last.orelse), ret_target)
-        if then is None or orelse is None:
-            return None
-        return prefix + [IfStmt(last.cond, tuple(then), tuple(orelse))]
-    if _contains_return((last,)):
-        return None
-    return stmts
-
-
-def flag_convert(stmts: list[Stmt], ret_target: Optional[str],
-                 flag: str) -> list[Stmt]:
-    """Early returns set a completion flag; everything after a statement
-    that may return runs under `flag == 0`."""
-
-    def tx(s: Stmt) -> list[Stmt]:
-        if isinstance(s, ReturnStmt):
-            out: list[Stmt] = []
-            if s.value is not None and ret_target is not None:
-                out.append(AssignStmt(Var(ret_target), s.value))
-            out.append(AssignStmt(Var(flag), IntLit(1)))
-            return out
-        if isinstance(s, IfStmt):
-            return [IfStmt(s.cond, tuple(walk(list(s.then))),
-                           tuple(walk(list(s.orelse))))]
-        if isinstance(s, WhileStmt):
-            cond = PAnd(Cmp("==", Var(flag), IntLit(0)), s.cond)
-            inv = s.invariant
-            if inv is not None:
-                inv = POr(Cmp("==", Var(flag), IntLit(1)), inv)
-            return [WhileStmt(cond, inv, s.variant, tuple(walk(list(s.body))))]
-        return [s]
-
-    def walk(body: list[Stmt]) -> list[Stmt]:
+    def block(body: Sequence[Stmt], follows: bool) -> list[Stmt]:
+        """`body` lowered; `follows` says whether code runs after it."""
         out: list[Stmt] = []
         for i, s in enumerate(body):
-            out.extend(tx(s))
-            if _contains_return((s,)) and i + 1 < len(body):
-                out.append(IfStmt(Cmp("==", Var(flag), IntLit(0)),
-                                  tuple(walk(body[i + 1:])), ()))
+            after, before = follows or i + 1 < len(body), len(sets)
+            if isinstance(s, ReturnStmt):
+                if s.value is not None and ret_target is not None:
+                    out.append(AssignStmt(Var(ret_target), s.value))
+                if after:
+                    sets.append(sets[0] if sets else flag_name())
+                    out.append(AssignStmt(Var(sets[0]), IntLit(1)))
+            elif isinstance(s, IfStmt):
+                out.append(IfStmt(s.cond, tuple(block(s.then, after)),
+                                  tuple(block(s.orelse, after)), span=s.span))
+            elif isinstance(s, WhileStmt):
+                loop = tuple(block(s.body, True))
+                if len(sets) > before:
+                    inv = None if s.invariant is None else \
+                        POr(done(1), s.invariant)
+                    s = WhileStmt(PAnd(done(0), s.cond), inv, s.variant, loop,
+                                  span=s.span)
+                out.append(s)
+            else:
+                out.append(s)
+            if len(sets) > before and i + 1 < len(body):
+                rest = block(body[i + 1:], follows)
+                out.append(IfStmt(done(0), tuple(rest), ()))
                 break
         return out
 
-    return [DeclStmt(flag, IntLit(0))] + walk(stmts)
+    out = block(stmts, False)
+    return [DeclStmt(sets[0], IntLit(0))] + out if sets else out
 
 
 class _Inliner:
@@ -339,11 +316,8 @@ class _Inliner:
             out.append(DeclStmt(env[p.name], arg))
         body = self.rename_stmts(list(callee.body), env, tag, depth,
                                  nesting, levels)
-        converted = tail_convert(body, ret_target)
-        if converted is None:
-            converted = flag_convert(body, ret_target,
-                                      self.names.fresh(f"done_{tag}"))
-        out.extend(converted)
+        out.extend(lower_returns(body, ret_target,
+                                 lambda: self.names.fresh(f"done_{tag}")))
         return out
 
     def lower_arg(self, t: Term, tag: str, out: list[Stmt]) -> Term:

@@ -71,7 +71,7 @@ from .logic import (
 )
 from .selfcomp import (
     TransformedProgram, ASSERT_LABEL, BEHAVIOR_PREFIX,
-    acsl_symbol, footprint_locs, tail_convert, flag_convert,
+    acsl_symbol, footprint_locs, lower_returns,
 )
 from .validate import footprint_of
 
@@ -729,9 +729,7 @@ def function_vcs(fn: FunctionDef, program: Program) -> list[Obligation]:
     """All proof obligations of one function, expressed at entry (before
     requires hypotheses are attached): exit goals first, then the body's
     obligations, as one `ObligationSet`."""
-    body = tail_convert(list(fn.body), RESULT_VAR)
-    if body is None:
-        body = flag_convert(list(fn.body), RESULT_VAR, "$done")
+    body = lower_returns(fn.body, RESULT_VAR, lambda: "$done")
     state: StateEnv = {}
     path, items = _Forward(fn, program).run(tuple(body), state, None)
     goals = _function_items(fn, program, state, path)

@@ -113,6 +113,15 @@ def test_prove_writes_no_script_for_a_lemma(tmp_path):
         "relational_wrapper_1__Rpp.smt2"]
 
 
+def test_prove_makes_no_smt_directory_without_a_checked_vc(tmp_path):
+    # A program without contracts or clauses has no VC to write a script for.
+    src = tmp_path / "t.mc"
+    src.write_text("int f(int x) { return x; }\n", encoding="utf-8")
+    assert run(["prove", src, "-o", tmp_path / "out"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "vc_index.json"]
+
+
 def test_prove_rejects_callresult_in_a_contract_without_a_traceback(tmp_path):
     src = tmp_path / "t.mc"
     src.write_text("/*@ ensures \\result == \\callresult(id1); */\n"

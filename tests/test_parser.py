@@ -255,7 +255,8 @@ def test_parenthesized_term_keeps_the_term_readings_levels(k, expected):
         assert [str(d) for d in result] == [expected]
 
 
-def parse_unary_calls(src: str) -> int:
+def parse_unary_calls(src: str) -> tuple[int, object]:
+    """How often parsing `src` calls `parse_unary`, and what it returns."""
     calls = []
     original = _Parser.parse_unary
 
@@ -264,8 +265,8 @@ def parse_unary_calls(src: str) -> int:
         return original(self)
 
     with mock.patch.object(_Parser, "parse_unary", counted):
-        assert isinstance(parse_program(src, "t.mc"), Program)
-    return len(calls)
+        result = parse_program(src, "t.mc")
+    return len(calls), result
 
 
 @pytest.mark.parametrize("shape", sorted(NESTED_CLAUSES))
@@ -275,9 +276,24 @@ def test_nested_clauses_parse_in_linear_work(shape):
     # the work (it was quadratic for the parenthesized term).
     clause, k = NESTED_CLAUSES[shape]
     half = min(40, k // 2)  # 40, or what the shape's limit leaves
-    n, n2 = (parse_unary_calls(f"/*@ {clause(depth)}; */\n"
-                               "int f(int x) { return x; }")
-             for depth in (half, 2 * half))
+    (n, p), (n2, p2) = (parse_unary_calls(f"/*@ {clause(depth)}; */\n"
+                                          "int f(int x) { return x; }")
+                        for depth in (half, 2 * half))
+    assert isinstance(p, Program) and isinstance(p2, Program)
+    assert n2 <= 2 * n + 4
+
+
+def test_a_failing_nested_group_is_read_in_linear_work():
+    # `(…(x)…)` is no predicate. Each group fails its predicate reading and
+    # is then read as a term inside every group around it; it was read
+    # again each time, quadratic work before the diagnostic.
+    def calls(n):
+        return parse_unary_calls("/*@ requires " + "(" * n + "x" + ")" * n
+                                 + "; */\nint f(int x) { return x; }")
+
+    (n, _), (n2, diags) = calls(40), calls(80)
+    assert [str(d) for d in diags] == [
+        "t.mc:1:175: error: expected comparison operator"]
     assert n2 <= 2 * n + 4
 
 
