@@ -181,7 +181,7 @@ class _Parser:
         self.file = file
         self.depth = 0  # open blocks, unary operands, predicate atoms, ==>
         self.after: Optional[dict[int, int]] = None  # see `after_group`
-        self.groups: dict = {}  # (pos, depth) -> a term group's reading
+        self.groups: dict = {}  # (pos, depth) -> (term or failure, end pos)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -789,8 +789,8 @@ class _Parser:
         if kind == "BSKW":
             return self.parse_backslash_term()
         if kind == "PUNCT" and tok.value == "(":
-            # A group whose predicate reading fails is read as a term again
-            # in each group around it: read it once for its start and depth.
+            # A group that fails its predicate reading is read as a term in
+            # each group around it; its start and depth decide the reading.
             key = self.pos, self.depth
             if key not in self.groups:
                 try:
