@@ -24,7 +24,7 @@ int64. The int64 bound is a worst-case magnitude that each node keeps,
 per bound. The vectorized path has one evaluator, `_Box`: one block of
 the box, each variable on its own axis and each node evaluated once over
 its own variables' axes. It evaluates every block of the walk, the
-count's factors and the frames of an obligation set. Each term node is
+decision's factors and the frames of an obligation set. Each term node is
 held in the narrowest signed integer type (int8, int16, int32 or int64)
 that holds its magnitude at the box's bound: a variable's values in the
 bound's type, a constant in its own, `+ - *` computed in the widest of
@@ -40,33 +40,27 @@ fits one block, the box is kept for the set's next VC and the rows each
 frame's path admits are computed once per frame; it spans every variable
 of the set when that fits one block, and a VC over fewer variables
 reduces the rows over the axes it does not mention. A VC whose box spans
-several blocks is counted and walked with its frames as conjuncts. The
+several blocks is decided and walked with its frames as conjuncts. The
 closed goal is built only where it decides: when a hypothesis is an
 implication that `instance_of` could match, when the problem needs the
 scalar search, and when the local goal has no node new on its path.
 
-The vectorized path counts before it walks. The negated VC is a
+The vectorized path decides before it walks. The negated VC is a
 conjunction of facts that each mention few variables (a self-composed
-wrapper inlines every call over its own copy of the inputs), so its
-falsifying rows are counted by tensor contraction over per-conjunct 0/1
-factors, as in bucket elimination. A count of 0 makes the VC valid with
-every row of the box examined; a positive count leaves the answer to the
-block walk, which finds the first falsifying row in lexicographic order.
-The factors are built once over the whole box, as bool tensors, and
-contracted one slice of the box at a time, cut on the variable whose
-factors hold the most cells: the factors without that variable become
-float32 once, each slice converts only its own cut of the others, and
-one einsum path serves every slice. The count runs only when the box
-spans more than one block, every factor fits in one block, einsum's FLOP
-estimate for a slice times the number of slices is below the walk's
-cost of rows times dag nodes, and each slice has fewer than 2**24 rows
-(so its float32 count is exact).
+wrapper inlines every call over its own copy of the inputs), so whether
+some row falsifies it is decided by bucket elimination over per-conjunct
+bool factors (module `bucket`, loaded on first use), with no BLAS
+routine and no count. When no row falsifies, the VC is valid with every
+row of the box examined; otherwise the block walk finds the first
+falsifying row in lexicographic order. The decision runs only when the
+box spans more than one block, every factor and pairwise join fits in
+one block, and einsum's FLOP estimate is below the walk's cost of rows
+times dag nodes.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 import weakref
 from typing import Optional
 
@@ -187,11 +181,9 @@ def _skolemize_exists(f: Form, taken: set[str], counter: list[int]) -> Form:
     return f
 
 
-def _negate_goal(goal: Form, taken: set[str],
-                 counter: list[int]) -> tuple[Form, set[str]]:
+def _negate_goal(goal: Form, taken: set[str], counter: list[int]) -> Form:
     """Negate the goal, turning a leading forall prefix into free variables
     (renamed when they would collide)."""
-    opened: set[str] = set()
     while isinstance(goal, FQuant) and goal.kind == "forall":
         mapping = {}
         for v in goal.vars:
@@ -201,9 +193,8 @@ def _negate_goal(goal: Form, taken: set[str],
                 name = f"{v}$sk{counter[0]}"
                 mapping[v] = name
             taken.add(name)
-            opened.add(name)
         goal = rename(goal.body, mapping) if mapping else goal.body
-    return FNot(goal), opened
+    return FNot(goal)
 
 
 def _prepare(goal: Form, hyps: list[Form]) -> tuple[list[Form], set[str]]:
@@ -212,7 +203,7 @@ def _prepare(goal: Form, hyps: list[Form]) -> tuple[list[Form], set[str]]:
     for h in hyps:
         taken |= free_vars(h)
     counter = [0]
-    neg_goal, _ = _negate_goal(goal, taken, counter)
+    neg_goal = _negate_goal(goal, taken, counter)
     forms = _prepare_hyps(hyps, taken, counter) + [simplify(neg_goal)]
     free: set[str] = set()
     for f in forms:
@@ -347,12 +338,12 @@ def _distinct(t: np.ndarray) -> np.ndarray:
     return s[np.r_[True, s[1:] != s[:-1]]]
 
 
-def _count_rows(forms: list[Form], order: list[str], bound: int,
-                walk_cost: int) -> Optional[int]:
-    """The number of rows of the box satisfying every form, counted slice
-    by slice by einsum over the conjuncts, each a 0/1 tensor over its own
-    variables' axes; None when some tensor would not fit in a block or
-    the contraction is not estimated cheaper than `walk_cost`.
+def _some_row(forms: list[Form], order: list[str], bound: int,
+              walk_cost: int) -> Optional[bool]:
+    """Whether some row of the box satisfies every form, decided by
+    `bucket.satisfiable` over the conjuncts, each a bool tensor over its
+    own variables' axes; None when some factor or join would not fit in a
+    block or the joins are not estimated cheaper than `walk_cost`.
 
     A comparison whose sides lie on incomparable sets of variables becomes
     three factors instead of one tensor over their union: a one-hot tensor
@@ -370,14 +361,17 @@ def _count_rows(forms: list[Form], order: list[str], bound: int,
         if size ** len(axes) > _CHUNK:
             return None
         shape = [size if i in axes else 1 for i in range(k)]
-        out = np.broadcast_to(evaluate(node), shape)
+        out = np.broadcast_to(evaluate(node, box), shape)
         return out.reshape([size] * len(axes)), axes
 
     def one_hot(t: np.ndarray, vals: np.ndarray) -> np.ndarray:
         return vals.reshape((-1,) + (1,) * t.ndim) == t  # value axis first
 
     for c in _conjuncts(forms):
-        sides = ([over_own_axes(s, box.term) for s in (c.left, c.right)]
+        # Only the factors outlive their conjunct: keeping every
+        # conjunct's node tensors set the decision's peak memory.
+        box.memo.clear()
+        sides = ([over_own_axes(s, _np_term) for s in (c.left, c.right)]
                  if isinstance(c, FCmp) else [None])
         if None not in sides:
             (tl, al), (tr, ar) = sides
@@ -391,39 +385,15 @@ def _count_rows(forms: list[Form], order: list[str], bound: int,
                                  [labels, labels + 1])]
                     labels += 2
                     continue
-        factor = over_own_axes(c, box.value)
+        factor = over_own_axes(c, _np_form)
         if factor is None:
             return None
         factors.append(factor)
     if labels > 52:  # einsum's axis labels
         return None
-    box.memo.clear()  # the nodes' tensors; only the factors are contracted
-    # Counted one slice at a time, cut on the variable whose factors hold
-    # the most cells, every partial count stays below total / size < 2**24,
-    # where float32 is exact, and only the factors over that variable are
-    # converted per slice.
-    cells = [sum(t.size for t, axes in factors if i in axes) for i in range(k)]
-    cut = cells.index(max(cells))
-    whole: list = []
-    sliced = []  # (tensor with the cut axis first, its other axes)
-    for t, axes in factors:
-        if cut in axes:
-            sliced.append((np.moveaxis(t, axes.index(cut), 0),
-                           [a for a in axes if a != cut]))
-        else:
-            whole += [t.astype(np.float32), axes]
-
-    def operands(i: int) -> list:
-        return whole + [x for t, axes in sliced
-                        for x in (t[i].astype(np.float32), axes)]
-
-    first = operands(0)
-    path, info = np.einsum_path(*first, [], optimize=("greedy", _CHUNK))
-    flops = float(re.search(r"Optimized FLOP count:\s*(\S+)", info).group(1))
-    if flops * size >= walk_cost:
-        return None
-    return sum(int(np.einsum(*(operands(i) if i else first), [], optimize=path))
-               for i in range(size))
+    box.memo.clear()
+    from .bucket import satisfiable  # only a box of several blocks gets here
+    return satisfiable(factors, _CHUNK, walk_cost)
 
 
 def _vectorized_search(forms: list[Form], order: list[str], bound: int,
@@ -435,7 +405,7 @@ def _vectorized_search(forms: list[Form], order: list[str], bound: int,
     or None. `nodes` is the problem's node count when the forms are not
     the whole problem, and `box` a kept box that holds the whole of
     `order`'s box in one block. A box of more than one block is first
-    counted by _count_rows; when no row falsifies, the block walk is
+    decided by _some_row; when no row falsifies, the block walk is
     skipped."""
     size = 2 * bound + 1
     total = size ** len(order)
@@ -445,11 +415,9 @@ def _vectorized_search(forms: list[Form], order: list[str], bound: int,
     if cost > budget:
         raise BudgetExceeded(
             f"{total} assignments x {nodes} nodes exceeds the budget")
-    # float32 counts are exact while each slice of the count has fewer than
-    # 2**24 rows.
-    if _CHUNK < total < size << 24:
+    if total > _CHUNK:
         path = [f.form for f in frame.path()] if frame is not None else []
-        if _count_rows(path + forms, order, bound, cost) == 0:
+        if _some_row(path + forms, order, bound, cost) is False:
             return total, None
     for block in [box] if box is not None else _blocks(bound, order):
         idx = block.first(frame, forms, order)
@@ -478,12 +446,6 @@ class _Box:
         self.memo: dict = {}
         self.admitted: dict = {}  # frame -> rows its whole path admits
 
-    def term(self, t: TermF):
-        return _np_term(t, self)
-
-    def value(self, f: Form):
-        return _np_form(f, self)
-
     def path(self, frame):
         todo = []
         while frame is not None and frame not in self.admitted:
@@ -491,7 +453,7 @@ class _Box:
             frame = frame.outer
         mask = self.admitted[frame] if frame is not None else np.bool_(True)
         for f in reversed(todo):
-            mask = self.admitted[f] = mask & self.value(f.form)
+            mask = self.admitted[f] = mask & _np_form(f.form, self)
         return mask
 
     def first(self, frame, forms: list[Form], order: list[str]
@@ -504,7 +466,7 @@ class _Box:
         for f in forms:
             if not mask.any():
                 return None
-            mask = mask & self.value(f)
+            mask = mask & _np_form(f, self)
         if not mask.any():
             return None
         kept = [i for i, v in enumerate(self.order) if v in order]

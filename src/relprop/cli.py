@@ -117,8 +117,14 @@ def cmd_prove(args) -> int:
 
     # A lemma VC is never checked: it takes its wrapper's status.
     checked = [vc for vc in run.vcs if vc.kind != "lemma"]
+    # A script of an earlier run that this one does not write would sit
+    # beside an index that does not list it.
+    smt_dir = out / "smt"
+    written = {f"{vc.name}.smt2" for vc in checked} if args.emit_smt else ()
+    for script in smt_dir.glob("*.smt2"):
+        if script.name not in written:
+            script.unlink()
     if args.emit_smt and checked:
-        smt_dir = out / "smt"
         smt_dir.mkdir(exist_ok=True)
         for vc in checked:
             (smt_dir / f"{vc.name}.smt2").write_text(emit_smtlib(vc),

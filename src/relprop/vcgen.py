@@ -511,6 +511,25 @@ class _Forward:
         return frame, items
 
 
+def _obliges(fn: FunctionDef, program: Program) -> bool:
+    """Whether `fn` can yield an obligation, from the sources of `_Item`:
+    an ensures clause `_function_items` reads, an assert, a loop (which
+    `_Forward` also checks for an invariant) or a call to a function with
+    a requires clause. Any other function's forward pass meets none."""
+    if fn.contract.ensures or any(
+            b.ensures for b in fn.contract.behaviors
+            if not b.name.startswith(BEHAVIOR_PREFIX)):
+        return True
+    for s in statements(fn.body):
+        if isinstance(s, (AssertStmt, WhileStmt)):
+            return True
+        if isinstance(s, CallStmt):
+            callee = program.function(s.callee)
+            if callee is not None and callee.contract.requires:
+                return True
+    return False
+
+
 def _strip_pre_suffix(form: Form) -> Form:
     """At function entry the `$pre` snapshots coincide with the variables
     themselves."""
@@ -729,6 +748,8 @@ def function_vcs(fn: FunctionDef, program: Program) -> list[Obligation]:
     """All proof obligations of one function, expressed at entry (before
     requires hypotheses are attached): exit goals first, then the body's
     obligations, as one `ObligationSet`."""
+    if not _obliges(fn, program):
+        return []
     body = lower_returns(fn.body, RESULT_VAR, lambda: "$done")
     state: StateEnv = {}
     path, items = _Forward(fn, program).run(tuple(body), state, None)

@@ -47,3 +47,13 @@ def fact() -> Program:
 
 def comparator_paths() -> list[Path]:
     return sorted((CORPUS / "comparators").glob("*.mc"))
+
+
+def diamond(n: int) -> str:
+    """`f_0` adds one to a global, and each `f_i` calls `f_(i-1)` twice."""
+    parts = ["int g = 0;\n",
+             "/*@ assigns g \\from g; */\nvoid f_0() {\n  g = g + 1;\n  return;\n}\n"]
+    for i in range(1, n + 1):
+        parts.append(f"/*@ assigns g \\from g; */\nvoid f_{i}() {{\n"
+                     f"  f_{i - 1}();\n  f_{i - 1}();\n  return;\n}}\n")
+    return "\n".join(parts)

@@ -1,9 +1,11 @@
 """The bounded validity oracle."""
 
+import contextlib
 import itertools
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from relprop.logic import (
 )
 from relprop.vcgen import VerificationCondition, vcs_for
 from relprop.bounded import (
-    check_bounded, BudgetExceeded, _count_rows, _scalar_search,
+    check_bounded, BudgetExceeded, _some_row, _scalar_search,
     _vectorized_search,
 )
 from relprop.selfcomp import transform
@@ -164,8 +166,8 @@ def problems(draw):
 def test_vectorized_and_scalar_search_agree(problem, chunk):
     # A 12-cell chunk cuts the box into one-value prefixes and partial slices.
     # None stands for a block of one value of the first variable: the box
-    # is then counted first whenever no conjunct spans every variable, and
-    # a positive count goes on to the walk.
+    # is then decided first whenever no conjunct spans every variable, and
+    # a box with a satisfying row goes on to the walk.
     problem, bound = problem
     assert bounded._fits_int64(problem, bound)
     order = sorted({v for f in problem for v in free_vars(f)})
@@ -214,17 +216,18 @@ def test_six_variable_check_stays_small():
           suppress_health_check=[HealthCheck.too_slow])
 @given(problems(), st.sampled_from((12, bounded._CHUNK)))
 def test_contraction_counts_the_satisfying_rows(problem, chunk):
-    # With a 12-cell chunk most factors do not fit and the count declines.
+    # The contraction decides whether the brute-force count is positive.
+    # With a 12-cell chunk most factors do not fit and it declines.
     problem, bound = problem
     order = sorted({v for f in problem for v in free_vars(f)})
-    assume(order)  # a box of one row is never counted
+    assume(order)  # a box of one row is never decided
     ev = bounded._Scalar(bound, 10**9)
     want = sum(all(ev.form(f, dict(zip(order, values))) for f in problem)
                for values in itertools.product(range(-bound, bound + 1),
                                                repeat=len(order)))
     with mock.patch.object(bounded, "_CHUNK", chunk):
-        got = _count_rows(problem, order, bound, float("inf"))
-    assert got == want or (got is None and chunk == 12)
+        got = _some_row(problem, order, bound, float("inf"))
+    assert got == (want > 0) or (got is None and chunk == 12)
 
 
 def cmp_pair_ok_vc(name):
@@ -237,7 +240,7 @@ def cmp_pair_ok_vc(name):
                                   "relational_wrapper_3__Rpp"])
 def test_six_variable_valid_vcs_are_counted_without_a_walk(name):
     # Three 4-variable per-call factors (P3's `r2 != r3` split on its sides'
-    # values) count 0 falsifying rows of 17^6, so no block is walked.
+    # values) admit no falsifying row of 17^6, so no block is walked.
     vc = cmp_pair_ok_vc(name)
     with mock.patch.object(bounded._Box, "first",
                            side_effect=AssertionError("walked a block")):
@@ -252,15 +255,15 @@ def test_six_variable_counterexample_keeps_the_walks_first_row():
                FCmp(">", e, ICon(5)),
                FNot(FOr((FCmp("<", f, ICon(-3)), FCmp("==", a, b))))]
     order = list("abcdef")
-    counts = []
+    decided = []
 
-    def counting(*args):
-        counts.append(_count_rows(*args))
-        return counts[-1]
+    def deciding(*args):
+        decided.append(_some_row(*args))
+        return decided[-1]
 
-    with mock.patch.object(bounded, "_count_rows", side_effect=counting):
+    with mock.patch.object(bounded, "_some_row", side_effect=deciding):
         found = _vectorized_search(problem, order, 8, 10**10)
-    assert counts and counts[0] > 0
+    assert decided == [True]
     rows_s, a_s, _ = _scalar_search(problem, order, 8, 10**10)
     assert found == (rows_s, a_s)
     assert a_s == {"a": -8, "b": -7, "c": -8, "d": -8, "e": 6, "f": -3}
@@ -297,7 +300,7 @@ def test_narrow_types_agree_with_the_exact_search(problem, chunk):
     problem, bound = problem
     assume(bounded._fits_int64(problem, bound))
     order = sorted({v for f in problem for v in free_vars(f)})
-    assume(order)  # a box of one row is never counted
+    assume(order)  # a box of one row is never decided
     if chunk is None:
         chunk = (2 * bound + 1) ** (len(order) - 1)
     rows_s, a_s, _ = _scalar_search(problem, order, bound, 10**9)
@@ -307,8 +310,8 @@ def test_narrow_types_agree_with_the_exact_search(problem, chunk):
                                                repeat=len(order)))
     with mock.patch.object(bounded, "_CHUNK", chunk):
         assert _vectorized_search(problem, order, bound, 10**9) == (rows_s, a_s)
-        got = _count_rows(problem, order, bound, float("inf"))
-    assert got == want or (got is None and chunk < bounded._CHUNK)
+        got = _some_row(problem, order, bound, float("inf"))
+    assert got == (want > 0) or (got is None and chunk < bounded._CHUNK)
 
 
 def traced_peak(run):
@@ -325,22 +328,45 @@ def traced_peak(run):
                                   "relational_wrapper_2__Rpp",
                                   "relational_wrapper_3__Rpp"])
 def test_cmp_pair_ok_checks_stay_under_2_mib(name):
-    # Narrow integer nodes, and a count that converts one slice at a time.
+    # Narrow integer nodes, and a contraction over bit-packed bool factors.
+    # The traced peaks are at most 0.65 / 0.66 / 1.15 MiB (numpy 2.4; the
+    # first decided check also loads `bucket`); each limit leaves about
+    # 0.1 MiB above its own.
+    limit = {"relational_wrapper_1__Rpp": 0.75,
+             "relational_wrapper_2__Rpp": 0.75,
+             "relational_wrapper_3__Rpp": 1.25}[name]
     vc = cmp_pair_ok_vc(name)
     r, peak = traced_peak(lambda: check_bounded(vc, 8))
     assert r.status == "valid" and r.method == "vectorized"
-    assert peak < 2 * 2 ** 20
+    assert peak < limit * 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["relational_wrapper_2__Rpp",
+                                  "relational_wrapper_3__Rpp"])
+def test_cmp_pair_ok_is_decided_without_blas(name):
+    # The first BLAS routine leaves its packing buffer resident, so the
+    # contraction uses none; einsum_path only plans the order of the joins.
+    vc = cmp_pair_ok_vc(name)
+    with contextlib.ExitStack() as stack:
+        for routine in ("einsum", "tensordot", "dot", "matmul"):
+            stack.enter_context(mock.patch.object(
+                np, routine, side_effect=AssertionError(f"np.{routine}")))
+        stack.enter_context(mock.patch.object(
+            bounded._Box, "first", side_effect=AssertionError("walked")))
+        r = check_bounded(vc, 8)
+    assert r.status == "valid" and r.method == "vectorized"
+    assert r.rows == 17 ** 6
 
 
 def test_walked_six_variable_box_stays_under_6_mib():
     # `a+b+c+d+e+f == 100` is one 6-variable factor, larger than a block,
-    # so the count declines and the 17 blocks of 17^5 rows are walked.
+    # so the contraction declines and the 17 blocks of 17^5 rows are walked.
     a, b, c, d, e, f = map(IVar, "abcdef")
     total = IOp("+", IOp("+", IOp("+", IOp("+", IOp("+", a, b), c), d), e), f)
     problem = [FCmp("==", total, ICon(100)),
                FCmp("<", IOp("*", IOp("-", a, f), IOp("+", b, e)), ICon(1000))]
     order = list("abcdef")
-    assert _count_rows(problem, order, 8, float("inf")) is None
+    assert _some_row(problem, order, 8, float("inf")) is None
     found, peak = traced_peak(
         lambda: _vectorized_search(problem, order, 8, 10**11))
     assert found == (17 ** 6, None)

@@ -122,6 +122,26 @@ def test_prove_makes_no_smt_directory_without_a_checked_vc(tmp_path):
         "vc_index.json"]
 
 
+def test_prove_removes_the_scripts_of_an_earlier_run(tmp_path):
+    # Only the scripts of the VCs in the new vc_index.json stay.
+    assert run(["prove", corpus_path("fig2.mc"), "-o", tmp_path]) == 0
+    src = tmp_path / "t.mc"
+    src.write_text("int f(int x) { return x; }\n", encoding="utf-8")
+    assert run(["prove", src, "-o", tmp_path]) == 0
+    assert list((tmp_path / "smt").iterdir()) == []
+    assert json.loads((tmp_path / "vc_index.json").read_text())["vcs"] == {}
+
+
+def test_prove_without_scripts_removes_the_old_ones_only(tmp_path):
+    assert run(["prove", corpus_path("fig2.mc"), "-o", tmp_path]) == 0
+    (tmp_path / "smt" / "notes.txt").write_text("kept\n", encoding="utf-8")
+    assert run(["prove", corpus_path("fig2.mc"), "-o", tmp_path,
+                "--no-emit-smt"]) == 0
+    assert [p.name for p in (tmp_path / "smt").iterdir()] == ["notes.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "smt", "vc_index.json"]
+
+
 def test_prove_rejects_callresult_in_a_contract_without_a_traceback(tmp_path):
     src = tmp_path / "t.mc"
     src.write_text("/*@ ensures \\result == \\callresult(id1); */\n"

@@ -671,6 +671,55 @@ def test_shared_check_and_script_agree_with_the_closed_goal(text, bound,
         assert_script_is_tree(vc)
 
 
+SIX_VARIABLES = """
+/*@ assigns \\result \\from a, b, c, d, e, g; */
+int f(int a, int b, int c, int d, int e, int g) {
+  /*@ assert a <= b || c <= d; */
+  /*@ assert e - g < 17; */
+  if (e > 0) {
+    /*@ assert a <= b || c <= d || e == 100; */
+  }
+  /*@ assert c + e != 3 || b <= g; */
+  /*@ assert a - b <= 16 && c - d <= 16; */
+  return a;
+}
+"""
+
+
+def test_six_variable_set_is_decided_across_blocks_as_closed_goals_are():
+    # Every VC but the first has a path of frames and six variables: 17^6
+    # rows at bound 8, more than one block, so `path + forms` is decided
+    # by the contraction, each factor over at most four variables. The
+    # set keeps no box, and nothing is left to the closed goal.
+    t = transform(parse(SIX_VARIABLES))
+    decided = []
+    some_row = bounded._some_row
+
+    def deciding(forms, order, bound, cost):
+        decided.append((len(forms), len(order),
+                        some_row(forms, order, bound, cost)))
+        return decided[-1][2]
+
+    shared = []
+    for vc in vcs_for(t, t.lemma_names):
+        if vc.obligation.frame is None:
+            continue
+        decided.clear()
+        with mock.patch.object(bounded, "_some_row", side_effect=deciding):
+            got = check_bounded(vc, 8)
+        assert vc.obligation._goal is None  # the closed goal was not built
+        closed = VerificationCondition(vc.name, vc.function, vc.assertion,
+                                       vc.kind, vc.goal, vc.hypotheses)
+        want = check_bounded(closed, 8)
+        assert (got.status, got.rows, got.assignment) == (
+            want.status, want.rows, want.assignment)
+        (forms, width, some), = decided
+        assert forms > 1 and width == 6 and some is not None
+        shared.append((some, got.status))
+    assert sorted(shared) == [(False, "valid")] * 3 + [
+        (True, "counterexample")]
+
+
 def test_seq_ifs_obligations_share_frames_and_never_close():
     t = transform(parse(seq_ifs(20)))
     run = prove_program(t, 8)

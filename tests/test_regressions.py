@@ -29,7 +29,7 @@ from relprop.selfcomp import transform
 from relprop.validate import MissingAssigns, footprint_of, validate
 from relprop.vcgen import VerificationCondition
 
-from conftest import load
+from conftest import diamond, load
 
 # The package re-exports the function `validate`, which shadows the module.
 validate_mod = importlib.import_module("relprop.validate")
@@ -221,15 +221,6 @@ def test_callresult_inside_logic_application_is_translated(tmp_path, capsys):
 
 
 # -- footprints --------------------------------------------------------------
-
-
-def diamond(n: int) -> str:
-    parts = ["int g = 0;\n",
-             "/*@ assigns g \\from g; */\nvoid f_0() {\n  g = g + 1;\n  return;\n}\n"]
-    for i in range(1, n + 1):
-        parts.append(f"/*@ assigns g \\from g; */\nvoid f_{i}() {{\n"
-                     f"  f_{i - 1}();\n  f_{i - 1}();\n  return;\n}}\n")
-    return "\n".join(parts)
 
 
 def test_diamond_footprint_scans_each_function_once(monkeypatch):

@@ -1,6 +1,9 @@
 """Weakest preconditions and VC assembly."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from relprop.minic import (
     INT, VOID, Program, FunctionDef, GlobalDecl, Param, Contract,
@@ -16,8 +19,12 @@ from relprop.vcgen import (
     wp, vcs_for, function_vcs, compile_pred, compile_lemma,
     MissingLoopInvariant,
 )
+from relprop import vcgen
 from relprop.bounded import check_bounded
 from relprop.prove import prove_program
+
+from conftest import CORPUS, diamond
+from strategies import clause_program_strategy, program_strategy
 
 
 def test_wp_skip_is_identity():
@@ -251,3 +258,73 @@ def test_caller_result_does_not_leak_into_callee_ensures():
     }
     """, "t.mc")), 8).results
     assert results["f__assert"]["status"] == "valid"
+
+
+# -- functions that cannot yield an obligation --------------------------------
+
+
+def vc_list(t) -> list[tuple[str, str, str]]:
+    return [(vc.name, vc.kind, vc.function)
+            for vc in vcs_for(t, admitted=frozenset())]
+
+
+def same_vcs_as_a_pass_over_every_function(program) -> None:
+    t = transform(program)
+    with mock.patch.object(vcgen, "_obliges", return_value=True):
+        want = vc_list(t)
+    assert vc_list(t) == want
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*.mc")))
+def test_skipping_obligation_free_functions_keeps_the_corpus_vcs(name):
+    same_vcs_as_a_pass_over_every_function(
+        parse_program((CORPUS / name).read_text(encoding="utf-8"), name))
+
+
+def test_no_diamond_function_can_yield_an_obligation():
+    p = parse_program(diamond(14), "diamond.mc")
+    assert not any(vcgen._obliges(fn, p) for fn in p.functions)
+    same_vcs_as_a_pass_over_every_function(p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(clause_program_strategy())
+def test_skipping_obligation_free_functions_keeps_clause_program_vcs(drawn):
+    same_vcs_as_a_pass_over_every_function(drawn[0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy())
+def test_skipping_obligation_free_functions_keeps_program_vcs(program):
+    same_vcs_as_a_pass_over_every_function(program)
+
+
+def test_a_loop_without_invariant_is_still_refused():
+    # The loop is the function's only possible obligation.
+    p = parse_program("""
+    /*@ assigns \\result \\from n; */
+    int f(int n) {
+      int i = 0;
+      while (i < n) { i = i + 1; }
+      return i;
+    }
+    """, "t.mc")
+    assert vcgen._obliges(p.function("f"), p)
+    with pytest.raises(MissingLoopInvariant):
+        vcs_for(transform(p), admitted=frozenset())
+
+
+def test_a_call_to_a_function_with_requires_is_an_obligation():
+    # f has no ensures, assert or loop: its one obligation is g's requires.
+    p = parse_program("""
+    /*@ requires x > 0; assigns \\result \\from x; */
+    int g(int x) { return x; }
+    /*@ assigns \\result \\from y; */
+    int f(int y) { int r = 0; r = g(y); return r; }
+    """, "t.mc")
+    assert [(vc.function, vc.kind) for vc in vcs_for(
+        transform(p), admitted=frozenset())] == [("f", "call-requires")]
+    same_vcs_as_a_pass_over_every_function(p)
