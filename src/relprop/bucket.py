@@ -67,7 +67,9 @@ def _join(pair: list[tuple[np.ndarray, list[int]]], keep: set[int],
     # the larger operand has cells; the operands' cells are then freed.
     step = max(1, max(a.size, b.size) // wb.size)
     del a, b
-    if wb.shape[2] < nab:  # numpy's loops then run along b's rows
+    # With fewer bytes per row than b has rows, both are laid out rows
+    # first, so numpy's inner loops run along b's rows.
+    if wb.shape[2] < nab:
         wa, wb = (w.transpose(0, 2, 1).copy().transpose(0, 2, 1)
                   for w in (wa, wb))
     out = np.empty((nb, na, nab), bool)
@@ -84,12 +86,10 @@ def _bytes(t: np.ndarray, axes: list[int], rows: list[int],
     """`t` as (nb, row, byte) uint8, reduced by `any` over the axes
     neither `rows` nor `packed` holds: a row for each value of the `rows`
     axes (the first are the `nb` batches), holding its values over the
-    `packed` axes as zero-padded bits, at least one byte."""
+    `packed` axes as bits, zero-padded to whole bytes."""
     kept = [x for x in axes if x in rows or x in packed]
     if len(kept) < len(axes):
         t = t.any(axis=tuple(i for i, x in enumerate(axes) if x not in kept))
     t = t.transpose([kept.index(x) for x in rows + packed])
     n = math.prod(t.shape[len(rows):])  # 1 with none packed
-    bits = np.zeros((t.size // n, -(-n // 8) * 8), bool)
-    bits[:, :n].reshape(t.shape)[...] = t  # only splits axes: a view
-    return np.packbits(bits).reshape(nb, -1, bits.shape[1] // 8)
+    return np.packbits(t.reshape(-1, n), axis=-1).reshape(nb, -1, -(-n // 8))
