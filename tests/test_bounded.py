@@ -329,9 +329,9 @@ def traced_peak(run):
                                   "relational_wrapper_3__Rpp"])
 def test_cmp_pair_ok_checks_stay_under_2_mib(name):
     # Narrow integer nodes, and a contraction over bit-packed bool factors.
-    # The traced peaks are at most 0.65 / 0.66 / 1.15 MiB (numpy 2.4; the
-    # first decided check also loads `bucket`); each limit leaves about
-    # 0.1 MiB above its own.
+    # The traced peaks are 0.65 / 0.65 / 1.13 MiB (numpy 2.4, whichever
+    # check first loads `bucket`); each limit leaves about 0.1 MiB above
+    # its own.
     limit = {"relational_wrapper_1__Rpp": 0.75,
              "relational_wrapper_2__Rpp": 0.75,
              "relational_wrapper_3__Rpp": 1.25}[name]
