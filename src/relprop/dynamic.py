@@ -32,10 +32,9 @@ from .minic import (
 from .logic import ARITH, CMP
 from .selfcomp import TransformedProgram, WrapperFunction
 from .interp import (
-    Fuel, Interp, InterpError, AssertViolated, init_state,
+    DEFAULT_FUEL, Fuel, Interp, InterpError, AssertViolated, init_state,
 )
 
-DEFAULT_FUEL = 100_000
 RANDOM_SPAN = 2 ** 16  # random draws are uniform over [-RANDOM_SPAN, RANDOM_SPAN]
 BOUNDARY_SHARE = 0.1   # share of draws taken from {-1, 0, 1}
 
@@ -76,8 +75,6 @@ class CheckReport(Frozen):
     outcome: str  # "pass" | "fail" | "error"
     input: InputVector
     error: Optional[str] = None
-    trace: tuple[tuple[str, dict[str, int]], ...] = ()
-    seconds: float = 0.0
 
 
 def wrapper_slots(wrapper: WrapperFunction) -> list[str]:
@@ -100,7 +97,6 @@ def run_wrapper(wrapper: WrapperFunction, input: InputVector,
     `Rpp` assertion as `fail`.
     """
     program = transformed.program
-    t0 = time.perf_counter()
     state = init_state(program)
     for g in wrapper.dup_globals:
         state.globals[g] = input.values.get(g, 0)
@@ -110,26 +106,15 @@ def run_wrapper(wrapper: WrapperFunction, input: InputVector,
             args.append(input.values.get(p.name, 0))
         else:
             args.append(state.alloc(input.values.get(f"*{p.name}", 0)))
-    interp = Interp(program, Fuel(fuel))
     outcome, error = "pass", None
-    trace: list[tuple[str, dict[str, int]]] = []
-    entry = dict(state.globals)
-    entry.update({f"*{p.name}": state.heap[c]
-                  for p, c in zip(wrapper.fn.formals, args) if p.ty == PTR})
-    trace.append(("Pre", entry))
     try:
-        interp.run(wrapper.fn, args, state)
+        Interp(program, Fuel(fuel)).run(wrapper.fn, args, state)
     except AssertViolated:
         outcome = "fail"
     except InterpError as exc:
         outcome, error = "error", f"{type(exc).__name__}: {exc}"
-    exit_env = dict(state.globals)
-    exit_env.update({f"*{p.name}": state.heap.get(c, 0)
-                     for p, c in zip(wrapper.fn.formals, args) if p.ty == PTR})
-    trace.append(("Here", exit_env))
     return CheckReport(property=wrapper.clause, outcome=outcome, input=input,
-                       error=error, trace=tuple(trace),
-                       seconds=time.perf_counter() - t0)
+                       error=error)
 
 
 # ---------------------------------------------------------------------------

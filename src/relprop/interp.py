@@ -1,19 +1,20 @@
-"""Big-step interpreter for MiniC with labeled state snapshots.
+"""Big-step interpreter for MiniC.
 
 Program arithmetic is 64-bit two's-complement with overflow reported as a
 runtime error (never wrapped); division is Euclidean, matching the logic,
-and errors on a zero divisor. Assertions are evaluated against the snapshot
-table (`Pre` is taken at function entry, `Here` is the current state);
+and errors on a zero divisor. Each call pushes its entry state (globals,
+heap and frame) on a stack and pops it on return, so the stack's length is
+the call depth. Assertions read `\\old` and `\\at(·, Pre|Old)` in the
+running call's entry state and `Here`/`Post` in the live state;
 applications of generated `_acsl` logic functions are evaluated by running
-the mirrored C function on an isolated copy of the global state. Quantifiers
-and predicate applications are not executable.
+the mirrored C function on a fresh initial state. Quantifiers and
+predicate applications are not executable.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .frozen import Frozen
 from .minic import (
     INT,
     Program, FunctionDef,
@@ -28,6 +29,8 @@ from .logic import ARITH, CMP
 
 INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
+# Loop iterations and calls a run may make when its caller sets no fuel.
+DEFAULT_FUEL = 100_000
 # Deepest MiniC call nesting a run may reach. Each MiniC call costs several
 # Python frames, so this stays well below Python's recursion limit.
 MAX_CALL_DEPTH = 64
@@ -60,21 +63,14 @@ class AssertViolated(InterpError):
         self.state = state
 
 
-class Snapshot(Frozen):
-    globals: dict[str, int]
-    heap: dict[int, int]
-    frame: dict[str, int]
-
-
 class State:
-    """Mutable machine state: globals, heap cells, and label snapshots.
-    Pointer values are heap cell ids; snapshots are frozen copies."""
+    """Mutable machine state: globals and heap cells. Pointer values are
+    heap cell ids."""
 
     def __init__(self, globals: Optional[dict] = None,
-                 heap: Optional[dict] = None, snapshots: Optional[dict] = None):
+                 heap: Optional[dict] = None):
         self.globals = {} if globals is None else globals
         self.heap = {} if heap is None else heap
-        self.snapshots = {} if snapshots is None else snapshots
         self._next_cell = 1
 
     def alloc(self, value: int) -> int:
@@ -82,10 +78,6 @@ class State:
         self._next_cell += 1
         self.heap[cid] = value
         return cid
-
-    def snapshot(self, label: str, frame: dict[str, int]) -> None:
-        self.snapshots[label] = Snapshot(dict(self.globals), dict(self.heap),
-                                         dict(frame))
 
 
 class Fuel:
@@ -112,6 +104,23 @@ class _Return(Exception):
         self.value = value
 
 
+def _scope(name: str, state: State, frame: dict[str, int]) -> dict[str, int]:
+    """The frame or the globals, whichever binds `name`."""
+    if name in frame:
+        return frame
+    if name in state.globals:
+        return state.globals
+    raise InterpError(f"unbound variable {name}")
+
+
+def _cell(name: str, state: State, frame: dict[str, int]) -> int:
+    """The heap cell the pointer variable `name` holds."""
+    cid = _scope(name, state, frame)[name]
+    if cid not in state.heap:
+        raise InterpError(f"dangling pointer {name}")
+    return cid
+
+
 def init_state(program: Program) -> State:
     state = State()
     for g in program.globals:
@@ -124,7 +133,8 @@ class Interp:
     def __init__(self, program: Program, fuel: Fuel):
         self.program = program
         self.fuel = fuel
-        self.depth = 0
+        # (entry state, entry frame) of each running call, innermost last.
+        self.entries: list[tuple[State, dict[str, int]]] = []
 
     # -- expressions --------------------------------------------------------
 
@@ -132,16 +142,9 @@ class Interp:
         if isinstance(t, IntLit):
             return t.value
         if isinstance(t, Var):
-            if t.name in frame:
-                return frame[t.name]
-            if t.name in state.globals:
-                return state.globals[t.name]
-            raise InterpError(f"unbound variable {t.name}")
+            return _scope(t.name, state, frame)[t.name]
         if isinstance(t, Deref):
-            cid = self.term(Var(t.name), state, frame)
-            if cid not in state.heap:
-                raise InterpError(f"dangling pointer {t.name}")
-            return state.heap[cid]
+            return state.heap[_cell(t.name, state, frame)]
         if isinstance(t, Bin):
             a = self.term(t.left, state, frame)
             b = self.term(t.right, state, frame)
@@ -166,20 +169,19 @@ class Interp:
 
     def run(self, fn: FunctionDef, args: list[int], state: State) -> Optional[int]:
         self.fuel.burn()
-        if self.depth >= MAX_CALL_DEPTH:
+        if len(self.entries) >= MAX_CALL_DEPTH:
             raise FuelExhausted(f"call depth exceeds {MAX_CALL_DEPTH}")
         if len(args) != len(fn.formals):
             raise InterpError(f"{fn.name} expects {len(fn.formals)} arguments")
         frame = {p.name: a for p, a in zip(fn.formals, args)}
-        state.snapshot("Pre", frame)
-        self.depth += 1
+        self.entries.append((State(dict(state.globals), dict(state.heap)),
+                             dict(frame)))
         try:
             self.stmts(fn.body, state, frame)
         except _Return as r:
             return r.value
         finally:
-            self.depth -= 1
-            state.snapshots.pop("Pre", None)
+            self.entries.pop()
         return None
 
     def stmts(self, body: tuple[Stmt, ...], state: State,
@@ -192,24 +194,16 @@ class Interp:
             frame[s.name] = self.term(s.init, state, frame) if s.init is not None else 0
         elif isinstance(s, AssignStmt):
             value = self.term(s.value, state, frame)
+            name = s.target.name
             if isinstance(s.target, Var):
-                if s.target.name in frame:
-                    frame[s.target.name] = value
-                elif s.target.name in state.globals:
-                    state.globals[s.target.name] = value
-                else:
-                    raise InterpError(f"unbound variable {s.target.name}")
+                _scope(name, state, frame)[name] = value
             else:
-                cid = self.term(Var(s.target.name), state, frame)
-                if cid not in state.heap:
-                    raise InterpError(f"dangling pointer {s.target.name}")
-                state.heap[cid] = value
+                state.heap[_cell(name, state, frame)] = value
         elif isinstance(s, CallStmt):
             value = self.call(s.callee, [self.term(a, state, frame)
                                          for a in s.args], state)
             if s.target is not None:
-                self.stmt(AssignStmt(Var(s.target), IntLit(value or 0)),
-                          state, frame)
+                _scope(s.target, state, frame)[s.target] = value or 0
         elif isinstance(s, IfStmt):
             branch = s.then if self.cond(s.cond, state, frame) else s.orelse
             self.stmts(branch, state, frame)
@@ -221,7 +215,6 @@ class Interp:
             raise _Return(self.term(s.value, state, frame)
                           if s.value is not None else None)
         elif isinstance(s, AssertStmt):
-            # `Here` is the live state: `_label_value` reads it directly.
             if not self.logic_pred(s.pred, state, frame):
                 raise AssertViolated(s.label or "assert", state)
         else:
@@ -230,13 +223,7 @@ class Interp:
     def call(self, callee: str, args: list[int], state: State) -> Optional[int]:
         fn = self.program.function(callee)
         if fn is not None:
-            saved = {lbl: state.snapshots[lbl] for lbl in list(state.snapshots)}
-            state.snapshots.clear()
-            try:
-                return self.run(fn, args, state)
-            finally:
-                state.snapshots.clear()
-                state.snapshots.update(saved)
+            return self.run(fn, args, state)
         # Application of a generated logic mirror: run the mirrored function.
         base = self._mirrored(callee)
         if base is not None:
@@ -249,41 +236,20 @@ class Interp:
         return None
 
     def run_isolated(self, fn: FunctionDef, args: list[int]) -> Optional[int]:
-        """Run a pure function on a throwaway copy of the global state."""
-        iso = State()
-        iso.globals = {g.name: (g.init or 0) for g in self.program.globals
-                       if g.ty == INT}
-        return self.run(fn, args, iso)
+        """Run a pure function on a fresh initial state."""
+        return self.run(fn, args, init_state(self.program))
 
     # -- logic evaluation (runtime assertion checking) ---------------------------
 
-    def _label_value(self, base: Term, label: str, state: State,
-                     frame: dict[str, int]) -> int:
-        if label == "Here" or label == "Post":
-            return self.term(base, state, frame)
-        snap = state.snapshots.get(label if label != "Old" else "Pre")
-        if snap is None:
-            raise NotExecutable(f"label {label} has no snapshot here")
-        if isinstance(base, Var):
-            if base.name in snap.frame:
-                return snap.frame[base.name]
-            if base.name in snap.globals:
-                return snap.globals[base.name]
-            raise InterpError(f"unbound variable {base.name}")
-        if isinstance(base, Deref):
-            cid = self.term(Var(base.name), state, frame)
-            if cid not in snap.heap:
-                raise InterpError(f"dangling pointer {base.name}")
-            return snap.heap[cid]
-        raise NotExecutable(f"\\at on {base!r}")
-
     def logic_term(self, t: Term, state: State, frame: dict[str, int]) -> int:
-        if isinstance(t, At):
-            return self._label_value(t.base, t.label, state, frame)
         if isinstance(t, OldTerm):
-            return self.logic_term(At(t.term, "Pre"), state, frame) \
-                if isinstance(t.term, (Var, Deref)) \
-                else self._old_general(t.term, state, frame)
+            return self.logic_term(t.term, *self.entries[-1])
+        if isinstance(t, At):
+            if t.label in ("Here", "Post"):
+                return self.term(t.base, state, frame)
+            if t.label in ("Pre", "Old"):
+                return self.term(t.base, *self.entries[-1])
+            raise NotExecutable(f"label {t.label} has no snapshot here")
         if isinstance(t, Bin):
             a = self.logic_term(t.left, state, frame)
             b = self.logic_term(t.right, state, frame)
@@ -303,13 +269,6 @@ class Interp:
         if isinstance(t, (ResultTerm, CallResult)):
             raise NotExecutable(f"{t!r} is not executable here")
         return self.term(t, state, frame)
-
-    def _old_general(self, t: Term, state: State, frame: dict[str, int]) -> int:
-        snap = state.snapshots.get("Pre")
-        if snap is None:
-            raise NotExecutable("\\old outside a function body")
-        shadow = State(dict(snap.globals), dict(snap.heap), dict(state.snapshots))
-        return self.logic_term(t, shadow, dict(snap.frame))
 
     def logic_pred(self, p: Pred, state: State, frame: dict[str, int]) -> bool:
         if isinstance(p, PBool):
@@ -340,7 +299,7 @@ class Interp:
 
 
 def interpret(fn: FunctionDef, args: list[int], state: Optional[State] = None,
-              fuel: int = 100_000,
+              fuel: int = DEFAULT_FUEL,
               program: Optional[Program] = None) -> tuple[Optional[int], State]:
     """Interpret one function call; returns (return value, final state).
 

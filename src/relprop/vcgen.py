@@ -467,14 +467,14 @@ class _Forward:
             return path, []
 
         # The callee's pre-state is the call point: formals denote the
-        # argument terms, globals keep their names.
+        # argument terms, every global keeps its name (also one outside the
+        # callee's footprint, which its contract may still read).
         pre: StateEnv = {}
         for p, a in zip(callee.formals, args):
             pre[p.name] = pre[pre_of(p.name)] = a
+        for g in self.program.globals:
+            pre[pre_of(g.name)] = IVar(g.name)
         fp = footprint_of(callee, self.program)
-        for loc in fp.writes | fp.reads:
-            if isinstance(loc, GlobalLoc):
-                pre[pre_of(loc.name)] = IVar(loc.name)
         # After the call, the result and the written globals are fresh.
         post: StateEnv = dict(pre)
         havoc: StateEnv = {}

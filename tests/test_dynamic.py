@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from relprop.minic import INT, PTR
 from relprop.parser import parse_program
 from relprop.selfcomp import transform
 from relprop.dynamic import (
@@ -11,6 +12,10 @@ from relprop.dynamic import (
     evaluate_clause, wrapper_slots, save_counterexample,
     load_counterexamples,
 )
+from relprop import interp
+from relprop.interp import DEFAULT_FUEL, Fuel, Interp, init_state
+
+from conftest import CORPUS, load
 
 NEG_SRC = """
 /*@ assigns \\result \\from x;
@@ -39,6 +44,22 @@ int compare(int x, int y) {
 """
 
 
+def final_exit(wrapper, values, t) -> dict:
+    """The globals and pointer cell contents (as `*name`) after the run
+    `run_wrapper` makes on `values`, from an entry state built as it
+    builds one."""
+    state = init_state(t.program)
+    for g in wrapper.dup_globals:
+        state.globals[g] = values.get(g, 0)
+    args = [values.get(p.name, 0) if p.ty == INT
+            else state.alloc(values.get(f"*{p.name}", 0))
+            for p in wrapper.fn.formals]
+    Interp(t.program, Fuel(DEFAULT_FUEL)).run(wrapper.fn, args, state)
+    return {**state.globals,
+            **{f"*{p.name}": state.heap[c]
+               for p, c in zip(wrapper.fn.formals, args) if p.ty == PTR}}
+
+
 @pytest.fixture
 def neg():
     return transform(parse_program(NEG_SRC, "neg.mc"))
@@ -55,8 +76,7 @@ def test_run_wrapper_fig5_pass(fig5):
     assert wrapper_slots(w) == ["y_id1", "y_id2"]
     r = run_wrapper(w, InputVector({"y_id1": 1, "y_id2": 2}), t)
     assert r.outcome == "pass"
-    assert r.trace[0][0] == "Pre" and r.trace[-1][0] == "Here"
-    assert r.trace[1][1]["y_id1"] == 11
+    assert final_exit(w, {"y_id1": 1, "y_id2": 2}, t)["y_id1"] == 11
 
 
 def test_run_wrapper_vacuous_antecedent(fig5):
@@ -79,7 +99,8 @@ def test_pointer_inputs_get_distinct_fresh_cells(fig6):
     r = run_wrapper(w, InputVector({"*y_id1": 5, "*y_id2": 5}), t)
     assert r.outcome == "pass"
     # equal contents but distinct cells: both bump independently
-    assert r.trace[1][1] == {"*y_id1": 6, "*y_id2": 6}
+    assert final_exit(w, {"*y_id1": 5, "*y_id2": 5}, t) == \
+        {"*y_id1": 6, "*y_id2": 6}
 
 
 def test_find_counterexample_exhaustive_lexicographic(neg):
@@ -189,3 +210,38 @@ def test_user_predicate_in_a_clause_is_a_runtime_error():
     report = run_wrapper(entry.wrapper, InputVector({"x1": 1}, property="P"), t)
     assert report.outcome == "error"
     assert report.error.startswith("NotExecutable")
+
+
+class _Unbuildable(type):
+    """Stands in for a node class: instance checks see the real class, and
+    building one raises."""
+
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, cls.real)
+
+    def __call__(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.real.__name__} built during a run")
+
+
+def test_a_wrapper_run_builds_no_ast_node(monkeypatch):
+    runs = []
+    for path in sorted(CORPUS.rglob("*.mc")):
+        t = transform(load(str(path.relative_to(CORPUS))))
+        for entry in t.entries:
+            slots = wrapper_slots(entry.wrapper)
+            for values in ([v] * len(slots) for v in (-2, 0, 1, 3)):
+                runs.append((t, entry.wrapper,
+                             InputVector(dict(zip(slots, values)))))
+            runs.append((t, entry.wrapper, InputVector(
+                {s: i - 1 for i, s in enumerate(slots)})))
+
+    def outcomes():
+        return [(r.outcome, r.error) for r in
+                (run_wrapper(w, vec, t) for t, w, vec in runs)]
+
+    want = outcomes()
+    for name in ("Var", "IntLit", "AssignStmt", "At"):
+        real = getattr(interp, name)
+        monkeypatch.setattr(interp, name, _Unbuildable(name, (), {"real": real}))
+    assert outcomes() == want
+    assert {o for o, _ in want} == {"pass", "fail"}

@@ -4,9 +4,12 @@ import pytest
 
 from relprop.minic import Program, IntLit, Var, Bin, AssignStmt, ReturnStmt, FunctionDef
 from relprop.parser import parse_program
+from relprop.pretty import pred_str
+from relprop.selfcomp import transform
+from relprop.validate import validate
 from relprop.interp import (
-    interpret, init_state, State, Interp, Fuel,
-    DivisionByZero, Overflow, FuelExhausted, AssertViolated,
+    interpret, init_state, State, Interp, Fuel, MAX_CALL_DEPTH,
+    InterpError, DivisionByZero, Overflow, FuelExhausted, AssertViolated,
 )
 
 
@@ -113,3 +116,117 @@ def test_uninitialized_locals_are_zero():
     src = "int f() { int x; return x; }"
     p = parse_program(src)
     assert interpret(p.function("f"), [], init_state(p), program=p)[0] == 0
+
+
+# -- labels, mirrors and the call depth ----------------------------------------
+
+LABELS_SRC = """
+int g = 3;
+/*@ assigns g \\from g; */
+void bump() {
+  g = g + 1;
+  /*@ assert \\old(g) == g - 1; */
+}
+/*@ assigns g \\from g, x; assigns *p \\from *p; */
+void f(int x, int *p) {
+  g = g + x;
+  *p = *p + 2;
+  /*@ assert A; */
+  bump();
+  /*@ assert B; */
+}
+"""
+
+
+def run_labels(a: str, b: str) -> State:
+    """`f(4, p)` with `*p == 7` on entry; `g` is 3 on entry, 7 at `A` and
+    8 at `B`, after the call."""
+    p = parse_program(LABELS_SRC.replace("A;", a + ";").replace("B;", b + ";"))
+    assert validate(p) == []
+    state = init_state(p)
+    cell = state.alloc(7)
+    interpret(p.function("f"), [4, cell], state, program=p)
+    return state
+
+
+@pytest.mark.parametrize("pred", [
+    "\\old(g) == 3 && g == 7",
+    "\\at(g, Pre) == \\at(g, Old) && \\at(g, Old) == 3",
+    "\\at(g, Here) == \\at(g, Post) && \\at(g, Post) == 7",
+    "\\old(g + x) == 7",
+    "\\at(*p, Pre) == 7 && *p == 9",
+])
+def test_labels_read_the_entry_and_the_live_state(pred):
+    state = run_labels(pred, "\\true")
+    assert state.globals["g"] == 8 and list(state.heap.values()) == [9]
+    with pytest.raises(AssertViolated):
+        run_labels(f"!({pred})", "\\true")
+
+
+def test_a_callee_entry_does_not_leak_into_the_caller():
+    # `bump` asserts `\old(g)` against its own entry; back in `f`, `\old(g)`
+    # is `f`'s entry again.
+    run_labels("\\true", "\\old(g) == 3 && g == 8")
+    with pytest.raises(AssertViolated):
+        run_labels("\\true", "\\old(g) == 7")
+
+
+def test_pre_of_a_local_is_unbound():
+    src = """
+    /*@ assigns \\result \\from x; */
+    int f(int x) {
+      int l = x + 1;
+      /*@ assert \\at(l, Pre) == l; */
+      return l;
+    }
+    """
+    p = parse_program(src)
+    assert validate(p) == []
+    with pytest.raises(InterpError) as exc:
+        interpret(p.function("f"), [1], init_state(p), program=p)
+    assert type(exc.value) is InterpError
+    assert str(exc.value) == "unbound variable l"
+
+
+MIRROR_SRC = """
+/*@ assigns \\result \\from x; */
+int sq(int x) { return x * x; }
+/*@ assigns \\result \\from x;
+    relational R: \\forall int a;
+      \\callset(\\call(inc_sq, a, id1)) ==> \\callresult(id1) == RHS;
+*/
+int inc_sq(int x) { return x * x + 1; }
+"""
+
+
+@pytest.mark.parametrize("rhs, holds", [("\\callpure(sq, a) + 1", True),
+                                        ("\\callpure(sq, a)", False)])
+def test_a_mirror_in_an_assert_runs_its_function(rhs, holds):
+    t = transform(parse_program(MIRROR_SRC.replace("RHS", rhs)))
+    wrapper = t.entries[0].wrapper.fn
+    assert "sq_acsl" in pred_str(wrapper.body[-1].pred)
+    for a in (-2, 0, 3):
+        if holds:
+            interpret(wrapper, [a], program=t.program)
+        else:
+            with pytest.raises(AssertViolated):
+                interpret(wrapper, [a], program=t.program)
+
+
+def test_call_depth_limit_is_fuel_exhausted():
+    src = """
+    /*@ assigns \\result \\from n; */
+    int down(int n) {
+      int r = 0;
+      if (n > 0) {
+        r = down(n - 1);
+      }
+      return r;
+    }
+    """
+    p = parse_program(src)
+    assert validate(p) == []
+    down = p.function("down")
+    assert interpret(down, [MAX_CALL_DEPTH - 1], program=p)[0] == 0
+    with pytest.raises(FuelExhausted, match="call depth exceeds"):
+        interpret(down, [MAX_CALL_DEPTH], program=p)

@@ -261,7 +261,6 @@ EXAMPLES = {
                        path=None), ("form", FALSE)),
     bounded.BoundedResult: (dict(status="valid", bound=8), ("rows", 3)),
     prove.ProofRun: (dict(vcs=(), results={}), ("vcs", ("v",))),
-    interp.Snapshot: (dict(globals={"g": 1}, heap={}, frame={}), ("heap", {1: 2})),
     dynamic.InputVector: (dict(values={"x": 1}), ("seed", 7)),
     dynamic.CheckReport: (dict(property="P", outcome="pass",
                                input=dynamic.InputVector({"x": 1})),
@@ -269,7 +268,7 @@ EXAMPLES = {
 }
 RECORDS = list(EXAMPLES)
 # Records that were mutable dataclasses; they are frozen now.
-WERE_MUTABLE = {validate._Scope, vcgen._Item, interp.Snapshot}
+WERE_MUTABLE = {validate._Scope, vcgen._Item}
 
 
 def example(cls, **changes):
@@ -400,8 +399,7 @@ def test_record_defaults():
         bounded.BoundedResult("valid", 8, None, "instantiation", 0, None)
     v = dynamic.InputVector({"x": 1})
     assert (v.property, v.strategy, v.seed) == (None, None, None)
-    report = example(dynamic.CheckReport)
-    assert (report.error, report.trace, report.seconds) == (None, (), 0.0)
+    assert example(dynamic.CheckReport).error is None
 
 
 def test_span_is_a_keyword_only_where_it_is_a_field():
@@ -427,17 +425,12 @@ def test_a_scope_replaces_only_its_fields():
 
 def test_machine_state_defaults_and_cells():
     state = interp.State()
-    assert (state.globals, state.heap, state.snapshots) == ({}, {}, {})
+    assert (state.globals, state.heap) == ({}, {})
     assert interp.State().globals is not state.globals
     assert state.alloc(5) == 1 and state.alloc(6) == 2
-    state.globals["g"] = 3
-    state.snapshot("Pre", {"x": 1})
-    snap = state.snapshots["Pre"]
-    assert snap == interp.Snapshot({"g": 3}, {1: 5, 2: 6}, {"x": 1})
-    state.globals["g"] = 4
-    assert snap.globals == {"g": 3}
-    shadow = interp.State({"g": 1}, {1: 2}, {})
-    assert (shadow.globals, shadow.heap, shadow.snapshots) == ({"g": 1}, {1: 2}, {})
+    assert state.heap == {1: 5, 2: 6}
+    given = interp.State({"g": 1}, {1: 2})
+    assert (given.globals, given.heap) == ({"g": 1}, {1: 2})
 
 
 def test_every_record_is_frozen():
@@ -450,7 +443,7 @@ def test_every_record_is_frozen():
                and dataclasses.is_dataclass(cls)}
     assert set(RECORDS) <= records
     assert [c.__name__ for c in records if not issubclass(c, Frozen)] == []
-    assert len(records - set(CLASSES)) == len(RECORDS) == 16
+    assert len(records - set(CLASSES)) == len(RECORDS) == 15
 
 
 # Records that derive fields in a constructor of their own, which calls

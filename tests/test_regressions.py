@@ -518,3 +518,35 @@ def test_equal_branch_values_merge_in_time_of_the_dag():
                           capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+# -- a callee's pre-state of a global outside its footprint --------------------
+
+PRE_OF_UNTOUCHED_GLOBAL = """
+int h = 0;
+/*@ assigns \\result \\from x;
+    CONTRACT; */
+int g(int x) { return x; }
+/*@ assigns h \\from h;
+    assigns \\result \\from h; */
+int f() {
+  int r = 0;
+  h = 5;
+  r = g(1);
+  /*@ assert r == 1; */
+  return r;
+}
+"""
+
+
+@pytest.mark.parametrize("contract, vc", [
+    ("ensures \\result == x + (\\old(h) - h)", "f__assert"),
+    ("requires \\at(h, Pre) == h", "f__requires_of_g"),
+])
+def test_callee_pre_state_of_a_global_is_the_call_point(contract, vc):
+    # `h` is outside g's footprint, so its value at g's entry is its value
+    # at the call (5), not at f's entry: the obligation holds.
+    p = parse(PRE_OF_UNTOUCHED_GLOBAL.replace("CONTRACT", contract))
+    assert interpret(p.function("f"), [], program=p)[0] == 1
+    result = prove_program(transform(p), 3).results[vc]
+    assert (result["status"], result["detail"]) == ("valid", "instantiation")
